@@ -3,8 +3,8 @@
 from .rings import ZZ, QQ, GF, polynomial_ring, ring_from_descriptor
 from .matrix import Matrix, smith, solve, det, kernel_basis, column_space_basis, rank
 from .fpmod import FpModule, FpMorphism, check_ses, free_cover, hsum, kernel
-from .complexes import (ChainComplex, acyclicity_witness, homology,
-                        homology_by_ranks, is_acyclic)
+from .complexes import (ChainComplex, acyclicity_witness, free_line_exact,
+                        homology, homology_by_ranks, is_acyclic)
 from .multicomplex import (BinaryMulticomplex, MultiMorphism, collapse_along,
                            diagonal_embed, diagonality_report,
                            direct_sum_multi, expand_along, image_multicomplex,
@@ -23,7 +23,8 @@ __all__ = [
     "ZZ", "QQ", "GF", "polynomial_ring", "ring_from_descriptor",
     "Matrix", "smith", "solve", "det", "kernel_basis", "column_space_basis", "rank",
     "FpModule", "FpMorphism", "check_ses", "free_cover", "hsum", "kernel",
-    "ChainComplex", "acyclicity_witness", "homology", "homology_by_ranks", "is_acyclic",
+    "ChainComplex", "acyclicity_witness", "free_line_exact", "homology",
+    "homology_by_ranks", "is_acyclic",
     "BinaryMulticomplex", "MultiMorphism", "collapse_along", "diagonal_embed",
     "diagonality_report", "direct_sum_multi", "expand_along",
     "image_multicomplex", "rediagonalize", "validate",

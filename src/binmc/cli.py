@@ -62,7 +62,11 @@ def ring_from_name(name: str):
 
 def _read_doc(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        return load_text(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as e:
+            raise ParseError(f"not UTF-8 text ({e.reason})", f"byte {e.start}")
+    return load_text(text)
 
 
 def _write_text(path: str, text: str):

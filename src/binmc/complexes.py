@@ -107,6 +107,32 @@ def homology_by_ranks(C: ChainComplex, k: int):
     return betti, torsion
 
 
+def free_line_exact(C: ChainComplex) -> bool:
+    """Exactness of a complex of free modules, certified by ranks and units.
+
+    Precondition: every object is freely presented and consecutive
+    differentials compose to zero (the constructor's check, or the composite
+    check in validate).  Over a PID such a complex is exact iff
+    n_k = rank d_k + rank d_{k+1} at every degree (out-of-range differentials
+    have rank 0) and every nonzero invariant factor of every differential is
+    a unit: the ranks make each cycle module and boundary module equal up to
+    torsion, and unit factors make every boundary module saturated.  Reads one
+    cached Smith form per differential.  A False answer carries no location;
+    acyclicity_witness is the path that names the failing degree.
+    """
+    if not C.is_free():
+        raise RingError("the rank certificate needs free objects")
+    ring = C.ring
+    ranks = [0]
+    for d in C.diffs:
+        diagonal = [x for x in smith(d.mat).diagonal() if not ring.is_zero(x)]
+        if not all(ring.is_unit(x) for x in diagonal):
+            return False
+        ranks.append(len(diagonal))
+    ranks.append(0)
+    return all(m.gens == ranks[k] + ranks[k + 1] for k, m in enumerate(C.objects))
+
+
 @dataclass(frozen=True)
 class AcyclicityWitness:
     """Factorizations d_k = mono_k after epi_k through cycle objects.

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .errors import IllDefinedMorphism, ShapeError
 from .matrix import (Matrix, _smith_ext, _solve_prepared, block_diag,
-                     column_space_basis, hstack, kernel_basis)
+                     column_space_basis, hstack, kernel_basis, solve)
 from .rings import Ring
 
 
@@ -265,16 +265,11 @@ def factor_through_mono(mono: FpMorphism, f: FpMorphism):
         raise ShapeError("factor_through_mono endpoint mismatch")
     B = mono.target.rels
     stack = hstack([mono.mat, B]) if B.cols else mono.mat
-    X = _matrix_solve(stack, f.mat)
+    X = solve(stack, f.mat)
     if X is None:
         return None
     top = X.submatrix(0, mono.source.gens, 0, X.cols)
     return FpMorphism(f.source, mono.source, top)
-
-
-def _matrix_solve(A, B):
-    from .matrix import solve
-    return solve(A, B)
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .complexes import ChainComplex, acyclicity_witness
+from .complexes import ChainComplex, acyclicity_witness, free_line_exact
 from .errors import NotAcyclic, ShapeError
 from .fpmod import (FpModule, FpMorphism, direct_sum_modules,
                     factor_through_mono, image, split_inclusion,
@@ -217,6 +217,13 @@ def validate(M: BinaryMulticomplex, mode: str = "fp") -> ValidationReport:
 
     In free mode every object must be freely presented; line witnesses are
     then computed with free cycle modules.
+
+    In either mode, a line whose objects are all free and whose consecutive
+    differentials compose to zero is first tested with the rank certificate
+    free_line_exact (one cached Smith form per differential).  Only when the
+    certificate does not confirm exactness, or the line has non-free objects,
+    is acyclicity_witness(line, mode) run; every line failure is therefore
+    reported by the witness, with its failing degree and homology.
     """
     failures = []
     if mode == "free":
@@ -236,7 +243,7 @@ def validate(M: BinaryMulticomplex, mode: str = "fp") -> ValidationReport:
                             "composite", which, axis, _insert(rest, axis, k + 2),
                             "consecutive differentials do not compose to zero"))
                         broken = True
-                if broken:
+                if broken or (line.is_free() and free_line_exact(line)):
                     continue
                 outcome = acyclicity_witness(line, mode)
                 if not outcome.ok:

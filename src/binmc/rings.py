@@ -12,6 +12,19 @@ from fractions import Fraction
 from .errors import RingError
 
 
+def _int_literal(doc) -> int:
+    """Parse a decimal literal in the exact form str(int) writes.
+
+    That rejects '+', leading zeros, '-0', '_' separators, whitespace and
+    non-ASCII digits, so equal integers always have equal literals.  Raises
+    TypeError or ValueError otherwise.
+    """
+    value = int(doc, 10)
+    if str(value) != doc:
+        raise ValueError(f"integer literal {doc!r} is not canonical")
+    return value
+
+
 class Ring:
     """Common interface.
 
@@ -126,7 +139,7 @@ class IntegerRing(Ring):
 
     def element_from_doc(self, doc):
         try:
-            return int(doc, 10)
+            return _int_literal(doc)
         except (TypeError, ValueError):
             raise RingError(f"bad integer literal {doc!r}")
 
@@ -185,8 +198,8 @@ class RationalRing(Ring):
         try:
             if "/" in doc:
                 num, den = doc.split("/")
-                return Fraction(int(num, 10), int(den, 10))
-            return Fraction(int(doc, 10))
+                return Fraction(_int_literal(num), _int_literal(den))
+            return Fraction(_int_literal(doc))
         except (TypeError, ValueError, ZeroDivisionError, AttributeError):
             raise RingError(f"bad rational literal {doc!r}")
 
@@ -267,7 +280,7 @@ class PrimeField(Ring):
 
     def element_from_doc(self, doc):
         try:
-            return int(doc, 10) % self.p
+            return _int_literal(doc) % self.p
         except (TypeError, ValueError):
             raise RingError(f"bad prime-field literal {doc!r}")
 
@@ -420,7 +433,7 @@ def ring_from_descriptor(doc) -> Ring:
         return QQ
     if kind == "prime-field":
         try:
-            return GF(int(doc["p"], 10))
+            return GF(_int_literal(doc["p"]))
         except (KeyError, TypeError, ValueError):
             raise RingError(f"bad prime-field descriptor {doc!r}")
     if kind == "polynomials-over":

@@ -10,13 +10,18 @@ so equal objects produce byte-identical documents and digests.
 
 Parsing is strict: every malformed field raises ParseError carrying a
 human-readable location (JSON line/column for syntax, a record path for
-semantic problems).  Parsed morphisms go through the ordinary constructors,
-so ill-defined maps and mismatched shapes are rejected, not smuggled in.
+semantic problems).  Integer literals must be exactly as written here (no
+'+', leading zeros, separators or whitespace), so equal objects have equal
+input digests too.  A document that nests too deeply, or declares a support
+box larger than its object list, is refused before any work is done.  Parsed
+morphisms go through the ordinary constructors, so ill-defined maps and
+mismatched shapes are rejected, not smuggled in.
 """
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 
 from .errors import (BinmcError, IllDefinedMorphism, ParseError, RingError,
                      ShapeError)
@@ -50,6 +55,10 @@ def load_text(text: str) -> dict:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(e.msg, f"line {e.lineno}, column {e.colno}")
+    except RecursionError:
+        raise ParseError("document nests too deeply", "document")
+    except ValueError as e:  # e.g. an integer past the int conversion limit
+        raise ParseError(str(e), "document")
     if not isinstance(doc, dict):
         raise ParseError("top-level document must be an object", "document")
     return doc
@@ -174,9 +183,16 @@ def multicomplex_from_doc(doc, where="multicomplex") -> BinaryMulticomplex:
                                 for s in shape):
         raise ParseError(f"shape must list {dim} nonnegative extents", where)
     shape = tuple(shape)
+    records = _need(doc, "objects", list, where)
+    # the box is materialized only once its volume is known to match the
+    # object list, so a tiny document cannot declare a huge support box
+    volume = math.prod(shape)
+    if volume != len(records):
+        raise ParseError(f"shape {list(shape)} needs {volume} objects, "
+                         f"found {len(records)}", where)
 
     objects = {}
-    for k, rec in enumerate(_need(doc, "objects", list, where)):
+    for k, rec in enumerate(records):
         spot = f"{where}.objects[{k}]"
         c = _coord_from_doc(_need(rec, "at", list, spot), dim, spot)
         if c in objects:

@@ -199,3 +199,45 @@ def test_empty_class_represents_over_named_ring(tmp_path, capsys):
     assert main(["represent-diagonal", src, "--ring", "F7",
                  "--direction", "1"]) == 0
     assert "result-diagonal" in capsys.readouterr().out
+
+
+def test_oversized_box_is_an_input_error(tmp_path, monkeypatch, capsys):
+    from binmc import multicomplex
+
+    def guarded_box_coords(shape):
+        volume = 1
+        for s in shape:
+            volume *= s
+        assert volume <= 10_000, "parser materialized an oversized box"
+        return real_box_coords(shape)
+
+    real_box_coords = multicomplex.box_coords
+    monkeypatch.setattr(multicomplex, "box_coords", guarded_box_coords)
+    doc = {"schema": "binmc.multicomplex/1", "ring": {"kind": "integers"},
+           "dim": 2, "shape": [100000, 100000], "objects": [], "differentials": []}
+    path = _write(tmp_path / "huge.json", doc)
+    capsys.readouterr()
+    assert main(["check", path]) == 2
+    assert "needs 10000000000 objects, found 0" in capsys.readouterr().err
+    assert main(["resolve-multi", path, "--out", str(tmp_path / "r.json")]) == 2
+
+
+def test_deep_or_overlong_json_is_an_input_error(tmp_path, capsys):
+    depth = 100_000
+    cases = [("[" * depth + "]" * depth, "nests too deeply"),
+             ('{"schema": ' + "[" * depth + "]" * depth + "}", "nests too deeply"),
+             ('{"dim": ' + "1" * 5000 + "}", "digits")]
+    for text, message in cases:
+        path = tmp_path / "doc.json"
+        path.write_text(text, encoding="utf-8")
+        capsys.readouterr()
+        assert main(["check", str(path)]) == 2
+        assert message in capsys.readouterr().err
+
+
+def test_non_utf8_document_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"schema": "caf\xe9"}')
+    capsys.readouterr()
+    assert main(["check", str(path)]) == 2
+    assert "UTF-8" in capsys.readouterr().err

@@ -5,14 +5,14 @@ import pytest
 
 from binmc.complexes import (AcyclicityWitness, ChainComplex, ChainMap,
                              acyclicity_witness, admissible_epi_check,
-                             check_complex_ses, homology, homology_by_ranks,
-                             is_acyclic, kernel_complex)
-from binmc.errors import ShapeError
+                             check_complex_ses, free_line_exact, homology,
+                             homology_by_ranks, is_acyclic, kernel_complex)
+from binmc.errors import RingError, ShapeError
 from binmc.fpmod import FpModule, FpMorphism, free_cover, split_inclusion, split_projection
 from binmc.gen import (complex_direct_sum, random_acyclic_complex,
                        random_complex_with_known_homology)
 from binmc.matrix import Matrix
-from binmc.rings import GF, QQ, ZZ
+from binmc.rings import GF, QQ, ZZ, polynomial_ring
 
 
 def mat(rows, ring=ZZ):
@@ -114,6 +114,82 @@ def test_two_homology_algorithms_agree():
                 betti, torsion = homology_by_ranks(C, k)
                 assert machinery == (betti, torsion)
                 assert machinery == expected[k]
+
+
+def _certificate_matches_witness(C):
+    """free_line_exact agrees with the witness and with vanishing homology."""
+    exact = free_line_exact(C)
+    assert exact == acyclicity_witness(C, "fp").ok
+    if C.ring.kind == "polynomials-over":
+        vanishing = [homology(C, k).canonical() == (0, ()) for k in range(C.length)]
+    else:
+        vanishing = [homology_by_ranks(C, k) == (0, ()) for k in range(C.length)]
+    assert exact == all(vanishing)
+    return exact
+
+
+def test_rank_certificate_matches_witness_on_random_complexes():
+    rng = random.Random(71)
+    verdicts = set()
+    for ring in (ZZ, GF(7), QQ):
+        for _ in range(12):
+            C, expected = random_complex_with_known_homology(rng, ring, length=4)
+            exact = _certificate_matches_witness(C)
+            assert exact == all(v == (0, ()) for v in expected.values())
+            verdicts.add(exact)
+            A = random_acyclic_complex(rng, ring, length=4, max_rank=3, allow_fp=False)
+            assert _certificate_matches_witness(A)
+    assert verdicts == {True, False}
+
+
+def test_rank_certificate_matches_witness_on_hand_built_lines():
+    # ranks add up but a non-unit invariant factor leaves torsion
+    assert not _certificate_matches_witness(two_term(2))
+    assert not _certificate_matches_witness(two_term(-6))
+    # rank deficits: a zero map, Z^2 -> Z whose kernel survives in degree 1,
+    # and a lone nonzero object
+    assert not _certificate_matches_witness(two_term(0))
+    f1, f2 = free(1), free(2)
+    C = ChainComplex(ZZ, [f1, f2], [FpMorphism(f2, f1, mat([[1, 0]]), _trusted=True)])
+    assert not _certificate_matches_witness(C)
+    assert not _certificate_matches_witness(ChainComplex(ZZ, [f1], []))
+    # exact ones, including the empty complex and a zero object
+    assert _certificate_matches_witness(two_term(-1))
+    assert _certificate_matches_witness(ChainComplex.empty(ZZ))
+    assert _certificate_matches_witness(ChainComplex(ZZ, [FpModule.zero(ZZ)], []))
+    # over QQ every nonzero scalar is a unit
+    assert _certificate_matches_witness(two_term(2, QQ))
+    assert not _certificate_matches_witness(two_term(0, QQ))
+
+
+def test_rank_certificate_over_polynomials_with_nonconstant_torsion():
+    R = polynomial_ring(GF(5))
+    x, x1, x2 = (0, 1), (1, 1), (0, 0, 1)
+    neg_x, neg_x1 = R.neg(x), R.neg(x1)
+    f1, f2 = FpModule.free(R, 1), FpModule.free(R, 2)
+
+    def mor(src, tgt, rows):
+        return FpMorphism(src, tgt, Matrix.from_rows(R, rows), _trusted=True)
+
+    # F5[x] --x--> F5[x]: torsion F5[x]/(x) in degree 0
+    C = ChainComplex(R, [f1, f1], [mor(f1, f1, [[x]])])
+    assert not _certificate_matches_witness(C)
+    assert homology(C, 0).canonical()[1] == (x,)
+    # Koszul line on the coprime pair x, x + 1: exact
+    K = ChainComplex(R, [f1, f2, f1], [mor(f2, f1, [[neg_x1, x]]),
+                                       mor(f1, f2, [[x], [x1]])])
+    assert _certificate_matches_witness(K)
+    # the pair x, x^2 shares the factor x: ranks add up, yet H_1 = F5[x]/(x)
+    B = ChainComplex(R, [f1, f2, f1], [mor(f2, f1, [[neg_x, R.one]]),
+                                       mor(f1, f2, [[x], [x2]])])
+    assert not _certificate_matches_witness(B)
+    assert acyclicity_witness(B).failing_degree == 1
+
+
+def test_rank_certificate_needs_free_objects():
+    C = ChainComplex(ZZ, [FpModule(ZZ, 1, mat([[2]]))], [])
+    with pytest.raises(RingError):
+        free_line_exact(C)
 
 
 def test_chain_map_must_commute():

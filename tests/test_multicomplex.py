@@ -76,6 +76,26 @@ def test_validate_reports_line_failure():
     failure = report.first()
     assert failure.kind == "line" and failure.family == "top"
 
+    # free lines the rank certificate rejects still get the witness's report
+    two = FpMorphism(free1, free1, Matrix.from_int_rows(ZZ, [[2]]), _trusted=True)
+    cases = [
+        ([free1, free1], [two], [good], "top", (0,),
+         "homology at degree 0: free rank 0, torsion [2]"),
+        ([free1, free1], [good], [bad], "bottom", (0,),
+         "homology at degree 0: free rank 1, torsion []"),
+        ([free1, free1, free1], [good, bad], [good, bad], "top", (2,),
+         "homology at degree 2: free rank 1, torsion []"),
+    ]
+    for modules, tops, bots, family, coord, detail in cases:
+        M = BinaryMulticomplex.from_binary_chain(ZZ, modules, tops, bots)
+        for mode in ("fp", "free"):
+            report = validate(M, mode)
+            assert not report.ok
+            failure = report.first()
+            assert (failure.kind, failure.family, failure.axis) == ("line", family, 0)
+            assert failure.coord == coord
+            assert failure.detail == detail
+
 
 def test_validate_reports_composite_failure():
     free1 = FpModule.free(ZZ, 1)

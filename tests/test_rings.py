@@ -86,3 +86,22 @@ def test_bad_descriptors_rejected():
                 {"kind": "polynomials-over"}, "integers"]:
         with pytest.raises(RingError):
             ring_from_descriptor(doc)
+
+
+def test_non_canonical_literals_rejected():
+    bad = ["1_000", " 7 ", "+7", "007", "-0", "7\n", "٧", "", "-"]
+    for ring in (ZZ, GF(11)):
+        for doc in bad:
+            with pytest.raises(RingError):
+                ring.element_from_doc(doc)
+        assert ring.element_from_doc("0") == 0
+    for doc in bad:
+        for literal in (doc, f"{doc}/3", f"3/{doc}"):
+            with pytest.raises(RingError):
+                QQ.element_from_doc(literal)
+    assert QQ.element_from_doc("-10/3") == Fraction(-10, 3)
+    assert QQ.element_from_doc("10") == Fraction(10)
+    with pytest.raises(RingError):
+        polynomial_ring(GF(5)).element_from_doc(["1", "+2"])
+    with pytest.raises(RingError):
+        ring_from_descriptor({"kind": "prime-field", "p": "007"})

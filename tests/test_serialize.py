@@ -214,3 +214,12 @@ def test_witness_and_sign_validation():
     with pytest.raises(ParseError) as e:
         ser.chain_from_doc(cdoc)
     assert "sign" in str(e.value)
+
+
+def test_non_canonical_entry_is_rejected_with_location():
+    M = random_multicomplex(random.Random(17), ZZ, 1, length=2, max_rank=2)
+    doc = ser.multicomplex_to_doc(M)
+    doc["differentials"][0]["top"]["entries"][0][0] = "1_000"
+    with pytest.raises(ParseError) as e:
+        ser.multicomplex_from_doc(doc)
+    assert "differentials[0].top.entries[0][0]" in str(e.value)
