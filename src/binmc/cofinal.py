@@ -70,9 +70,6 @@ class CofinalInstance:
         return self.in_ambient(M) and all(m.gens % 2 == 0 for m in M.objects.values())
 
 
-DEFAULT_INSTANCE = CofinalInstance(ZZ)
-
-
 @dataclass(frozen=True)
 class RelClass:
     """The rank-parity grid of a multicomplex: its class relative to the

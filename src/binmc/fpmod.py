@@ -53,7 +53,7 @@ class FpModule:
         """
         if self._canon is None:
             ring = self.ring
-            _, S, _, _ = self._rels_snf()
+            _, S, _ = self._rels_snf()
             tors = []
             r = 0
             for i in range(min(S.rows, S.cols)):
@@ -90,8 +90,7 @@ class FpModule:
         """X with rels @ X == B, or None; the cached decomposition makes this cheap."""
         if self.rels.cols == 0:
             return Matrix.zeros(self.ring, 0, B.cols) if B.is_zero() else None
-        U, S, V, _ = self._rels_snf()
-        return _solve_prepared(self.ring, U, S, V, B)
+        return _solve_prepared(self.ring, *self._rels_snf(), B)
 
 
 def direct_sum_modules(mods) -> FpModule:

@@ -25,7 +25,7 @@ class Matrix:
         self.rows = rows
         self.cols = cols
         self.entries = entries
-        self._snf = None  # cached (U, S, V, Uinv); instances are immutable
+        self._snf = None  # cached (U, S, V) from _smith_ext; instances are immutable
 
     @staticmethod
     def from_rows(ring: Ring, rows) -> "Matrix":
@@ -226,12 +226,7 @@ class SmithDecomposition:
 
     @property
     def rank(self) -> int:
-        r = 0
-        ring = self.ring
-        for i in range(min(self.S.rows, self.S.cols)):
-            if not ring.is_zero(self.S.get(i, i)):
-                r += 1
-        return r
+        return _rank_of(self.ring, self.S)
 
     def diagonal(self):
         return [self.S.get(i, i) for i in range(min(self.S.rows, self.S.cols))]
@@ -256,356 +251,144 @@ class SmithDecomposition:
         return True
 
 
-class _Worker:
-    """Mutable elimination state, mirroring row ops into U/Uinv and col ops into V."""
+def _kernels(ring: Ring):
+    """(axpy, col_axpy) for the ring: row dst += c*src, and column j += c*column i.
 
-    def __init__(self, A: Matrix):
-        self.ring = A.ring
-        self.n = A.rows
-        self.m = A.cols
-        self.S = A.row_list()
-        one, zero = A.ring.one, A.ring.zero
-        self.U = [[one if i == j else zero for j in range(self.n)] for i in range(self.n)]
-        self.Uinv = [[one if i == j else zero for j in range(self.n)] for i in range(self.n)]
-        self.V = [[one if i == j else zero for j in range(self.m)] for i in range(self.m)]
-
-    def row_swap(self, i, j):
-        self.S[i], self.S[j] = self.S[j], self.S[i]
-        self.U[i], self.U[j] = self.U[j], self.U[i]
-        for r in self.Uinv:  # inverse gets the column swap
-            r[i], r[j] = r[j], r[i]
-
-    def col_swap(self, i, j):
-        for r in self.S:
-            r[i], r[j] = r[j], r[i]
-        for r in self.V:
-            r[i], r[j] = r[j], r[i]
-
-    def row_addmul(self, i, j, c):
-        # row i += c * row j; Uinv column j -= c * column i
-        add, mul, sub = self.ring.add, self.ring.mul, self.ring.sub
-        Si, Sj = self.S[i], self.S[j]
-        for t in range(self.m):
-            Si[t] = add(Si[t], mul(c, Sj[t]))
-        Ui, Uj = self.U[i], self.U[j]
-        for t in range(self.n):
-            Ui[t] = add(Ui[t], mul(c, Uj[t]))
-        for r in self.Uinv:
-            r[j] = sub(r[j], mul(c, r[i]))
-
-    def col_addmul(self, j, i, c):
-        # col j += c * col i
-        add, mul = self.ring.add, self.ring.mul
-        for r in self.S:
-            r[j] = add(r[j], mul(c, r[i]))
-        for r in self.V:
-            r[j] = add(r[j], mul(c, r[i]))
-
-    def row_scale(self, i, u):
-        mul = self.ring.mul
-        uinv = self.ring.unit_inverse(u)
-        self.S[i] = [mul(u, x) for x in self.S[i]]
-        self.U[i] = [mul(u, x) for x in self.U[i]]
-        for r in self.Uinv:
-            r[i] = mul(r[i], uinv)
-
-    def pivot_in(self, t):
-        """Smallest nonzero entry of S[t:, t:], ties to lowest (row, col).
-
-        Size 1 is the smallest a nonzero entry can have, so the scan stops at
-        the first such entry; this keeps the same choice the full scan makes.
-        """
-        ring = self.ring
-        best = None
-        for i in range(t, self.n):
-            row = self.S[i]
-            for j in range(t, self.m):
-                x = row[j]
-                if not ring.is_zero(x):
-                    sz = ring.size(x)
-                    if sz == 1:
-                        return (1, i, j)
-                    if best is None or sz < best[0]:
-                        best = (sz, i, j)
-        return best
-
-    def reduce_at(self, t):
-        """Clear row t and column t off the pivot at (t, t)."""
-        ring = self.ring
-        while True:
-            restart = False
-            for i in range(self.n):
-                if i == t or ring.is_zero(self.S[i][t]):
-                    continue
-                q, r = ring.euclid_div(self.S[i][t], self.S[t][t])
-                if not ring.is_zero(q):
-                    self.row_addmul(i, t, ring.neg(q))
-                if not ring.is_zero(r):
-                    self.row_swap(i, t)
-                    restart = True
-                    break
-            if restart:
-                continue
-            for j in range(self.m):
-                if j == t or ring.is_zero(self.S[t][j]):
-                    continue
-                q, r = ring.euclid_div(self.S[t][j], self.S[t][t])
-                if not ring.is_zero(q):
-                    self.col_addmul(j, t, ring.neg(q))
-                if not ring.is_zero(r):
-                    self.col_swap(j, t)
-                    restart = True
-                    break
-            if restart:
-                continue
-            clear = all(ring.is_zero(self.S[i][t]) for i in range(self.n) if i != t)
-            clear = clear and all(ring.is_zero(self.S[t][j]) for j in range(self.m) if j != t)
-            if clear:
-                return
-
-
-class _IntWorker:
-    """Elimination state over the integers with inlined arithmetic.
-
-    Same operation sequence as _Worker so the output is identical; the raw
-    int ops and zero-skips make the inner loops far cheaper, which matters
-    because integer matrices dominate the workload.
+    Zero entries are skipped by truthiness: 0, Fraction(0) and () are the only
+    falsy ring elements, and adding c*0 changes nothing.
     """
+    if ring.kind == "prime-field":
+        p = ring.p
 
-    __slots__ = ("ring", "n", "m", "S", "U", "Uinv", "V")
+        def axpy(dst, src, c):
+            for k in range(len(src)):
+                v = src[k]
+                if v:
+                    dst[k] = (dst[k] + c * v) % p
 
-    def __init__(self, A: Matrix):
-        self.ring = A.ring
-        self.n = A.rows
-        self.m = A.cols
-        self.S = A.row_list()
-        self.U = [[1 if i == j else 0 for j in range(self.n)] for i in range(self.n)]
-        self.Uinv = [[1 if i == j else 0 for j in range(self.n)] for i in range(self.n)]
-        self.V = [[1 if i == j else 0 for j in range(self.m)] for i in range(self.m)]
+        def col_axpy(rows, j, i, c):
+            for r in rows:
+                v = r[i]
+                if v:
+                    r[j] = (r[j] + c * v) % p
+    elif ring.kind in ("integers", "rationals"):
+        def axpy(dst, src, c):
+            for k in range(len(src)):
+                v = src[k]
+                if v:
+                    dst[k] += c * v
 
-    def row_swap(self, i, j):
-        self.S[i], self.S[j] = self.S[j], self.S[i]
-        self.U[i], self.U[j] = self.U[j], self.U[i]
-        for r in self.Uinv:
-            r[i], r[j] = r[j], r[i]
+        def col_axpy(rows, j, i, c):
+            for r in rows:
+                v = r[i]
+                if v:
+                    r[j] += c * v
+    else:
+        add, mul = ring.add, ring.mul
 
-    def col_swap(self, i, j):
-        for r in self.S:
-            r[i], r[j] = r[j], r[i]
-        for r in self.V:
-            r[i], r[j] = r[j], r[i]
+        def axpy(dst, src, c):
+            for k in range(len(src)):
+                v = src[k]
+                if v:
+                    dst[k] = add(dst[k], mul(c, v))
 
-    def row_addmul(self, i, j, c):
-        Si, Sj = self.S[i], self.S[j]
-        for t in range(self.m):
-            v = Sj[t]
-            if v:
-                Si[t] += c * v
-        Ui, Uj = self.U[i], self.U[j]
-        for t in range(self.n):
-            v = Uj[t]
-            if v:
-                Ui[t] += c * v
-        for r in self.Uinv:
-            v = r[i]
-            if v:
-                r[j] -= c * v
-
-    def col_addmul(self, j, i, c):
-        for r in self.S:
-            v = r[i]
-            if v:
-                r[j] += c * v
-        for r in self.V:
-            v = r[i]
-            if v:
-                r[j] += c * v
-
-    def row_scale(self, i, u):
-        self.S[i] = [u * x for x in self.S[i]]
-        self.U[i] = [u * x for x in self.U[i]]
-        for r in self.Uinv:
-            r[i] *= u  # u is 1 or -1, its own inverse
-
-    def pivot_in(self, t):
-        best = None
-        for i in range(t, self.n):
-            row = self.S[i]
-            for j in range(t, self.m):
-                x = row[j]
-                if x:
-                    sz = -x if x < 0 else x
-                    if sz == 1:
-                        return (1, i, j)
-                    if best is None or sz < best[0]:
-                        best = (sz, i, j)
-        return best
-
-    def reduce_at(self, t):
-        S = self.S
-        n, m = self.n, self.m
-        while True:
-            restart = False
-            for i in range(n):
-                x = S[i][t]
-                if i == t or x == 0:
-                    continue
-                p = S[t][t]
-                q, r = divmod(x, p)
-                if 2 * (r if r >= 0 else -r) > (p if p >= 0 else -p):
-                    q, r = q + 1, r - p
-                if q:
-                    self.row_addmul(i, t, -q)
-                if r:
-                    self.row_swap(i, t)
-                    restart = True
-                    break
-            if restart:
-                continue
-            row_t = S[t]
-            for j in range(m):
-                x = row_t[j]
-                if j == t or x == 0:
-                    continue
-                p = row_t[t]
-                q, r = divmod(x, p)
-                if 2 * (r if r >= 0 else -r) > (p if p >= 0 else -p):
-                    q, r = q + 1, r - p
-                if q:
-                    self.col_addmul(j, t, -q)
-                if r:
-                    self.col_swap(j, t)
-                    restart = True
-                    break
-            if restart:
-                continue
-            if all(S[i][t] == 0 for i in range(n) if i != t) \
-                    and all(row_t[j] == 0 for j in range(m) if j != t):
-                return
-
-
-class _FieldIntWorker:
-    """Elimination over a prime field, elements kept reduced in [0, p).
-
-    Division is exact, so clearing a pivot's row and column is a single
-    Gauss pass with one modular inverse per pivot; the pivot choice (first
-    nonzero in scan order) matches the generic worker, every nonzero entry
-    having Euclidean size 1.
-    """
-
-    __slots__ = ("ring", "p", "n", "m", "S", "U", "Uinv", "V")
-
-    def __init__(self, A: Matrix):
-        self.ring = A.ring
-        self.p = A.ring.p
-        self.n = A.rows
-        self.m = A.cols
-        p = self.p
-        self.S = [[x % p for x in row] for row in A.row_list()]
-        self.U = [[1 if i == j else 0 for j in range(self.n)] for i in range(self.n)]
-        self.Uinv = [[1 if i == j else 0 for j in range(self.n)] for i in range(self.n)]
-        self.V = [[1 if i == j else 0 for j in range(self.m)] for i in range(self.m)]
-
-    def row_swap(self, i, j):
-        self.S[i], self.S[j] = self.S[j], self.S[i]
-        self.U[i], self.U[j] = self.U[j], self.U[i]
-        for r in self.Uinv:
-            r[i], r[j] = r[j], r[i]
-
-    def col_swap(self, i, j):
-        for r in self.S:
-            r[i], r[j] = r[j], r[i]
-        for r in self.V:
-            r[i], r[j] = r[j], r[i]
-
-    def row_addmul(self, i, j, c):
-        p = self.p
-        Si, Sj = self.S[i], self.S[j]
-        for t in range(self.m):
-            v = Sj[t]
-            if v:
-                Si[t] = (Si[t] + c * v) % p
-        Ui, Uj = self.U[i], self.U[j]
-        for t in range(self.n):
-            v = Uj[t]
-            if v:
-                Ui[t] = (Ui[t] + c * v) % p
-        for r in self.Uinv:
-            v = r[i]
-            if v:
-                r[j] = (r[j] - c * v) % p
-
-    def col_addmul(self, j, i, c):
-        p = self.p
-        for r in self.S:
-            v = r[i]
-            if v:
-                r[j] = (r[j] + c * v) % p
-        for r in self.V:
-            v = r[i]
-            if v:
-                r[j] = (r[j] + c * v) % p
-
-    def row_scale(self, i, u):
-        p = self.p
-        uinv = pow(u, -1, p)
-        self.S[i] = [u * x % p for x in self.S[i]]
-        self.U[i] = [u * x % p for x in self.U[i]]
-        for r in self.Uinv:
-            r[i] = r[i] * uinv % p
-
-    def pivot_in(self, t):
-        for i in range(t, self.n):
-            row = self.S[i]
-            for j in range(t, self.m):
-                if row[j]:
-                    return (1, i, j)
-        return None
-
-    def reduce_at(self, t):
-        S = self.S
-        p = self.p
-        piv = S[t][t]
-        pinv = pow(piv, -1, p)
-        for i in range(self.n):
-            x = S[i][t]
-            if i != t and x:
-                self.row_addmul(i, t, (-x * pinv) % p)
-        row_t = S[t]
-        for j in range(self.m):
-            x = row_t[j]
-            if j != t and x:
-                self.col_addmul(j, t, (-x * pinv) % p)
+        def col_axpy(rows, j, i, c):
+            for r in rows:
+                v = r[i]
+                if v:
+                    r[j] = add(r[j], mul(c, v))
+    return axpy, col_axpy
 
 
 def _smith_ext(A: Matrix):
-    """(U, S, V, Uinv) with U A V = S.  See SmithDecomposition for the S contract.
+    """(U, S, V) with U A V = S.  See SmithDecomposition for the S contract.
 
+    One elimination for every ring, on the augmented rows [S | U] over [V],
+    starting from [A | I_n] over [I_m]: a row op on the first n rows moves S
+    and U together, a column op on the first m columns moves S and V together.
     The decomposition is cached on the matrix, so repeated rank / solve /
     kernel questions about one matrix only eliminate once.
     """
     if A._snf is not None:
         return A._snf
-    kind = A.ring.kind
-    if kind == "integers":
-        w = _IntWorker(A)
-    elif kind == "prime-field":
-        w = _FieldIntWorker(A)
-    else:
-        w = _Worker(A)
     ring = A.ring
+    n, m = A.rows, A.cols
+    one, zero = ring.one, ring.zero
+    neg, size, euclid_div = ring.neg, ring.size, ring.euclid_div
+    axpy, col_axpy = _kernels(ring)
+    rows = A.row_list()
+    if ring.kind == "prime-field":
+        rows = [[x % ring.p for x in r] for r in rows]
+    for i, r in enumerate(rows):
+        r.extend(one if k == i else zero for k in range(n))
+    rows.extend([one if k == j else zero for k in range(m)] for j in range(m))
+
+    def col_swap(i, j):
+        for r in rows:
+            r[i], r[j] = r[j], r[i]
+
+    def reduce_at(t):
+        """Clear row t and column t off the pivot at (t, t).
+
+        A nonzero remainder becomes the new pivot, by swap, and the sweep
+        restarts; a sweep with no remainder leaves both lines clear.
+        """
+        while True:
+            for i in range(n):
+                x = rows[i][t]
+                if i == t or not x:
+                    continue
+                q, r = euclid_div(x, rows[t][t])
+                if q:
+                    axpy(rows[i], rows[t], neg(q))
+                if r:
+                    rows[i], rows[t] = rows[t], rows[i]
+                    break
+            else:
+                row_t = rows[t]
+                for j in range(m):
+                    x = row_t[j]
+                    if j == t or not x:
+                        continue
+                    q, r = euclid_div(x, row_t[t])
+                    if q:
+                        col_axpy(rows, j, t, neg(q))
+                    if r:
+                        col_swap(j, t)
+                        break
+                else:
+                    return
+
+    def pivot(t):
+        """(row, col) of the smallest nonzero entry of S[t:, t:], ties to lowest (row, col).
+
+        Size 1 is the smallest a nonzero entry can have, so the scan stops at
+        the first such entry; this keeps the same choice the full scan makes.
+        """
+        best = None
+        for i in range(t, n):
+            row = rows[i]
+            for j in range(t, m):
+                x = row[j]
+                if x:
+                    sz = size(x)
+                    if sz == 1:
+                        return i, j
+                    if best is None or sz < best[0]:
+                        best = (sz, i, j)
+        return None if best is None else best[1:]
+
     t = 0
-    limit = min(w.n, w.m)
-    while t < limit:
-        best = w.pivot_in(t)
-        if best is None:
+    while t < min(n, m):
+        found = pivot(t)
+        if found is None:
             break
-        _, i, j = best
+        i, j = found
         if i != t:
-            w.row_swap(i, t)
+            rows[i], rows[t] = rows[t], rows[i]
         if j != t:
-            w.col_swap(j, t)
-        w.reduce_at(t)
+            col_swap(j, t)
+        reduce_at(t)
         t += 1
     rank = t
     # enforce the divisibility chain d1 | d2 | ... (vacuous over a field)
@@ -614,26 +397,31 @@ def _smith_ext(A: Matrix):
         done = True
         for i in range(rank):
             for j in range(i + 1, rank):
-                if ring.try_divide(w.S[j][j], w.S[i][i]) is None:
-                    w.col_addmul(i, j, ring.one)
-                    w.reduce_at(i)
+                if ring.try_divide(rows[j][j], rows[i][i]) is None:
+                    col_axpy(rows, i, j, one)
+                    reduce_at(i)
                     done = False
     # canonical associates on the diagonal
+    mul = ring.mul
     for i in range(rank):
-        u, c = ring.canonical_factor(w.S[i][i])
-        if u != ring.one:
-            w.row_scale(i, ring.unit_inverse(u))
-    U = Matrix.from_rows(ring, w.U) if w.n else Matrix(ring, 0, 0, [])
-    S = Matrix.from_rows(ring, w.S) if w.n else Matrix(ring, 0, w.m, [])
-    V = Matrix.from_rows(ring, w.V) if w.m else Matrix(ring, 0, 0, [])
-    Uinv = Matrix.from_rows(ring, w.Uinv) if w.n else Matrix(ring, 0, 0, [])
-    A._snf = (U, S, V, Uinv)
+        u, _ = ring.canonical_factor(rows[i][i])
+        if u != one:
+            v = ring.unit_inverse(u)
+            rows[i] = [mul(v, x) for x in rows[i]]
+    U = Matrix(ring, n, n, [x for r in rows[:n] for x in r[m:]])
+    S = Matrix(ring, n, m, [x for r in rows[:n] for x in r[:m]])
+    V = Matrix(ring, m, m, [x for r in rows[n:] for x in r])
+    A._snf = (U, S, V)
     return A._snf
 
 
+def _rank_of(ring: Ring, S: Matrix) -> int:
+    """Number of nonzero diagonal entries of S."""
+    return sum(not ring.is_zero(S.get(i, i)) for i in range(min(S.rows, S.cols)))
+
+
 def smith(A: Matrix) -> SmithDecomposition:
-    U, S, V, _ = _smith_ext(A)
-    return SmithDecomposition(A.ring, U, S, V)
+    return SmithDecomposition(A.ring, *_smith_ext(A))
 
 
 def rank(A: Matrix) -> int:
@@ -644,8 +432,7 @@ def solve(A: Matrix, B: Matrix):
     """X with A @ X == B, or None.  Deterministic: free coordinates are zero."""
     if A.rows != B.rows:
         raise ShapeError("solve: row mismatch")
-    U, S, V, _ = _smith_ext(A)
-    return _solve_prepared(A.ring, U, S, V, B)
+    return _solve_prepared(A.ring, *_smith_ext(A), B)
 
 
 def _solve_prepared(ring, U, S, V, B):
@@ -653,10 +440,7 @@ def _solve_prepared(ring, U, S, V, B):
     k = B.cols
     m = V.rows
     Y = [[ring.zero] * k for _ in range(m)]
-    r = 0
-    for i in range(min(S.rows, S.cols)):
-        if not ring.is_zero(S.get(i, i)):
-            r += 1
+    r = _rank_of(ring, S)
     for i in range(r):
         d = S.get(i, i)
         for j in range(k):
@@ -674,27 +458,18 @@ def _solve_prepared(ring, U, S, V, B):
 
 def kernel_basis(A: Matrix) -> Matrix:
     """Columns form a basis of {x : A x = 0} (the full kernel, saturated over a PID)."""
-    U, S, V, _ = _smith_ext(A)
-    ring = A.ring
-    r = 0
-    for i in range(min(S.rows, S.cols)):
-        if not ring.is_zero(S.get(i, i)):
-            r += 1
-    return V.submatrix(0, V.rows, r, V.cols)
+    _, S, V = _smith_ext(A)
+    return V.submatrix(0, V.rows, _rank_of(A.ring, S), V.cols)
 
 
 def column_space_basis(A: Matrix) -> Matrix:
-    """Columns form a basis of the column span (image lattice) of A."""
-    U, S, V, Uinv = _smith_ext(A)
-    ring = A.ring
-    cols = []
-    for i in range(min(S.rows, S.cols)):
-        d = S.get(i, i)
-        if ring.is_zero(d):
-            break
-        cols.append([ring.mul(Uinv.get(t, i), d) for t in range(A.rows)])
-    out = [[cols[j][i] for j in range(len(cols))] for i in range(A.rows)]
-    return Matrix.from_rows(ring, out) if A.rows else Matrix(ring, 0, len(cols), [])
+    """Columns form a basis of the column span (image lattice) of A.
+
+    They are the first rank columns of A V = U^-1 S, that is U^-1's columns
+    scaled by the invariant factors, so U^-1 itself is never needed.
+    """
+    _, S, V = _smith_ext(A)
+    return A @ V.submatrix(0, V.rows, 0, _rank_of(A.ring, S))
 
 
 def det(A: Matrix):

@@ -103,6 +103,7 @@ class IntegerRing(Ring):
         self.neg = operator.neg
         self.sub = operator.sub
         self.mul = operator.mul
+        self.size = abs
 
     def is_zero(self, a):
         return a == 0
@@ -122,9 +123,6 @@ class IntegerRing(Ring):
         if 2 * abs(r) > abs(b):
             q, r = q + 1, r - b
         return q, r
-
-    def size(self, a):
-        return abs(a)
 
     def canonical_factor(self, a):
         if a < 0:
@@ -213,6 +211,11 @@ class RationalRing(Ring):
         return hash("rationals")
 
 
+# GF(p) needs p < PRIME_BOUND.  Primality is checked by trial division, which
+# below 2**31 takes at most about 23,000 steps, a few milliseconds.
+PRIME_BOUND = 2 ** 31
+
+
 def _is_prime(p: int) -> bool:
     if p < 2:
         return False
@@ -233,6 +236,8 @@ class PrimeField(Ring):
     one = 1
 
     def __init__(self, p: int):
+        if p >= PRIME_BOUND:
+            raise RingError(f"prime modulus has {p.bit_length()} bits; GF(p) needs p < 2**31")
         if not _is_prime(p):
             raise RingError(f"{p} is not prime")
         self.p = p

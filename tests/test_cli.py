@@ -235,6 +235,26 @@ def test_deep_or_overlong_json_is_an_input_error(tmp_path, capsys):
         assert message in capsys.readouterr().err
 
 
+def test_hostile_ring_primes_are_input_errors(tmp_path, capsys):
+    out = str(tmp_path / "x.json")
+    for name, message in [("F618970019642690137449562111", "2**31"),
+                          ("F" + "1" * 5000, "bad prime literal"),
+                          ("F007", "not canonical"),
+                          ("F007[x]", "not canonical")]:
+        capsys.readouterr()
+        assert main(["gen", "--ring", name, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert "--ring" in err and message in err
+    good = str(tmp_path / "m.json")
+    assert main(["gen", "--seed", "5", "--out", good]) == 0
+    doc = _load(tmp_path / "m.json")
+    doc["ring"] = {"kind": "prime-field", "p": "618970019642690137449562111"}
+    huge = _write(tmp_path / "huge.json", doc)
+    capsys.readouterr()
+    assert main(["check", huge]) == 2
+    assert "2**31" in capsys.readouterr().err
+
+
 def test_non_utf8_document_is_an_input_error(tmp_path, capsys):
     path = tmp_path / "latin1.json"
     path.write_bytes(b'{"schema": "caf\xe9"}')

@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from binmc.cofinal import (DEFAULT_INSTANCE, CofinalInstance, RelClass,
-                           complement, delta_top_retract, diagonal_represent,
+from binmc.cofinal import (CofinalInstance, RelClass, complement,
+                           delta_top_retract, diagonal_represent,
                            pair_complement, rel_class)
 from binmc.errors import (CertificateError, MembershipRefusal, NotAcyclic,
                           ShapeError)
@@ -24,7 +24,7 @@ def unit_complex(ring, u):
 
 
 def test_instance_predicates():
-    inst = DEFAULT_INSTANCE
+    inst = CofinalInstance(ZZ)
     assert inst.module_in_ambient(FpModule.free(ZZ, 3))
     assert not inst.module_in_sub(FpModule.free(ZZ, 3))
     assert inst.module_in_sub(FpModule.free(ZZ, 4))
@@ -47,7 +47,7 @@ def test_rel_class_is_additive_and_exact():
         assert rel_class(direct_sum_multi([N1, N2])) == rel_class(N1) + rel_class(N2)
         doubled = direct_sum_multi([N1, N1])
         assert rel_class(doubled).is_zero()
-        assert DEFAULT_INSTANCE.in_sub(doubled)
+        assert CofinalInstance(ZZ).in_sub(doubled)
     U = unit_complex(ZZ, 1)
     assert rel_class(U) == RelClass(1, frozenset({(0,), (1,)}))
     assert not rel_class(U).is_zero()
@@ -59,7 +59,7 @@ def test_complement_unit_complexes():
         T = complement(U, 0)
         assert T.is_diagonal_in(0)
         assert all(m.gens == 1 for m in T.objects.values())
-        assert DEFAULT_INSTANCE.in_sub(direct_sum_multi([U, T]))
+        assert CofinalInstance(ZZ).in_sub(direct_sum_multi([U, T]))
 
 
 def test_complement_of_even_input_is_zero():
@@ -77,12 +77,12 @@ def test_complement_preserves_other_diagonal_directions():
         N = random_multicomplex(rng, ZZ, 2, length=3, max_rank=2, diagonal_axes=(1,))
         T = complement(N, 0)
         assert T.is_diagonal_in(0) and T.is_diagonal_in(1)
-        assert DEFAULT_INSTANCE.in_sub(direct_sum_multi([N, T]))
+        assert CofinalInstance(ZZ).in_sub(direct_sum_multi([N, T]))
     N = random_multicomplex(rng, ZZ, 3, length=2, max_rank=2,
                             diagonal_axes=(2,), bricks=1)
     T = complement(N, 0)
     assert T.is_diagonal_in(0) and T.is_diagonal_in(2)
-    assert DEFAULT_INSTANCE.in_sub(direct_sum_multi([N, T]))
+    assert CofinalInstance(ZZ).in_sub(direct_sum_multi([N, T]))
 
 
 def test_complement_general_branch():
@@ -92,7 +92,7 @@ def test_complement_general_branch():
         for i in range(2):
             T = complement(N, i)
             assert T.is_diagonal_in(i)
-            assert DEFAULT_INSTANCE.in_sub(direct_sum_multi([N, T]))
+            assert CofinalInstance(ZZ).in_sub(direct_sum_multi([N, T]))
             assert validate(T, "free").ok
 
 
@@ -101,7 +101,7 @@ def test_complement_dimension_three():
     N = random_multicomplex(rng, ZZ, 3, length=2, max_rank=2, bricks=1)
     T = complement(N, 1)
     assert T.is_diagonal_in(1)
-    assert DEFAULT_INSTANCE.in_sub(direct_sum_multi([N, T]))
+    assert CofinalInstance(ZZ).in_sub(direct_sum_multi([N, T]))
 
 
 def test_complement_rejections():
@@ -139,8 +139,8 @@ def test_pair_complement_multicomplexes():
         N1 = random_multicomplex(rng, ZZ, 2, length=2, max_rank=2)
         N2, _, _ = conjugate_multicomplex(rng, N1)  # same rank grid
         P = pair_complement(N1, N2)
-        assert DEFAULT_INSTANCE.in_sub(direct_sum_multi([N1, P]))
-        assert DEFAULT_INSTANCE.in_sub(direct_sum_multi([N2, P]))
+        assert CofinalInstance(ZZ).in_sub(direct_sum_multi([N1, P]))
+        assert CofinalInstance(ZZ).in_sub(direct_sum_multi([N2, P]))
     odd = unit_complex(ZZ, 1)
     even = direct_sum_multi([odd, odd])
     with pytest.raises(MembershipRefusal):

@@ -177,14 +177,39 @@ def test_rank_two_ways_agree():
         assert rank(a) == rank_over_fractions(a)
 
 
+F5X = polynomial_ring(GF(5))
+
+
+def _random_matrix(rng, ring, n, m):
+    """Small random entries; over F5[x] polynomials of degree up to 2."""
+    if ring == F5X:
+        return Matrix(ring, n, m, [F5X.poly([rng.randint(0, 4) for _ in range(rng.randint(0, 3))])
+                                   for _ in range(n * m)])
+    return Matrix.from_int_rows(ring, [[rng.randint(-6, 6) for _ in range(m)] for _ in range(n)])
+
+
 def test_smith_randomized_contract():
     rng = random.Random(23)
-    rings = [ZZ, QQ, GF(5)]
-    for tick in range(80):
+    rings = [ZZ, QQ, GF(5), F5X]
+    for tick in range(100):
         ring = rings[tick % len(rings)]
         n, m = rng.randint(0, 4), rng.randint(0, 4)
-        a = Matrix.from_int_rows(ring, [[rng.randint(-6, 6) for _ in range(m)] for _ in range(n)])
+        a = _random_matrix(rng, ring, n, m)
         assert smith(a).verify(a)
+
+
+def test_column_space_basis_spans_the_columns():
+    # basis and A span each other: each one's columns solve against the other
+    rng = random.Random(29)
+    rings = [ZZ, QQ, GF(7), F5X]
+    for tick in range(80):
+        ring = rings[tick % len(rings)]
+        a = _random_matrix(rng, ring, rng.randint(0, 4), rng.randint(0, 4))
+        b = column_space_basis(a)
+        assert b.rows == a.rows and b.cols == rank(a)
+        assert solve(a, b) is not None
+        assert solve(b, a) is not None
+        assert rank(b) == b.cols
 
 
 def test_smith_deterministic_across_runs():
@@ -208,3 +233,52 @@ def test_matmul_shapes_and_zero_width():
     assert (a @ b) == Matrix.zeros(ZZ, 2, 3)
     with pytest.raises(Exception):
         M([[1]]) @ M([[1, 2], [3, 4]])
+
+
+# U, S, V and column_space_basis pinned for fixed inputs, one group per ring.
+# Any change to the pivot rule or the order of row and column operations
+# changes some of these transforms even where S stays the same.
+F, _X = Fraction, (0, 1)
+GOLDEN = [
+    # ZZ, divisibility fix-up: diag(2, 3) becomes diag(1, 6)
+    (ZZ, [[2, 0], [0, 3]],
+     [[-1, 1], [-3, 2]], [[1, 0], [0, 6]], [[1, -3], [1, -2]], [[2, -6], [3, -6]]),
+    (ZZ, [[6, 4, 2], [3, -5, 7], [0, 9, -4]],
+     [[-3, 1, 0], [-12, 4, 1], [31, -10, -2]], [[1, 0, 0], [0, 1, 0], [0, 0, 156]],
+     [[0, -1, -59], [0, 1, 60], [1, 2, 135]], [[2, 2, 156], [7, 6, 468], [-4, 1, 0]]),
+    # ZZ, a pivot tie at size 4: (0, 0) wins over (1, 1)
+    (ZZ, [[4, 6], [6, 4]],
+     [[-1, 1], [3, -2]], [[2, 0], [0, 10]], [[1, 1], [0, 1]], [[4, 10], [6, 10]]),
+    (ZZ, [[4, 6, 10], [6, 9, 15]],
+     [[-1, 1], [3, -2]], [[1, 0, 0], [0, 0, 0]],
+     [[-1, 3, 5], [1, -2, -5], [0, 0, 1]], [[2], [3]]),
+    # GF(7) with unreduced entries 7, -1, 10, -8
+    (GF(7), [[7, -1, 3], [10, 2, -8], [4, 5, 6]],
+     [[6, 0, 0], [3, 5, 0], [0, 3, 3]], [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+     [[0, 1, 3], [1, 0, 3], [0, 0, 1]], [[6, 0, 0], [2, 3, 0], [5, 4, 5]]),
+    (QQ, [[F(1, 2), F(2, 3), F(0)], [F(3), F(-1), F(5, 4)], [F(7, 2), F(-1, 3), F(5, 4)]],
+     [[F(2), F(0), F(0)], [F(6, 5), F(-1, 5), F(0)], [F(-1), F(-1), F(1)]],
+     [[F(1), F(0), F(0)], [F(0), F(1), F(0)], [F(0), F(0), F(0)]],
+     [[F(1), F(-4, 3), F(-1, 3)], [F(0), F(1), F(1, 4)], [F(0), F(0), F(1)]],
+     [[F(1, 2), F(0)], [F(3), F(-5)], [F(7, 2), F(-5)]]),
+    # F5[x]: tuples are coefficients in ascending degree
+    (F5X, [[_X, (1, 1)], [(0, 0, 1), (2,)]],
+     [[(), (3,)], [(3,), (1, 1)]], [[(1,), ()], [(), (0, 3, 1, 1)]],
+     [[(), (1,)], [(1,), (0, 0, 2)]], [[(1, 1), (0, 1, 2, 2)], [(2,), ()]]),
+    (F5X, [[(1, 0, 1), _X], [_X, ()], [(3,), (2, 1)], [(0, 0, 1), (1, 1)]],
+     [[(), (), (2,), ()], [(1, 2), (4, 4, 3), (3, 3), ()],
+      [(0, 4, 2), (1, 4, 1, 3), (0, 0, 3), ()],
+      [(4, 2, 2, 0, 4), (1, 2, 4, 1, 0, 1), (2, 4, 2, 3, 1), (1,)]],
+     [[(1,), ()], [(), (1,)], [(), ()], [(), ()]],
+     [[(1,), (1, 3)], [(), (1,)]],
+     [[(1, 0, 1), (1, 4, 1, 3)], [_X, (0, 1, 3)], [(3,), ()], [(0, 0, 1), (1, 1, 1, 3)]]),
+]
+
+
+@pytest.mark.parametrize("ring, a, U, S, V, B", GOLDEN)
+def test_smith_golden_decompositions(ring, a, U, S, V, B):
+    A = Matrix.from_rows(ring, a)
+    d = smith(A)
+    assert (d.U.row_list(), d.S.row_list(), d.V.row_list()) == (U, S, V)
+    assert column_space_basis(A).row_list() == B
+    assert d.verify(A)

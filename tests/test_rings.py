@@ -42,6 +42,16 @@ def test_prime_field_requires_prime():
         GF(6)
 
 
+def test_prime_modulus_is_bounded():
+    # trial division would not finish on 2**89 - 1; the bound refuses it at once
+    assert GF(2 ** 31 - 1).mul(2 ** 30, 2) == 1
+    for p in (2 ** 31, 2 ** 89 - 1, 10 ** 5000):
+        with pytest.raises(RingError, match="2\\*\\*31"):
+            GF(p)
+    with pytest.raises(RingError, match="2\\*\\*31"):
+        ring_from_descriptor({"kind": "prime-field", "p": "618970019642690137449562111"})
+
+
 def test_polynomial_arithmetic():
     R = polynomial_ring(QQ)
     x = (Fraction(0), Fraction(1))
