@@ -31,7 +31,7 @@ from .errors import (BinmcError, CertificateError, MembershipRefusal,
 from .gen import random_multicomplex
 from .kgroups import tn_membership_certificate, torsion, verify_chain
 from .matrix import smith
-from .multicomplex import diagonality_report, direct_sum_multi, validate
+from .multicomplex import diagonality_report, validate
 from .resolve import resolve_binary, resolve_multi, verify_resolution
 from .rings import PolynomialRing, PrimeField, QQ, ZZ, _int_literal
 from .serialize import (CHAIN_SCHEMA, CLASS_SCHEMA, MATRIX_SCHEMA,
@@ -206,7 +206,7 @@ def cmd_cofinalize(args) -> int:
                          "--direction")
     before = rel_class(M)
     T = complement(M, i)
-    after = rel_class(direct_sum_multi([M, T]))
+    after = before + rel_class(T)
     _verdict(report, "complement-diagonal", T.is_diagonal_in(i), f"direction {i}")
     _verdict(report, "sum-ranks-even", after.is_zero(),
              f"{len(before.odd_coords)} odd-rank spots before, "

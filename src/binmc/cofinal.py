@@ -13,10 +13,12 @@ other direction j, T comes out diagonal in both i and j.  The recursion
 peels one axis off N, complements the image multicomplexes of the peeled
 differential, and reassembles the pieces into a two-layer shift complex
 whose differential is the identity block [[0,1],[0,0]] in both families.
+The input is checked once on entry and the output once on return; the
+recursion in between (_complement, _pair_complement) checks nothing.
 
 diagonal_represent turns a certified sum of diagonal classes into one single
 diagonal class, emitting a relation chain (kgroups module) that proves the
-equality and is re-checked before being returned.
+equality; verify_chain, not diagonal_represent, checks that chain.
 """
 from __future__ import annotations
 
@@ -27,7 +29,7 @@ from .errors import (CertificateError, MembershipRefusal, NotAcyclic,
 from .extension import split_extension
 from .fpmod import FpModule
 from .kgroups import (DiagonalStep, FormalClass, RelationChain, SesStep,
-                      tn_membership_certificate, verify_chain)
+                      tn_membership_certificate)
 from .multicomplex import (BinaryMulticomplex, BinaryTower,
                            block_identity_morphism, collapse_along,
                            common_shape, direct_sum_multi, expand_along,
@@ -137,13 +139,8 @@ def _shift_complex(pieces, axis: int, ring: Ring, dim: int) -> BinaryMulticomple
     return collapse_along(tower, axis)
 
 
-def _layer_images(tower) -> list:
-    """Image multicomplexes C_k of the tower differentials d_{k+1}: the
-    kernels-equal-images of an exact layering, one per interior slot."""
-    return [image_multicomplex(d)[0] for d in tower.tops]
-
-
 def _complement(N: BinaryMulticomplex, i: int) -> BinaryMulticomplex:
+    """complement(N, i) without its checks: N must be valid and free."""
     if any(s == 0 for s in N.shape):
         return BinaryMulticomplex.zero(N.ring, N.dim)
     other_diagonals = sorted(N.diagonal_directions() - {i})
@@ -152,49 +149,61 @@ def _complement(N: BinaryMulticomplex, i: int) -> BinaryMulticomplex:
         # so one image family describes both, and the recursive complements
         # can carry direction i down to the slices
         j = other_diagonals[0]
-        tower = expand_along(N, j)
-        images = _layer_images(tower)
+        images = [image_multicomplex(d)[0] for d in expand_along(N, j).tops]
         i_rest = i if i < j else i - 1
-        pieces = [complement(C, i_rest) for C in images]
+        pieces = [_complement(C, i_rest) for C in images]
         return _shift_complex(pieces, j, N.ring, N.dim)
     # general branch: peel axis i itself; the two families give two image
     # multicomplexes with identical rank grids (each rank is the same
     # alternating sum of the line's ranks), so one complement serves both
     tower = expand_along(N, i)
-    images_top = _layer_images(tower)
+    images_top = [image_multicomplex(d)[0] for d in tower.tops]
     images_bot = [image_multicomplex(d)[0] for d in tower.bots]
-    pieces = [pair_complement(C, Cb)
+    pieces = [_pair_complement(C, Cb)
               for C, Cb in zip(images_top, images_bot)]
     return _shift_complex(pieces, i, N.ring, N.dim)
 
 
-def complement(N: BinaryMulticomplex, i: int, check: bool = True) -> BinaryMulticomplex:
+def _pair_complement(N1: BinaryMulticomplex, N2: BinaryMulticomplex) -> BinaryMulticomplex:
+    """The pair construction: refuse unequal classes, else complement N1."""
+    if rel_class(N1) != rel_class(N2):
+        raise MembershipRefusal("pair complement needs equal relative classes")
+    if N1.dim == 0:
+        return BinaryMulticomplex.of_module(
+            FpModule.free(N1.ring, N1.objects[()].gens % 2))
+    return _complement(N1, 0)
+
+
+def _check_input(N: BinaryMulticomplex):
+    """Refuse an input the construction cannot take: non-free or invalid."""
+    _require_free_objects(N, "complement")
+    report = validate(N, "free")
+    if not report.ok:
+        f = report.first()
+        raise NotAcyclic(f"complement needs a valid multicomplex ({f.kind}, "
+                         f"{f.family} family, axis {f.axis}, {f.coord})")
+
+
+def complement(N: BinaryMulticomplex, i: int) -> BinaryMulticomplex:
     """T diagonal in direction i such that every rank of N (+) T is even.
 
     N must be valid with free objects.  If N is diagonal in some direction
     j != i, the output is diagonal in both i and j.  If N already has all
-    ranks even, the output is a zero multicomplex.  With check=True (the
-    default) the claims are re-verified on every call and a failure raises;
-    the recursion always verifies its own output.
+    ranks even, the output is a zero multicomplex.  N is checked on entry
+    and T (validity, diagonality, even ranks) on return; a failure raises.
     """
     if N.dim == 0:
         raise ShapeError("a zero-dimensional multicomplex has no directions to complement")
     if not 0 <= i < N.dim:
         raise ShapeError(f"direction {i} out of range for dimension {N.dim}")
-    _require_free_objects(N, "complement")
-    if check:
-        report = validate(N, "free")
-        if not report.ok:
-            f = report.first()
-            raise NotAcyclic(f"complement needs a valid multicomplex ({f.kind}, "
-                             f"{f.family} family, axis {f.axis}, {f.coord})")
+    _check_input(N)
     T = _complement(N, i)
     _check_complement(N, i, T)
     return T
 
 
 def _check_complement(N: BinaryMulticomplex, i: int, T: BinaryMulticomplex):
-    """Re-verify every promise the construction makes; raise on any failure."""
+    """Check every promise the construction makes; raise on any failure."""
     report = validate(T, "free")
     if not report.ok:
         f = report.first()
@@ -204,10 +213,9 @@ def _check_complement(N: BinaryMulticomplex, i: int, T: BinaryMulticomplex):
     for j in N.diagonal_directions() - {i}:
         if not T.is_diagonal_in(j):
             raise NotDiagonal(f"constructed complement lost the diagonal direction {j}")
-    both = direct_sum_multi([N, T])
-    for c in sorted(both.objects):
-        if both.objects[c].gens % 2 != 0:
-            raise MembershipRefusal(f"complement left an odd rank at {c}")
+    odd = (rel_class(N) + rel_class(T)).odd_coords
+    if odd:
+        raise MembershipRefusal(f"complement left an odd rank at {min(odd)}")
 
 
 def pair_complement(N1: BinaryMulticomplex, N2: BinaryMulticomplex) -> BinaryMulticomplex:
@@ -216,15 +224,14 @@ def pair_complement(N1: BinaryMulticomplex, N2: BinaryMulticomplex) -> BinaryMul
     Refuses inputs with different relative classes: evenness of both sums
     forces equal parity grids.  When the grids do agree, a complement of the
     first input alone already works for the second, so no correction terms
-    are needed.
+    are needed.  N1 and the output are checked as in complement.
     """
-    c1, c2 = rel_class(N1), rel_class(N2)
-    if c1 != c2:
-        raise MembershipRefusal("pair complement needs equal relative classes")
     if N1.dim == 0:
-        return BinaryMulticomplex.of_module(
-            FpModule.free(N1.ring, N1.objects[()].gens % 2))
-    return complement(N1, 0)
+        return _pair_complement(N1, N2)
+    _check_input(N1)
+    P = _pair_complement(N1, N2)
+    _check_complement(N1, 0, P)
+    return P
 
 
 # -- the retraction and diagonal representation --------------------------
@@ -245,8 +252,9 @@ def diagonal_represent(x: FormalClass, witnesses, i: int = None, ring: Ring = ZZ
 
     x must be certified by tn_membership_certificate(x, witnesses); i is the
     direction t should be diagonal in (default: the first witnessed
-    direction).  The emitted RelationChain rewrites x into [t] and is
-    re-checked with verify_chain before being returned.
+    direction).  The emitted RelationChain rewrites x into [t]; verify_chain
+    is its check.  Each generator that gets complemented (witnessed in
+    j != i, or negative) is checked as complement checks its input.
 
     Generators witnessed in a direction j != i are first traded for the
     negative of their complement (diagonal in i and j, so the sum with the
@@ -270,17 +278,19 @@ def diagonal_represent(x: FormalClass, witnesses, i: int = None, ring: Ring = ZZ
     positives, negatives = [], []
     for M, coeff, axis in cert.assignments:
         sign = 1 if coeff > 0 else -1
+        if axis == i:
+            if sign < 0:
+                _check_input(M)  # a summand of the negative part, complemented below
+            (positives if sign > 0 else negatives).extend([M] * abs(coeff))
+            continue
+        # [M] = [M (+) s] - [s] and M (+) s is diagonal in axis, so the
+        # term flips sign and its replacement s is diagonal in i
+        _check_input(M)
+        s = _complement(M, i)
+        ext = split_extension(M, s)
         for _ in range(abs(coeff)):
-            if axis == i:
-                (positives if sign > 0 else negatives).append(M)
-                continue
-            # [M] = [M (+) s] - [s] and M (+) s is diagonal in axis, so the
-            # term flips sign and its replacement s is diagonal in i
-            s = complement(M, i)
-            ext = split_extension(M, s)
-            steps.append(SesStep(ext, -sign))
-            steps.append(DiagonalStep(ext.total, axis, -sign))
-            (negatives if sign > 0 else positives).append(s)
+            steps += [SesStep(ext, -sign), DiagonalStep(ext.total, axis, -sign)]
+        (negatives if sign > 0 else positives).extend([s] * abs(coeff))
 
     def fold(parts, sign):
         acc = parts[0]
@@ -290,34 +300,23 @@ def diagonal_represent(x: FormalClass, witnesses, i: int = None, ring: Ring = ZZ
             acc = ext.total
         return acc
 
-    if positives and negatives:
-        u1 = fold(positives, -1)
+    u1 = fold(positives, -1) if positives else None
+    if negatives:
         u2 = fold(negatives, 1)
-        u2c = complement(u2, i)
+        u2c = _complement(u2, i)
         ext = split_extension(u2, u2c)
-        steps.append(SesStep(ext, 1))
-        steps.append(DiagonalStep(ext.total, i, 1))
-        final = split_extension(u1, u2c)
-        steps.append(SesStep(final, -1))
-        t = final.total
-    elif positives:
-        t = fold(positives, -1)
-    elif negatives:
-        u2 = fold(negatives, 1)
-        u2c = complement(u2, i)
-        ext = split_extension(u2, u2c)
-        steps.append(SesStep(ext, 1))
-        steps.append(DiagonalStep(ext.total, i, 1))
+        steps += [SesStep(ext, 1), DiagonalStep(ext.total, i, 1)]
         t = u2c
+        if u1 is not None:
+            final = split_extension(u1, u2c)
+            steps.append(SesStep(final, -1))
+            t = final.total
+    elif u1 is not None:
+        t = u1
     else:
         t = BinaryMulticomplex.zero(ring, dim)
         steps.append(DiagonalStep(t, i, 1))
 
-    chain = RelationChain(x, steps, FormalClass.of(t))
-    report = verify_chain(chain)
-    if not report.ok:
-        raise CertificateError(f"emitted chain failed its own re-check at step "
-                               f"{report.step}: {report.reason}")
     if not t.is_diagonal_in(i):
         raise NotDiagonal(f"representative is not diagonal in direction {i}")
-    return t, chain
+    return t, RelationChain(x, steps, FormalClass.of(t))

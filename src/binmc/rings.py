@@ -321,7 +321,10 @@ class PolynomialRing(Ring):
         return tuple(coeffs[:n])
 
     def poly(self, coeffs) -> tuple:
-        return self._trim([self.base.element_from_doc(c) if isinstance(c, str) else c
+        """Coefficients as literals, integers (reduced into the base) or elements."""
+        base = self.base
+        return self._trim([base.element_from_doc(c) if isinstance(c, str)
+                           else base.from_int(c) if isinstance(c, int) else c
                            for c in coeffs])
 
     def add(self, a, b):

@@ -149,7 +149,7 @@ def _criterion_5():
                                 length=2 if dim == 3 else rng.randint(2, 3),
                                 max_rank=2 if dim < 3 else 1,
                                 diagonal_axes=axes)
-        T = complement(M, i, check=False)
+        T = complement(M, i)
         assert T.is_diagonal_in(i)
         assert rel_class(direct_sum_multi([M, T])).is_zero()
         assert validate(T, "free").ok

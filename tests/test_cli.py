@@ -106,6 +106,21 @@ def test_represent_diagonal_refuses_bad_witnesses(tmp_path):
     assert main(["represent-diagonal", src]) == 1
 
 
+def test_represent_diagonal_refuses_a_non_acyclic_generator(tmp_path, capsys):
+    # Z --0--> Z in both families: diagonal in its witnessed axis, not acyclic
+    from binmc.fpmod import FpModule, FpMorphism
+    m = FpModule.free(ZZ, 1)
+    zero = {(0, (1,)): FpMorphism.zero(m, m)}
+    line = BinaryMulticomplex(ZZ, 1, (2,), {(0,): m, (1,): m}, zero, dict(zero))
+    negative = _write(tmp_path / "neg.json", ser.class_document(-FormalClass.of(line), [0]))
+    capsys.readouterr()
+    assert main(["represent-diagonal", negative]) == 1
+    assert "complement needs a valid multicomplex" in capsys.readouterr().err
+    positive = _write(tmp_path / "pos.json", ser.class_document(FormalClass.of(line), [0]))
+    assert main(["represent-diagonal", positive]) == 1
+    assert "[FAIL] chain-verifies" in capsys.readouterr().out
+
+
 def test_snf_reports_invariants(tmp_path):
     A = Matrix(ZZ, 3, 2, [ZZ.from_int(v) for v in [4, 2, 2, 2, 0, 6]])
     src = _write(tmp_path / "mat.json", ser.matrix_document(A))

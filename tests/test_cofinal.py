@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from binmc import cofinal, kgroups
 from binmc.cofinal import (CofinalInstance, RelClass, complement,
                            delta_top_retract, diagonal_represent,
                            pair_complement, rel_class)
@@ -15,6 +16,7 @@ from binmc.matrix import Matrix
 from binmc.multicomplex import (BinaryMulticomplex, direct_sum_multi,
                                 validate)
 from binmc.rings import QQ, ZZ
+from binmc.serialize import chain_to_doc, digest, multicomplex_to_doc
 
 
 def unit_complex(ring, u):
@@ -212,3 +214,115 @@ def test_diagonal_represent_torsion_consistency():
         t, chain = diagonal_represent(x, witnesses)
         assert verify_chain(chain).ok
         assert torsion(t) == class_torsion(x, ring=ZZ)
+
+
+def _zero_line(ring, shape):
+    """Free rank-1 objects along axis 0 joined by zero maps: diagonal in every
+    direction, free, and not acyclic."""
+    R = FpModule.free(ring, 1)
+    z = FpMorphism.zero(R, R)
+    objects = {(k,) + (0,) * (len(shape) - 1): R for k in range(shape[0])}
+    diffs = {(0, c): z for c in objects if c[0] > 0}
+    return BinaryMulticomplex(ring, len(shape), shape, objects, diffs, dict(diffs))
+
+
+def _counting(monkeypatch, module, name, counts):
+    original = getattr(module, name, None)
+
+    def counted(*args, **kwargs):
+        counts[name] = counts.get(name, 0) + 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted, raising=False)
+
+
+def test_complement_checks_once_per_public_call(monkeypatch):
+    rng = random.Random(4)
+    N = random_multicomplex(rng, ZZ, 3, length=2, max_rank=2, bricks=1)
+    counts = {}
+    for name in ("validate", "complement", "_complement"):
+        _counting(monkeypatch, cofinal, name, counts)
+    T = cofinal.complement(N, 1)
+    assert counts["_complement"] > 1  # the input really recurses
+    assert counts["complement"] == 1  # ... without re-entering the public entry
+    assert counts["validate"] == 2  # input once, output once
+    assert CofinalInstance(ZZ).in_sub(direct_sum_multi([N, T]))
+
+
+def test_diagonal_represent_leaves_chain_checking_to_verify_chain(monkeypatch):
+    rng = random.Random(106)
+    x, wits = random_tn_class(rng, ZZ, 2, terms=3, length=2, max_rank=2)
+    counts = {}
+    for module in (cofinal, kgroups):
+        _counting(monkeypatch, module, "verify_chain", counts)
+    t, chain = diagonal_represent(x, wits)
+    assert counts.get("verify_chain", 0) == 0
+    assert verify_chain(chain).ok  # the original, bound at import
+
+
+def _criterion_5_family(n):
+    rng = random.Random(105)
+    for case in range(n):
+        dim = ((1 if case % 5 < 2 else 2) if case % 10 < 8 else 3)
+        i = rng.randrange(dim)
+        axes = ()
+        if dim > 1 and case % 2 == 0:
+            axes = (rng.choice([a for a in range(dim) if a != i]),)
+        M = random_multicomplex(rng, ZZ, dim,
+                                length=2 if dim == 3 else rng.randint(2, 3),
+                                max_rank=2 if dim < 3 else 1, diagonal_axes=axes)
+        yield M, i
+
+
+def _criterion_6_family(n):
+    rng = random.Random(106)
+    for case in range(n):
+        dim = ((1 if case % 5 < 2 else 2) if case % 10 < 9 else 3)
+        yield random_tn_class(rng, ZZ, dim, terms=rng.randint(1, 3),
+                              length=2, max_rank=2 if dim < 3 else 1)
+
+
+def test_complement_golden_digests():
+    expected = ["070e605f50732012", "710b2d2613dd5b1b", "6521220fb5b55072",
+                "c65f40cfaa46d390", "68bba10da8a580d4", "09b37145d274efc4",
+                "e9497a356c838736", "c65f40cfaa46d390", "c7eef1b532fd0fc4",
+                "92abdd575e553755"]
+    got = [digest(multicomplex_to_doc(complement(M, i)))[:16]
+           for M, i in _criterion_5_family(len(expected))]
+    assert got == expected
+
+
+def test_diagonal_represent_golden_digests():
+    expected = ["6c56ca1846e626b3", "c81503af4e30f51d", "9a9801a8d96e6e3e",
+                "87c521503821d198", "ab2574dc1c7db766", "a314819d2157520b",
+                "237c6b3483a34445", "5015e5619f89edaf", "1061bb25e92ff249",
+                "1e4d6a8dad32675e"]
+    got = [digest(chain_to_doc(diagonal_represent(x, wits)[1]))[:16]
+           for x, wits in _criterion_6_family(len(expected))]
+    assert got == expected
+
+
+def test_diagonal_represent_refuses_generators_it_complements():
+    line = _zero_line(ZZ, (2,))
+    assert line.is_diagonal_in(0) and not validate(line, "free").ok
+    with pytest.raises(NotAcyclic):  # negative: a summand of the part complemented
+        diagonal_represent(-FormalClass.of(line), [0])
+    flat = _zero_line(ZZ, (2, 1))  # diagonal in axis 1, complemented into axis 0
+    with pytest.raises(NotAcyclic):
+        diagonal_represent(FormalClass.of(flat), [1], i=0)
+    T6 = FpModule(ZZ, 1, Matrix.from_int_rows(ZZ, [[6]]))
+    ident = FpMorphism.identity(T6)
+    torsion_line = BinaryMulticomplex.from_binary_chain(ZZ, [T6, T6], [ident], [ident])
+    with pytest.raises(MembershipRefusal):
+        diagonal_represent(-FormalClass.of(torsion_line), [0])
+    with pytest.raises(ShapeError):
+        diagonal_represent(FormalClass.of(line), [0], i=2)
+
+
+def test_uncomplemented_invalid_generator_fails_verify_chain():
+    # a positive generator witnessed in the target direction is never
+    # complemented, so only the chain's own check sees that it is not acyclic
+    line = _zero_line(ZZ, (2,))
+    t, chain = diagonal_represent(FormalClass.of(line), [0])
+    report = verify_chain(chain)
+    assert not report.ok and "invalid" in report.reason

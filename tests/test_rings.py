@@ -115,3 +115,11 @@ def test_non_canonical_literals_rejected():
         polynomial_ring(GF(5)).element_from_doc(["1", "+2"])
     with pytest.raises(RingError):
         ring_from_descriptor({"kind": "prime-field", "p": "007"})
+
+
+def test_polynomial_integer_coefficients_are_reduced():
+    R = polynomial_ring(GF(5))
+    assert R.poly([7]) == R.poly([2]) == (2,)
+    assert R.poly([5]) == ()
+    assert R.poly([1, 10]) == (1,)
+    assert R.poly(["3", 8, 4]) == (3, 3, 4)
