@@ -18,7 +18,12 @@ class Matrix:
     __slots__ = ("ring", "rows", "cols", "entries", "_snf")
 
     def __init__(self, ring: Ring, rows: int, cols: int, entries):
-        entries = tuple(entries)
+        if ring.kind == "prime-field":
+            # one spelling per element, so equal matrices compare and hash equal
+            p = ring.p
+            entries = tuple([x % p for x in entries])
+        else:
+            entries = tuple(entries)
         if len(entries) != rows * cols:
             raise ShapeError(f"{rows}x{cols} matrix needs {rows * cols} entries, got {len(entries)}")
         self.ring = ring
@@ -104,7 +109,7 @@ class Matrix:
         a, b = self.entries, other.entries
         kind = ring.kind
         if kind == "integers" or kind == "prime-field":
-            # raw int accumulation; prime fields reduce once per output entry
+            # raw int accumulation; the constructor reduces prime-field entries
             out = [0] * (n * m)
             for i in range(n):
                 arow = a[i * k:(i + 1) * k]
@@ -117,9 +122,6 @@ class Matrix:
                             v = brow[j]
                             if v:
                                 out[orow + j] += c * v
-            if kind == "prime-field":
-                p = ring.p
-                out = [x % p for x in out]
             return Matrix(ring, n, m, out)
         add, mul, zero = ring.add, ring.mul, ring.zero
         is_zero = ring.is_zero
@@ -317,8 +319,6 @@ def _smith_ext(A: Matrix):
     neg, size, euclid_div = ring.neg, ring.size, ring.euclid_div
     axpy, col_axpy = _kernels(ring)
     rows = A.row_list()
-    if ring.kind == "prime-field":
-        rows = [[x % ring.p for x in r] for r in rows]
     for i, r in enumerate(rows):
         r.extend(one if k == i else zero for k in range(n))
     rows.extend([one if k == j else zero for k in range(m)] for j in range(m))

@@ -11,19 +11,29 @@ Coordinates are tuples of length dim; shape is the box extent per axis; a
 differential at (axis, coord) maps obj(coord) -> obj(coord - e_axis) and is
 present exactly when coord[axis] >= 1.  Dimension 0 is allowed (one module,
 no differentials) so constructions can recurse uniformly.
+
+Every move of a multicomplex to another box goes through one coordinate map,
+the re-box core _rebox (with _rebox_morphism for morphisms): coordinate c
+reads the old coordinate c - offsets, and everything outside the old box is
+zero.  Its entry points are shift (translate up), pad_to (grow at the high
+end), BinaryMulticomplex.normalize (crop to the tight support),
+shift_morphism and pad_morphism; each checks its arguments and makes one
+call into the core.  The kernel and image multicomplexes of a morphism share
+one restriction, _restrict, of both differential families through
+coordinatewise monos.
 """
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .complexes import ChainComplex, acyclicity_witness, free_line_exact
 from .errors import NotAcyclic, ShapeError
 from .fpmod import (FpModule, FpMorphism, direct_sum_modules,
-                    factor_through_mono, image, split_inclusion,
+                    factor_through_mono, kernel, split_inclusion,
                     split_projection)
-from .matrix import Matrix, block_diag, column_space_basis, hstack, solve, vstack
+from .matrix import Matrix, block_diag, column_space_basis, hstack, vstack
 from .rings import Ring
 
 
@@ -122,20 +132,7 @@ class BinaryMulticomplex:
             return BinaryMulticomplex.zero(self.ring, self.dim)
         lo = tuple(min(c[a] for c in support) for a in range(self.dim))
         hi = tuple(max(c[a] for c in support) for a in range(self.dim))
-        shape = tuple(h - l + 1 for l, h in zip(lo, hi))
-        if lo == (0,) * self.dim and shape == self.shape:
-            return self
-        objects = {}
-        for c in box_coords(shape):
-            objects[c] = self.objects[tuple(x + l for x, l in zip(c, lo))]
-        tops, bots = {}, {}
-        for a in range(self.dim):
-            for c in box_coords(shape):
-                if c[a] >= 1:
-                    old = tuple(x + l for x, l in zip(c, lo))
-                    tops[(a, c)] = self.tops[(a, old)]
-                    bots[(a, c)] = self.bots[(a, old)]
-        return BinaryMulticomplex(self.ring, self.dim, shape, objects, tops, bots)
+        return _rebox(self, tuple(-l for l in lo), tuple(h - l + 1 for l, h in zip(lo, hi)))
 
     def canonical_key(self):
         n = self.normalize()
@@ -160,10 +157,7 @@ class BinaryMulticomplex:
         return box_coords(_drop(self.shape, axis))
 
     def is_diagonal_in(self, axis: int) -> bool:
-        for c in box_coords(self.shape):
-            if c[axis] >= 1 and not self.tops[(axis, c)].equals(self.bots[(axis, c)]):
-                return False
-        return True
+        return _first_non_diagonal(self, axis) is None
 
     def diagonal_directions(self) -> frozenset:
         return frozenset(a for a in range(self.dim) if self.is_diagonal_in(a))
@@ -178,20 +172,18 @@ class DiagonalityReport:
         return bool(self.directions)
 
 
+def _first_non_diagonal(M: BinaryMulticomplex, axis: int):
+    """The least coordinate whose two differentials along the axis differ, or None."""
+    for c in box_coords(M.shape):
+        if c[axis] >= 1 and not M.tops[(axis, c)].equals(M.bots[(axis, c)]):
+            return c
+    return None
+
+
 def diagonality_report(M: BinaryMulticomplex) -> DiagonalityReport:
-    dirs = set()
-    counter = {}
-    for a in range(M.dim):
-        bad = None
-        for c in sorted(box_coords(M.shape)):
-            if c[a] >= 1 and not M.tops[(a, c)].equals(M.bots[(a, c)]):
-                bad = c
-                break
-        if bad is None:
-            dirs.add(a)
-        else:
-            counter[a] = bad
-    return DiagonalityReport(frozenset(dirs), counter)
+    bad = {a: _first_non_diagonal(M, a) for a in range(M.dim)}
+    return DiagonalityReport(frozenset(a for a, c in bad.items() if c is None),
+                             {a: c for a, c in bad.items() if c is not None})
 
 
 @dataclass(frozen=True)
@@ -321,28 +313,35 @@ class MultiMorphism:
         return all(self.components[c].equals(other.components[c]) for c in self.components)
 
 
-def shift(M: BinaryMulticomplex, offsets) -> BinaryMulticomplex:
-    """Translate the support by nonnegative offsets, padding zeros below."""
-    offsets = tuple(offsets)
-    if len(offsets) != M.dim or any(o < 0 for o in offsets):
-        raise ShapeError("offsets must be nonnegative, one per axis")
-    if all(o == 0 for o in offsets):
-        return M
-    shape = tuple(s + o for s, o in zip(M.shape, offsets))
-    zero = FpModule.zero(M.ring)
-    objects = {}
+def _origins(offsets, old_shape, shape):
+    """New coordinate -> the coordinate c - offsets of the old box it reads, or None."""
+    out = {}
     for c in box_coords(shape):
         old = tuple(x - o for x, o in zip(c, offsets))
-        inside = all(0 <= x < s for x, s in zip(old, M.shape))
-        objects[c] = M.objects[old] if inside else zero
+        out[c] = old if all(0 <= x < s for x, s in zip(old, old_shape)) else None
+    return out
+
+
+def _rebox(M: BinaryMulticomplex, offsets, shape) -> BinaryMulticomplex:
+    """The re-box core: M moved by offsets (either sign) into the box of the given shape.
+
+    Coordinate c holds M's object at c - offsets when that lies in M's box and
+    a zero object otherwise; objects that move outside the new box are
+    dropped.  An edge keeps M's two differentials when both its ends come
+    from M's box and is the zero map in both families otherwise.  The core
+    checks nothing; its callers check their arguments.
+    """
+    if shape == M.shape and not any(offsets):
+        return M
+    zero = FpModule.zero(M.ring)
+    origins = _origins(offsets, M.shape, shape)
+    objects = {c: zero if old is None else M.objects[old] for c, old in origins.items()}
     tops, bots = {}, {}
     for a in range(M.dim):
-        for c in box_coords(shape):
+        for c, old in origins.items():
             if c[a] < 1:
                 continue
-            old = tuple(x - o for x, o in zip(c, offsets))
-            inside = all(0 <= x < s for x, s in zip(old, M.shape)) and old[a] >= 1
-            if inside:
+            if old is not None and old[a] >= 1:
                 tops[(a, c)] = M.tops[(a, old)]
                 bots[(a, c)] = M.bots[(a, old)]
             else:
@@ -352,85 +351,75 @@ def shift(M: BinaryMulticomplex, offsets) -> BinaryMulticomplex:
     return BinaryMulticomplex(M.ring, M.dim, shape, objects, tops, bots)
 
 
-def pad_to(M: BinaryMulticomplex, shape) -> BinaryMulticomplex:
-    """Grow the box at the high end with zeros; existing coordinates keep their keys."""
+def _rebox_morphism(f: MultiMorphism, offsets, shape) -> MultiMorphism:
+    """_rebox applied to source, target and components of f alike."""
+    src = _rebox(f.source, offsets, shape)
+    tgt = _rebox(f.target, offsets, shape)
+    comps = {c: FpMorphism.zero(src.objects[c], tgt.objects[c]) if old is None
+             else f.components[old]
+             for c, old in _origins(offsets, f.source.shape, shape).items()}
+    return MultiMorphism(src, tgt, comps)
+
+
+def _shift_args(M: BinaryMulticomplex, offsets):
+    offsets = tuple(offsets)
+    if len(offsets) != M.dim or any(o < 0 for o in offsets):
+        raise ShapeError("offsets must be nonnegative, one per axis")
+    return offsets, tuple(s + o for s, o in zip(M.shape, offsets))
+
+
+def _pad_args(M: BinaryMulticomplex, shape):
     shape = tuple(shape)
-    if shape == M.shape:
-        return M
     if len(shape) != M.dim or any(n < s for n, s in zip(shape, M.shape)):
         raise ShapeError("pad_to cannot shrink the box")
-    zero = FpModule.zero(M.ring)
-    objects = {}
-    for c in box_coords(shape):
-        inside = all(x < s for x, s in zip(c, M.shape))
-        objects[c] = M.objects[c] if inside else zero
-    tops, bots = {}, {}
-    for a in range(M.dim):
-        for c in box_coords(shape):
-            if c[a] < 1:
-                continue
-            inside = all(x < s for x, s in zip(c, M.shape))
-            if inside:
-                tops[(a, c)] = M.tops[(a, c)]
-                bots[(a, c)] = M.bots[(a, c)]
-            else:
-                f = FpMorphism.zero(objects[c], objects[_minus(c, a)])
-                tops[(a, c)] = f
-                bots[(a, c)] = f
-    return BinaryMulticomplex(M.ring, M.dim, shape, objects, tops, bots)
+    return (0,) * M.dim, shape
+
+
+def shift(M: BinaryMulticomplex, offsets) -> BinaryMulticomplex:
+    """Translate the support by nonnegative offsets, padding zeros below."""
+    return _rebox(M, *_shift_args(M, offsets))
+
+
+def pad_to(M: BinaryMulticomplex, shape) -> BinaryMulticomplex:
+    """Grow the box at the high end with zeros; existing coordinates keep their keys."""
+    return _rebox(M, *_pad_args(M, shape))
 
 
 def shift_morphism(f: MultiMorphism, offsets) -> MultiMorphism:
     """The same morphism between translated source and target."""
-    src = shift(f.source, offsets)
-    tgt = shift(f.target, offsets)
-    offsets = tuple(offsets)
-    comps = {}
-    for c in box_coords(src.shape):
-        old = tuple(x - o for x, o in zip(c, offsets))
-        if all(0 <= x < s for x, s in zip(old, f.source.shape)):
-            comps[c] = f.components[old]
-        else:
-            comps[c] = FpMorphism.zero(src.objects[c], tgt.objects[c])
-    return MultiMorphism(src, tgt, comps)
+    return _rebox_morphism(f, *_shift_args(f.source, offsets))
 
 
 def pad_morphism(f: MultiMorphism, shape) -> MultiMorphism:
     """The same morphism between high-end padded source and target."""
-    src = pad_to(f.source, shape)
-    tgt = pad_to(f.target, shape)
-    comps = {}
-    for c in box_coords(src.shape):
-        if all(x < s for x, s in zip(c, f.source.shape)):
-            comps[c] = f.components[c]
-        else:
-            comps[c] = FpMorphism.zero(src.objects[c], tgt.objects[c])
-    return MultiMorphism(src, tgt, comps)
+    return _rebox_morphism(f, *_pad_args(f.source, shape))
+
+
+def _restrict(M: BinaryMulticomplex, incls, failure: str):
+    """(S, incl): both differential families of M restricted through the monos incls[c].
+
+    The restrictions are recovered by factoring through the inclusions; a
+    differential that does not restrict raises ShapeError(failure).
+    """
+    tops, bots = {}, {}
+    for fam, out in ((M.tops, tops), (M.bots, bots)):
+        for (a, c) in fam:
+            lifted = factor_through_mono(incls[_minus(c, a)], fam[(a, c)] @ incls[c])
+            if lifted is None:
+                raise ShapeError(failure)
+            out[(a, c)] = lifted
+    S = BinaryMulticomplex(M.ring, M.dim, M.shape,
+                           {c: incl.source for c, incl in incls.items()}, tops, bots)
+    return S, MultiMorphism(S, M, incls)
 
 
 def kernel_multicomplex(f: MultiMorphism):
     """(K, incl) with K the coordinate-wise kernel of f inside f.source.
 
-    Differentials restrict because f intertwines them; the restrictions are
-    recovered by factoring through the kernel inclusions.
+    Differentials restrict because f intertwines them.
     """
-    from .fpmod import kernel
-
-    src = f.source
-    mods, incls = {}, {}
-    for c in box_coords(src.shape):
-        K_c, incl_c = kernel(f.components[c])
-        mods[c] = K_c
-        incls[c] = incl_c
-    tops, bots = {}, {}
-    for fam, out in ((src.tops, tops), (src.bots, bots)):
-        for (a, c) in fam:
-            lifted = factor_through_mono(incls[_minus(c, a)], fam[(a, c)] @ incls[c])
-            if lifted is None:
-                raise ShapeError("source differential does not restrict to the kernel")
-            out[(a, c)] = lifted
-    K = BinaryMulticomplex(src.ring, src.dim, src.shape, mods, tops, bots)
-    return K, MultiMorphism(K, src, incls)
+    incls = {c: kernel(f.components[c])[1] for c in box_coords(f.source.shape)}
+    return _restrict(f.source, incls, "source differential does not restrict to the kernel")
 
 
 def common_shape(multis) -> tuple:
@@ -544,10 +533,14 @@ class BinaryTower:
         return len(self.terms)
 
 
+def _check_axis(axis: int, dim: int):
+    if not 0 <= axis < dim:
+        raise ShapeError(f"axis {axis} out of range for dimension {dim}")
+
+
 def expand_along(M: BinaryMulticomplex, axis: int) -> BinaryTower:
     """View M as a binary complex of (dim-1)-multicomplexes along the axis."""
-    if not 0 <= axis < M.dim:
-        raise ShapeError(f"axis {axis} out of range for dimension {M.dim}")
+    _check_axis(axis, M.dim)
     rest_shape = _drop(M.shape, axis)
     rest_dim = M.dim - 1
     terms = []
@@ -578,8 +571,7 @@ def collapse_along(tw: BinaryTower, axis: int) -> BinaryMulticomplex:
         raise ShapeError("cannot collapse an empty tower")
     first = tw.terms[0]
     ring, rest_dim = first.ring, first.dim
-    if not 0 <= axis <= rest_dim:
-        raise ShapeError(f"axis {axis} out of range for dimension {rest_dim + 1}")
+    _check_axis(axis, rest_dim + 1)
     rest_shape = first.shape
     for term in tw.terms:
         if term.shape != rest_shape or term.dim != rest_dim:
@@ -617,20 +609,19 @@ def bottom_slice(M: BinaryMulticomplex, axis: int) -> Tower:
     return Tower(bt.terms, bt.bots)
 
 
-def diagonal_embed(tw: Tower, axis: int, mode: str = "fp", check: bool = True) -> BinaryMulticomplex:
+def diagonal_embed(tw: Tower, axis: int, mode: str = "fp") -> BinaryMulticomplex:
     """Double the tower differential into both families along a new axis.
 
     The tower must be acyclic (as a complex of multicomplexes with valid
-    terms); with check=True the flattened result is fully validated and a
-    failure raises NotAcyclic.
+    terms); the flattened result is fully validated and a failure raises
+    NotAcyclic.
     """
     out = collapse_along(BinaryTower(tw.terms, tw.diffs, tw.diffs), axis)
-    if check:
-        report = validate(out, mode)
-        if not report.ok:
-            f = report.first()
-            raise NotAcyclic(f"diagonal embedding is not valid: {f.kind} failure at "
-                             f"axis {f.axis}, coordinate {f.coord}: {f.detail}")
+    report = validate(out, mode)
+    if not report.ok:
+        f = report.first()
+        raise NotAcyclic(f"diagonal embedding is not valid: {f.kind} failure at "
+                         f"axis {f.axis}, coordinate {f.coord}: {f.detail}")
     return out
 
 
@@ -640,34 +631,21 @@ def rediagonalize(M: BinaryMulticomplex, axis: int) -> BinaryMulticomplex:
     This is the diagonal-after-top retraction: it is the identity exactly on
     inputs already diagonal in the axis.
     """
-    return diagonal_embed(top_slice(M, axis), axis, check=False)
+    _check_axis(axis, M.dim)
+    bots = {k: M.tops[k] if k[0] == axis else f for k, f in M.bots.items()}
+    return BinaryMulticomplex(M.ring, M.dim, M.shape, M.objects, M.tops, bots)
 
 
-def image_multicomplex(f: MultiMorphism, mode: str = "free"):
+def image_multicomplex(f: MultiMorphism):
     """(I, incl) with I the coordinate-wise image of f inside f.target.
 
-    Induced differentials are the restrictions of the target's, obtained by
-    factoring through the inclusions; both families restrict.
+    Each image is the free module on a basis of the column space of f's
+    component; both differential families of the target restrict to it.
     """
     tgt = f.target
-    mods = {}
     incls = {}
     for c in box_coords(tgt.shape):
-        comp = f.components[c]
-        if mode == "free":
-            basis = column_space_basis(comp.mat)
-            I = FpModule.free(tgt.ring, basis.cols)
-            incls[c] = FpMorphism(I, tgt.objects[c], basis, _trusted=True)
-        else:
-            I, incl, _ = image(comp)
-            incls[c] = incl
-        mods[c] = incls[c].source
-    tops, bots = {}, {}
-    for fam_name, fam, out in (("top", tgt.tops, tops), ("bottom", tgt.bots, bots)):
-        for (a, c) in fam:
-            lifted = factor_through_mono(incls[_minus(c, a)], fam[(a, c)] @ incls[c])
-            if lifted is None:
-                raise ShapeError("target differential does not restrict to the image")
-            out[(a, c)] = lifted
-    I = BinaryMulticomplex(tgt.ring, tgt.dim, tgt.shape, mods, tops, bots)
-    return I, MultiMorphism(I, tgt, incls)
+        basis = column_space_basis(f.components[c].mat)
+        incls[c] = FpMorphism(FpModule.free(tgt.ring, basis.cols), tgt.objects[c], basis,
+                              _trusted=True)
+    return _restrict(tgt, incls, "target differential does not restrict to the image")

@@ -27,11 +27,10 @@ from .errors import NotAcyclic, NotDiagonal, ShapeError
 from .fpmod import (FpModule, FpMorphism, check_ses, direct_sum_modules,
                     direct_sum_morphisms, free_cover, hsum, is_epi, kernel)
 from .matrix import Matrix, hstack, vstack
-from .multicomplex import (BinaryMulticomplex, BinaryTower, MultiMorphism,
-                           block_identity_morphism, box_coords, collapse_along,
-                           direct_sum_multi, expand_along, kernel_multicomplex,
-                           pad_morphism, pad_to, shift, shift_morphism,
-                           validate)
+from .multicomplex import (BinaryMulticomplex, BinaryTower, MultiMorphism, _rebox,
+                           _rebox_morphism, block_identity_morphism, box_coords,
+                           collapse_along, direct_sum_multi, expand_along,
+                           kernel_multicomplex, pad_to, shift, validate)
 
 
 class ResolutionResult:
@@ -253,15 +252,13 @@ def _resolve(M: BinaryMulticomplex, branch=None) -> ResolutionResult:
     covers = [_resolve(term) for term in tower.terms]
     rest_dim = M.dim - 1
     W = tuple(max(c.offset[a] for c in covers) for a in range(rest_dim))
-    aligned = [shift_morphism(c.zeta, tuple(w - o for w, o in zip(W, c.offset)))
-               for c in covers]
-    r_star = tuple(max(max(f.source.shape[a] for f in aligned),
-                       max(f.target.shape[a] for f in aligned))
+    moves = [tuple(w - o for w, o in zip(W, c.offset)) for c in covers]
+    r_star = tuple(max(c.zeta.source.shape[a] + m[a] for c, m in zip(covers, moves))
                    for a in range(rest_dim))
-    eps = [pad_morphism(f, r_star) for f in aligned]
+    eps = [_rebox_morphism(c.zeta, m, r_star) for c, m in zip(covers, moves)]
     offset = W[:axis] + (1,) + W[axis:]
     final_shape = r_star[:axis] + (L + 1,) + r_star[axis:]
-    target = pad_to(shift(M, offset), final_shape)
+    target = _rebox(M, offset, final_shape)
     big = expand_along(target, axis)
     for t in range(L):
         if big.terms[t + 1] != eps[t].target:

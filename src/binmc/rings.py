@@ -285,9 +285,13 @@ class PrimeField(Ring):
 
     def element_from_doc(self, doc):
         try:
-            return _int_literal(doc) % self.p
+            value = _int_literal(doc)
         except (TypeError, ValueError):
             raise RingError(f"bad prime-field literal {doc!r}")
+        if not 0 <= value < self.p:
+            # only the reduced literal is accepted, so equal objects have equal digests
+            raise RingError(f"prime-field literal {doc!r} is not reduced modulo {self.p}")
+        return value
 
     def descriptor(self):
         return {"kind": "prime-field", "p": str(self.p)}

@@ -276,14 +276,20 @@ def resolution_from_doc(doc, where="resolution") -> ResolutionResult:
     _expect_schema(doc, RESOLUTION_SCHEMA, where)
     source = multicomplex_from_doc(_need(doc, "source", dict, where), where + ".source")
     target = multicomplex_from_doc(_need(doc, "target", dict, where), where + ".target")
-    P = multicomplex_from_doc(_need(doc, "cover", dict, where), where + ".cover")
-    Pprime = multicomplex_from_doc(_need(doc, "kernel", dict, where), where + ".kernel")
-    zeta = components_from_doc(P, target, _need(doc, "zeta", list, where), where + ".zeta")
-    incl = components_from_doc(Pprime, P, _need(doc, "incl", list, where), where + ".incl")
     offset = _need(doc, "offset", list, where)
     if len(offset) != source.dim or any(isinstance(o, bool) or not isinstance(o, int) or o < 0
                                         for o in offset):
         raise ParseError("offset must list one nonnegative shift per axis", where)
+    # checked before verify_resolution re-boxes the source, so a huge offset
+    # costs nothing: the target's box was already bounded by its own object list
+    if target.dim != source.dim or any(s + o > t for s, o, t in
+                                       zip(source.shape, offset, target.shape)):
+        raise ParseError(f"target shape {list(target.shape)} does not contain the source "
+                         f"shape {list(source.shape)} moved by offset {offset}", where)
+    P = multicomplex_from_doc(_need(doc, "cover", dict, where), where + ".cover")
+    Pprime = multicomplex_from_doc(_need(doc, "kernel", dict, where), where + ".kernel")
+    zeta = components_from_doc(P, target, _need(doc, "zeta", list, where), where + ".zeta")
+    incl = components_from_doc(Pprime, P, _need(doc, "incl", list, where), where + ".incl")
     axes = _need(doc, "diagonal_axes", list, where)
     if any(isinstance(a, bool) or not isinstance(a, int) or not 0 <= a < source.dim
            for a in axes):

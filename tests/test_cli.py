@@ -276,3 +276,31 @@ def test_non_utf8_document_is_an_input_error(tmp_path, capsys):
     capsys.readouterr()
     assert main(["check", str(path)]) == 2
     assert "UTF-8" in capsys.readouterr().err
+
+
+def test_hostile_resolution_offsets_are_input_errors(tmp_path, monkeypatch, capsys):
+    from binmc import multicomplex
+    M = random_multicomplex(random.Random(2), ZZ, 2, length=2, max_rank=1)
+    src = _write(tmp_path / "m.json", ser.multicomplex_to_doc(M))
+    bundle = tmp_path / "res.json"
+    assert main(["resolve-multi", src, "--out", str(bundle)]) == 0
+    assert main(["recheck", str(bundle)]) == 0
+    doc = _load(bundle)
+    doc["offset"] = [0, 0]  # inside the target's box, but not the right translate
+    capsys.readouterr()
+    assert main(["recheck", _write(tmp_path / "zero.json", doc)]) == 1
+    assert ("[FAIL] resolution-verifies: target is not the offset translate of the source"
+            in capsys.readouterr().out)
+
+    def no_rebox(*args):
+        raise AssertionError("a hostile offset reached the re-box core")
+
+    monkeypatch.setattr(multicomplex, "_rebox", no_rebox)
+    flat = ser.multicomplex_to_doc(BinaryMulticomplex.zero(ZZ, 1))
+    for offset, target in (([10**6, 10**6], doc["target"]), ([9, 9], doc["target"]),
+                           ([1, 0], flat)):
+        hostile = dict(doc, offset=offset, target=target)
+        capsys.readouterr()
+        assert main(["recheck", _write(tmp_path / "hostile.json", hostile)]) == 2
+        err = capsys.readouterr().err
+        assert "resolution: target shape" in err and "offset" in err

@@ -64,6 +64,16 @@ def test_smith_prime_field():
     assert d.verify(a)
 
 
+def test_prime_field_entries_are_reduced_on_construction():
+    F7 = GF(7)
+    for entries in ([7], [-7], [14]):
+        a = Matrix(F7, 1, 1, entries)
+        assert a == Matrix.zeros(F7, 1, 1)
+        assert hash(a) == hash(Matrix.zeros(F7, 1, 1))
+    assert Matrix(F7, 1, 2, [-1, 10]).entries == (6, 3)
+    assert (M([[3]], F7) @ M([[5]], F7)).entries == (1,)
+
+
 def test_smith_polynomials():
     R = polynomial_ring(QQ)
     x = (QQ.zero, QQ.one)

@@ -8,12 +8,13 @@ from binmc.fpmod import FpModule, FpMorphism
 from binmc.gen import (conjugate_multicomplex, random_diagonal_multicomplex,
                        random_multicomplex)
 from binmc.matrix import Matrix
-from binmc.multicomplex import (BinaryMulticomplex, MultiMorphism, Tower,
-                                bottom_slice, box_coords, collapse_along,
+from binmc.multicomplex import (BinaryMulticomplex, BinaryTower, MultiMorphism,
+                                Tower, bottom_slice, box_coords, collapse_along,
                                 diagonal_embed, diagonality_report,
                                 direct_sum_multi, expand_along,
-                                image_multicomplex, pad_to, rediagonalize,
-                                shift, summand_inclusion, summand_projection,
+                                image_multicomplex, pad_morphism, pad_to,
+                                rediagonalize, shift, shift_morphism,
+                                summand_inclusion, summand_projection,
                                 top_slice, validate)
 from binmc.rings import GF, QQ, ZZ
 
@@ -145,6 +146,34 @@ def test_normalize_and_equivalence():
     assert padded.equivalent(M)
     zero = BinaryMulticomplex.zero(ZZ, 2)
     assert shift(zero, (0, 0)) == zero
+    # the no-op moves return their input itself
+    assert shift(M, (0, 0)) is M and pad_to(M, M.shape) is M
+    tight = shifted.normalize()
+    assert tight.normalize() is tight
+    f = MultiMorphism.identity(M)
+    assert shift_morphism(f, (1, 2)).equals(MultiMorphism.identity(shifted))
+    assert pad_morphism(f, padded.shape).equals(MultiMorphism.identity(padded))
+    for bad in ((-1, 0), (1,), (0, 0, 0)):
+        with pytest.raises(ShapeError, match="offsets must be nonnegative, one per axis"):
+            shift(M, bad)
+        with pytest.raises(ShapeError, match="offsets must be nonnegative, one per axis"):
+            shift_morphism(f, bad)
+    for bad in ((M.shape[0] - 1, M.shape[1]), M.shape[:1], M.shape + (1,)):
+        with pytest.raises(ShapeError, match="pad_to cannot shrink the box"):
+            pad_to(M, bad)
+        with pytest.raises(ShapeError, match="pad_to cannot shrink the box"):
+            pad_morphism(f, bad)
+    # Z/1 has a generator but is the zero module, so normalize crops it away
+    z1 = FpModule(ZZ, 1, Matrix.from_int_rows(ZZ, [[1]]))
+    free1 = FpModule.free(ZZ, 1)
+    ident = FpMorphism.identity(free1)
+    line = BinaryMulticomplex.from_binary_chain(
+        ZZ, [free1, free1, z1], [ident, FpMorphism.zero(z1, free1)],
+        [ident, FpMorphism.zero(z1, free1)])
+    N = line.normalize()
+    assert N.shape == (2,) and N.objects == {(0,): free1, (1,): free1}
+    assert N.tops == {(0, (1,)): ident} and N.bots == {(0, (1,)): ident}
+    assert shift(line, (1,)).normalize() == N
 
 
 def test_direct_sum_and_split_maps():
@@ -173,6 +202,14 @@ def test_top_slice_and_diagonal_embed():
     assert E == rediagonalize(D, 0)
     assert 0 in diagonality_report(E).directions
     assert validate(E, "fp").ok
+    # on an input not diagonal in the axis: the bottom family there becomes the top one
+    N = random_multicomplex(rng, ZZ, 2, length=2, diagonal_axes=(1,), bricks=1)
+    assert diagonality_report(N).counterexamples.keys() == {0}
+    for a in range(2):
+        t = expand_along(N, a)
+        assert rediagonalize(N, a) == collapse_along(BinaryTower(t.terms, t.tops, t.tops), a)
+    assert rediagonalize(N, 1) == N
+    assert rediagonalize(N, 0) != N
 
 
 def test_diagonal_embed_rejects_nonacyclic():
@@ -200,7 +237,7 @@ def test_image_of_isomorphism_is_everything():
     rng = random.Random(41)
     M = random_multicomplex(rng, ZZ, 2, length=2, bricks=1)
     Mp, iso, _ = conjugate_multicomplex(rng, M)
-    I, incl = image_multicomplex(iso, mode="free")
+    I, incl = image_multicomplex(iso)
     assert incl.commutes()
     for c in box_coords(Mp.shape):
         assert I.objects[c].free_rank() == Mp.objects[c].free_rank()

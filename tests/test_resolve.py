@@ -13,6 +13,7 @@ from binmc.resolve import (DeltaLadder, admissible_sum_factorization, phi_class,
                            resolve_binary, resolve_diagonal, resolve_multi,
                            verify_resolution)
 from binmc.rings import GF, QQ, ZZ
+from binmc.serialize import digest, resolution_to_doc
 
 
 def unit_complex(ring, u):
@@ -221,3 +222,22 @@ def test_ses_witness_grid():
     assert set(grid) == set(res.P.rank_grid())
     for c, (mono, epi) in grid.items():
         assert check_ses(mono, epi).ok
+
+
+def test_resolve_multi_golden_digests():
+    # pins the re-boxing of covers and target to exact bundle bytes; the last
+    # two inputs are diagonal, so they take the staircase branch
+    expected = ["841d6c1828e5d53b", "57bd47e7337fae6a", "afc4a82e2dd24e4a",
+                "1e53ac10ded86154", "bf49f059980fa1d1", "b35539045ef6e8b0",
+                "e42aaf86de298bf2", "89024ef2b6c278ea"]
+    rng = random.Random(47)
+    inputs = [random_multicomplex(rng, ring, dim, length=3 if dim == 1 else 2,
+                                  max_rank=2 if dim == 1 else 1,
+                                  allow_fp=ring is ZZ and dim == 1)
+              for ring in (ZZ, GF(7), QQ) for dim in (1, 2)]
+    inputs.append(random_multicomplex(rng, ZZ, 2, length=2, max_rank=1, diagonal_axes=(1,)))
+    inputs.append(random_multicomplex(rng, GF(7), 1, length=3, max_rank=2, diagonal_axes=(0,)))
+    results = [resolve_multi(M) for M in inputs]
+    assert [sorted(r.diagonal_axes) for r in results[-2:]] == [[1], [0]]
+    got = [digest(resolution_to_doc(r))[:16] for r in results]
+    assert got == expected

@@ -111,8 +111,14 @@ def test_non_canonical_literals_rejected():
                 QQ.element_from_doc(literal)
     assert QQ.element_from_doc("-10/3") == Fraction(-10, 3)
     assert QQ.element_from_doc("10") == Fraction(10)
+    for doc in ("11", "12", "-1", "-11"):  # integers, but not reduced modulo 11
+        with pytest.raises(RingError):
+            GF(11).element_from_doc(doc)
+    assert GF(11).element_from_doc("10") == 10
     with pytest.raises(RingError):
         polynomial_ring(GF(5)).element_from_doc(["1", "+2"])
+    with pytest.raises(RingError):
+        polynomial_ring(GF(5)).element_from_doc(["1", "5"])
     with pytest.raises(RingError):
         ring_from_descriptor({"kind": "prime-field", "p": "007"})
 

@@ -217,9 +217,12 @@ def test_witness_and_sign_validation():
 
 
 def test_non_canonical_entry_is_rejected_with_location():
-    M = random_multicomplex(random.Random(17), ZZ, 1, length=2, max_rank=2)
-    doc = ser.multicomplex_to_doc(M)
-    doc["differentials"][0]["top"]["entries"][0][0] = "1_000"
-    with pytest.raises(ParseError) as e:
-        ser.multicomplex_from_doc(doc)
-    assert "differentials[0].top.entries[0][0]" in str(e.value)
+    # "1_000" is no integer literal; "7" and "-1" are integers not reduced modulo 7
+    for ring, literal in ((ZZ, "1_000"), (PrimeField(7), "7"), (PrimeField(7), "-1")):
+        M = random_multicomplex(random.Random(17), ring, 1, length=2, max_rank=2)
+        doc = ser.multicomplex_to_doc(M)
+        doc["differentials"][0]["top"]["entries"][0][0] = literal
+        with pytest.raises(ParseError) as e:
+            ser.multicomplex_from_doc(doc)
+        assert "differentials[0].top.entries[0][0]" in str(e.value)
+        assert repr(literal) in str(e.value)
