@@ -1,6 +1,13 @@
 """Exact matrices over the package's rings, with Smith normal form and friends.
 
-A Matrix is an immutable flat tuple of ring elements plus a ring reference.
+A Matrix is immutable: a ring reference plus one tuple per row that holds the
+row's nonzero entries only, as (column, entry, column, entry, ...) with the
+columns ascending.  Products, solves and eliminations therefore walk nonzeros
+only; ``entries``, ``row_list`` and ``get`` give the dense view.  Rows are
+shared freely between matrices.  A ring element is zero exactly when it is
+falsy (0, Fraction(0) and the empty polynomial ()), given that GF(p) entries
+are reduced, which the public constructors do.
+
 The decomposition routines are deterministic: pivot selection always takes the
 nonzero entry of smallest Euclidean size, ties broken by lowest row then column
 index, and diagonal entries are normalized to canonical associates.
@@ -9,39 +16,80 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, compress
 
 from .errors import ShapeError
 from .rings import Ring, ZZ
 
 
+def _pairs(row):
+    """The (column, entry) pairs of a stored row."""
+    it = iter(row)
+    return zip(it, it)
+
+
+def _flat(pairs) -> tuple:
+    """The stored row of (column, entry) pairs given in column order."""
+    return tuple(chain.from_iterable(pairs))
+
+
+def _packed(d: dict) -> tuple:
+    """The stored row of a {column: nonzero entry} dict."""
+    if len(d) < 2:
+        return next(iter(d.items()), ())  # (column, entry) is already the row
+    return _flat(sorted(d.items()))
+
+
+def _with_entries(row, values) -> tuple:
+    """row's columns with new nonzero entries, in the same order."""
+    out = list(row)
+    out[1::2] = values
+    return tuple(out)
+
+
+def _nonzeros(ring: Ring, values) -> tuple:
+    """The stored row of one dense row.
+
+    GF(p) entries are reduced, so equal matrices store equal rows and hash equal.
+    """
+    if ring.kind == "prime-field":
+        p = ring.p
+        values = [x % p for x in values]
+    return _flat(compress(enumerate(values), values))
+
+
 class Matrix:
-    __slots__ = ("ring", "rows", "cols", "entries", "_snf")
+    __slots__ = ("ring", "rows", "cols", "_nz", "_snf")
 
     def __init__(self, ring: Ring, rows: int, cols: int, entries):
-        if ring.kind == "prime-field":
-            # one spelling per element, so equal matrices compare and hash equal
-            p = ring.p
-            entries = tuple([x % p for x in entries])
-        else:
-            entries = tuple(entries)
+        entries = list(entries)
         if len(entries) != rows * cols:
             raise ShapeError(f"{rows}x{cols} matrix needs {rows * cols} entries, got {len(entries)}")
         self.ring = ring
         self.rows = rows
         self.cols = cols
-        self.entries = entries
+        self._nz = [_nonzeros(ring, entries[i * cols:(i + 1) * cols]) for i in range(rows)]
         self._snf = None  # cached (U, S, V) from _smith_ext; instances are immutable
+
+    @staticmethod
+    def _of(ring: Ring, rows: int, cols: int, nz: list) -> "Matrix":
+        """The matrix whose row i is the stored row nz[i]; nothing is checked or reduced."""
+        A = Matrix.__new__(Matrix)
+        A.ring = ring
+        A.rows = rows
+        A.cols = cols
+        A._nz = nz
+        A._snf = None
+        return A
 
     @staticmethod
     def from_rows(ring: Ring, rows) -> "Matrix":
         rows = [list(r) for r in rows]
-        nr = len(rows)
         nc = len(rows[0]) if rows else 0
         for r in rows:
             if len(r) != nc:
                 raise ShapeError("ragged rows")
-        flat = [x for r in rows for x in r]
-        return Matrix(ring, nr, nc, flat)
+        return Matrix._of(ring, len(rows), nc, [_nonzeros(ring, r) for r in rows])
 
     @staticmethod
     def from_int_rows(ring: Ring, rows) -> "Matrix":
@@ -50,54 +98,90 @@ class Matrix:
 
     @staticmethod
     def identity(ring: Ring, n: int) -> "Matrix":
-        z, o = ring.zero, ring.one
-        return Matrix(ring, n, n, [o if i == j else z for i in range(n) for j in range(n)])
+        one = ring.one
+        return Matrix._of(ring, n, n, [(i, one) for i in range(n)])
 
     @staticmethod
     def zeros(ring: Ring, rows: int, cols: int) -> "Matrix":
-        return Matrix(ring, rows, cols, [ring.zero] * (rows * cols))
+        return Matrix._of(ring, rows, cols, [()] * rows)
 
     def get(self, i: int, j: int):
-        return self.entries[i * self.cols + j]
+        row = self._nz[i]
+        columns = row[::2]
+        return row[2 * columns.index(j) + 1] if j in columns else self.ring.zero
 
     def row_list(self):
+        z, c = self.ring.zero, self.cols
+        out = []
+        for row in self._nz:
+            dense = [z] * c
+            for j, x in _pairs(row):
+                dense[j] = x
+            out.append(dense)
+        return out
+
+    @property
+    def entries(self) -> tuple:
+        """Every entry, row by row, as one flat tuple."""
         c = self.cols
-        return [list(self.entries[i * c:(i + 1) * c]) for i in range(self.rows)]
+        out = [self.ring.zero] * (self.rows * c)
+        for i, row in enumerate(self._nz):
+            for j, x in _pairs(row):
+                out[i * c + j] = x
+        return tuple(out)
 
     def __eq__(self, other):
         return (isinstance(other, Matrix) and other.ring == self.ring
                 and other.rows == self.rows and other.cols == self.cols
-                and other.entries == self.entries)
+                and other._nz == self._nz)
 
     def __hash__(self):
-        return hash((self.rows, self.cols, self.entries))
+        return hash((self.rows, self.cols, tuple(self._nz)))
 
     def __repr__(self):
         return f"Matrix({self.ring.kind} {self.rows}x{self.cols} {list(self.entries)})"
 
     def is_zero(self) -> bool:
-        z = self.ring.is_zero
-        return all(z(x) for x in self.entries)
+        return not any(self._nz)
 
     def __add__(self, other: "Matrix") -> "Matrix":
-        self._same_shape(other)
-        add = self.ring.add
-        return Matrix(self.ring, self.rows, self.cols,
-                      [add(a, b) for a, b in zip(self.entries, other.entries)])
+        return self._combine(other, self.ring.add)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
+        return self._combine(other, self.ring.sub)
+
+    def _combine(self, other: "Matrix", op) -> "Matrix":
+        """Entrywise op(self, other), for op the ring's add or sub."""
         self._same_shape(other)
-        sub = self.ring.sub
-        return Matrix(self.ring, self.rows, self.cols,
-                      [sub(a, b) for a, b in zip(self.entries, other.entries)])
+        zero = self.ring.zero
+        out = []
+        for a, b in zip(self._nz, other._nz):
+            if not b:
+                out.append(a)
+                continue
+            row = dict(_pairs(a))
+            for j, y in _pairs(b):
+                x = op(row.get(j, zero), y)
+                if x:
+                    row[j] = x
+                else:
+                    del row[j]
+            out.append(_packed(row))
+        return Matrix._of(self.ring, self.rows, self.cols, out)
 
     def __neg__(self) -> "Matrix":
         neg = self.ring.neg
-        return Matrix(self.ring, self.rows, self.cols, [neg(a) for a in self.entries])
+        return Matrix._of(self.ring, self.rows, self.cols,
+                          [_with_entries(row, map(neg, row[1::2])) for row in self._nz])
 
     def scale(self, c) -> "Matrix":
         mul = self.ring.mul
-        return Matrix(self.ring, self.rows, self.cols, [mul(c, a) for a in self.entries])
+        out = []
+        for row in self._nz:
+            values = [mul(c, x) for x in row[1::2]]
+            out.append(_with_entries(row, values) if all(values)
+                       else _flat((j, x) for j, x in zip(row[::2], values) if x))
+        return Matrix._of(self.ring, self.rows, self.cols, out)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.ring != other.ring:
@@ -105,50 +189,56 @@ class Matrix:
         if self.cols != other.rows:
             raise ShapeError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
         ring = self.ring
-        n, k, m = self.rows, self.cols, other.cols
-        a, b = self.entries, other.entries
-        kind = ring.kind
-        if kind == "integers" or kind == "prime-field":
-            # raw int accumulation; the constructor reduces prime-field entries
-            out = [0] * (n * m)
-            for i in range(n):
-                arow = a[i * k:(i + 1) * k]
-                orow = i * m
-                for t in range(k):
-                    c = arow[t]
-                    if c:
-                        brow = b[t * m:(t + 1) * m]
-                        for j in range(m):
-                            v = brow[j]
-                            if v:
-                                out[orow + j] += c * v
-            return Matrix(ring, n, m, out)
-        add, mul, zero = ring.add, ring.mul, ring.zero
-        is_zero = ring.is_zero
-        out = [zero] * (n * m)
-        for i in range(n):
-            arow = a[i * k:(i + 1) * k]
-            orow = i * m
-            for t in range(k):
-                c = arow[t]
-                if is_zero(c):
+        b = other._nz
+        out = []
+        if ring.kind == "integers" or ring.kind == "prime-field":
+            # raw int accumulation, reduced once per entry over GF(p)
+            p = ring.p if ring.kind == "prime-field" else None
+            for arow in self._nz:
+                if len(arow) == 2:
+                    # one term, so no cancellation: the routings between atoms
+                    t, c = arow
+                    brow = b[t]
+                    if c != 1:
+                        values = [c * v for v in brow[1::2]]
+                        if p is not None:
+                            values = [x % p for x in values]
+                        brow = _with_entries(brow, values)
+                    out.append(brow)
                     continue
-                brow = b[t * m:(t + 1) * m]
-                for j in range(m):
-                    out[orow + j] = add(out[orow + j], mul(c, brow[j]))
-        return Matrix(ring, n, m, out)
+                acc = {}
+                for t, c in _pairs(arow):
+                    bt = iter(b[t])
+                    for j, v in zip(bt, bt):
+                        acc[j] = acc.get(j, 0) + c * v
+                if p is not None:
+                    acc = {j: y for j, x in acc.items() if (y := x % p)}
+                elif 0 in acc.values():
+                    acc = {j: x for j, x in acc.items() if x}
+                out.append(_packed(acc))
+        else:
+            add, mul, zero = ring.add, ring.mul, ring.zero
+            for arow in self._nz:
+                acc = {}
+                for t, c in _pairs(arow):
+                    bt = iter(b[t])
+                    for j, v in zip(bt, bt):
+                        acc[j] = add(acc.get(j, zero), mul(c, v))
+                out.append(_packed({j: x for j, x in acc.items() if x}))
+        return Matrix._of(ring, self.rows, other.cols, out)
 
     def transpose(self) -> "Matrix":
-        e = self.entries
-        c = self.cols
-        return Matrix(self.ring, c, self.rows,
-                      [e[i * c + j] for j in range(c) for i in range(self.rows)])
+        out = [[] for _ in range(self.cols)]
+        for i, row in enumerate(self._nz):
+            for j, x in _pairs(row):
+                out[j] += (i, x)
+        return Matrix._of(self.ring, self.cols, self.rows, [tuple(r) for r in out])
 
     def submatrix(self, r0: int, r1: int, c0: int, c1: int) -> "Matrix":
-        out = []
-        for i in range(r0, r1):
-            out.extend(self.entries[i * self.cols + c0:i * self.cols + c1])
-        return Matrix(self.ring, r1 - r0, c1 - c0, out)
+        rows = self._nz[r0:r1]
+        if c0 != 0 or c1 != self.cols:
+            rows = [_flat((j - c0, x) for j, x in _pairs(row) if c0 <= j < c1) for row in rows]
+        return Matrix._of(self.ring, r1 - r0, c1 - c0, rows)
 
     def _same_shape(self, other: "Matrix"):
         if self.ring != other.ring or self.rows != other.rows or self.cols != other.cols:
@@ -159,19 +249,19 @@ def kron(A: "Matrix", B: "Matrix") -> "Matrix":
     """Kronecker product; basis of the product ordered with A's index outer."""
     if A.ring != B.ring:
         raise ShapeError("kron over mixed rings")
-    ring = A.ring
-    rows, cols = A.rows * B.rows, A.cols * B.cols
-    out = [ring.zero] * (rows * cols)
-    for i1 in range(A.rows):
-        for j1 in range(A.cols):
-            a = A.get(i1, j1)
-            if ring.is_zero(a):
-                continue
-            for i2 in range(B.rows):
-                base = (i1 * B.rows + i2) * cols + j1 * B.cols
-                for j2 in range(B.cols):
-                    out[base + j2] = ring.mul(a, B.get(i2, j2))
-    return Matrix(ring, rows, cols, out)
+    mul, w = A.ring.mul, B.cols
+    out = [_flat((j1 * w + j2, mul(a, b)) for j1, a in _pairs(arow) for j2, b in _pairs(brow))
+           for arow in A._nz for brow in B._nz]
+    return Matrix._of(A.ring, A.rows * B.rows, A.cols * B.cols, out)
+
+
+def _shifted(row: tuple, c0: int) -> tuple:
+    """row with every column moved c0 to the right."""
+    if not c0 or not row:
+        return row
+    out = list(row)
+    out[::2] = [j + c0 for j in row[::2]]
+    return tuple(out)
 
 
 def hstack(mats) -> Matrix:
@@ -182,11 +272,12 @@ def hstack(mats) -> Matrix:
     for m in mats:
         if m.rows != rows or m.ring != ring:
             raise ShapeError("hstack mismatch")
-    out = []
-    for i in range(rows):
-        for m in mats:
-            out.extend(m.entries[i * m.cols:(i + 1) * m.cols])
-    return Matrix(ring, rows, sum(m.cols for m in mats), out)
+    out = [()] * rows
+    c0 = 0
+    for m in mats:
+        out = [row + _shifted(part, c0) for row, part in zip(out, m._nz)]
+        c0 += m.cols
+    return Matrix._of(ring, rows, c0, out)
 
 
 def vstack(mats) -> Matrix:
@@ -198,23 +289,17 @@ def vstack(mats) -> Matrix:
     for m in mats:
         if m.cols != cols or m.ring != ring:
             raise ShapeError("vstack mismatch")
-        out.extend(m.entries)
-    return Matrix(ring, sum(m.rows for m in mats), cols, out)
+        out.extend(m._nz)
+    return Matrix._of(ring, len(out), cols, out)
 
 
 def block_diag(ring: Ring, mats) -> Matrix:
-    mats = list(mats)
-    rows = sum(m.rows for m in mats)
-    cols = sum(m.cols for m in mats)
-    out = [[ring.zero] * cols for _ in range(rows)]
-    r0 = c0 = 0
+    out = []
+    c0 = 0
     for m in mats:
-        for i in range(m.rows):
-            for j in range(m.cols):
-                out[r0 + i][c0 + j] = m.get(i, j)
-        r0 += m.rows
+        out.extend(_shifted(row, c0) for row in m._nz)
         c0 += m.cols
-    return Matrix.from_rows(ring, out) if rows else Matrix(ring, 0, cols, [])
+    return Matrix._of(ring, len(out), c0, out)
 
 
 @dataclass(frozen=True)
@@ -228,7 +313,7 @@ class SmithDecomposition:
 
     @property
     def rank(self) -> int:
-        return _rank_of(self.ring, self.S)
+        return _rank_of(self.S)
 
     def diagonal(self):
         return [self.S.get(i, i) for i in range(min(self.S.rows, self.S.cols))]
@@ -246,86 +331,87 @@ class SmithDecomposition:
             if not ring.is_zero(d[i]) and not ring.is_zero(d[i + 1]):
                 if ring.try_divide(d[i + 1], d[i]) is None:
                     return False
-        for i in range(self.S.rows):
-            for j in range(self.S.cols):
-                if i != j and not ring.is_zero(self.S.get(i, j)):
-                    return False
+        for i, row in enumerate(self.S._nz):
+            if any(j != i for j in row[::2]):
+                return False
         return True
 
 
-def _kernels(ring: Ring):
-    """(axpy, col_axpy) for the ring: row dst += c*src, and column j += c*column i.
+def _axpy(ring: Ring):
+    """axpy(dst, src, c): dst += c * src on {column: entry} rows, dropping zeros.
 
-    Zero entries are skipped by truthiness: 0, Fraction(0) and () are the only
-    falsy ring elements, and adding c*0 changes nothing.
+    c is never zero, so a column absent from dst gets the nonzero c * src[k].
     """
     if ring.kind == "prime-field":
         p = ring.p
 
         def axpy(dst, src, c):
-            for k in range(len(src)):
-                v = src[k]
-                if v:
-                    dst[k] = (dst[k] + c * v) % p
-
-        def col_axpy(rows, j, i, c):
-            for r in rows:
-                v = r[i]
-                if v:
-                    r[j] = (r[j] + c * v) % p
+            for k, v in src.items():
+                x = (dst.get(k, 0) + c * v) % p
+                if x:
+                    dst[k] = x
+                else:
+                    del dst[k]
     elif ring.kind in ("integers", "rationals"):
         def axpy(dst, src, c):
-            for k in range(len(src)):
-                v = src[k]
-                if v:
-                    dst[k] += c * v
-
-        def col_axpy(rows, j, i, c):
-            for r in rows:
-                v = r[i]
-                if v:
-                    r[j] += c * v
+            for k, v in src.items():
+                x = dst.get(k, 0) + c * v
+                if x:
+                    dst[k] = x
+                else:
+                    del dst[k]
     else:
-        add, mul = ring.add, ring.mul
+        add, mul, zero = ring.add, ring.mul, ring.zero
 
         def axpy(dst, src, c):
-            for k in range(len(src)):
-                v = src[k]
-                if v:
-                    dst[k] = add(dst[k], mul(c, v))
-
-        def col_axpy(rows, j, i, c):
-            for r in rows:
-                v = r[i]
-                if v:
-                    r[j] = add(r[j], mul(c, v))
-    return axpy, col_axpy
+            for k, v in src.items():
+                x = add(dst.get(k, zero), mul(c, v))
+                if x:
+                    dst[k] = x
+                else:
+                    del dst[k]
+    return axpy
 
 
 def _smith_ext(A: Matrix):
     """(U, S, V) with U A V = S.  See SmithDecomposition for the S contract.
 
-    One elimination for every ring, on the augmented rows [S | U] over [V],
-    starting from [A | I_n] over [I_m]: a row op on the first n rows moves S
-    and U together, a column op on the first m columns moves S and V together.
-    The decomposition is cached on the matrix, so repeated rank / solve /
-    kernel questions about one matrix only eliminate once.
+    One elimination for every ring, on sparse rows of S and U over sparse
+    columns of V, starting from A, I_n and I_m: a row op moves S and U
+    together, a column op moves S and V together.  The decomposition is cached
+    on the matrix, so repeated rank / solve / kernel questions about one
+    matrix only eliminate once.
     """
     if A._snf is not None:
         return A._snf
     ring = A.ring
     n, m = A.rows, A.cols
-    one, zero = ring.one, ring.zero
+    if n == 0 or m == 0:
+        A._snf = (Matrix.identity(ring, n), Matrix.zeros(ring, n, m), Matrix.identity(ring, m))
+        return A._snf
+    one = ring.one
     neg, size, euclid_div = ring.neg, ring.size, ring.euclid_div
-    axpy, col_axpy = _kernels(ring)
-    rows = A.row_list()
-    for i, r in enumerate(rows):
-        r.extend(one if k == i else zero for k in range(n))
-    rows.extend([one if k == j else zero for k in range(m)] for j in range(m))
+    axpy = _axpy(ring)
+    # rows of S and U and columns of V, as {index: nonzero entry} while they change
+    S = [dict(_pairs(r)) for r in A._nz]
+    U = [{i: one} for i in range(n)]
+    V = [{j: one} for j in range(m)]
+
+    def row_swap(i, j):
+        S[i], S[j] = S[j], S[i]
+        U[i], U[j] = U[j], U[i]
 
     def col_swap(i, j):
-        for r in rows:
-            r[i], r[j] = r[j], r[i]
+        # rows above min(i, j) hold only their pivots, left of both columns
+        for r in S[min(i, j):]:
+            if i in r or j in r:
+                a = r.pop(i, None)
+                b = r.pop(j, None)
+                if a is not None:
+                    r[j] = a
+                if b is not None:
+                    r[i] = b
+        V[i], V[j] = V[j], V[i]
 
     def reduce_at(t):
         """Clear row t and column t off the pivot at (t, t).
@@ -334,48 +420,53 @@ def _smith_ext(A: Matrix):
         restarts; a sweep with no remainder leaves both lines clear.
         """
         while True:
-            for i in range(n):
-                x = rows[i][t]
-                if i == t or not x:
+            piv = S[t][t]
+            for i in range(t + 1, n):  # rows above t hold only their pivots
+                x = S[i].get(t)
+                if x is None:
                     continue
-                q, r = euclid_div(x, rows[t][t])
+                q, r = euclid_div(x, piv)
                 if q:
-                    axpy(rows[i], rows[t], neg(q))
+                    c = neg(q)
+                    axpy(S[i], S[t], c)
+                    axpy(U[i], U[t], c)
                 if r:
-                    rows[i], rows[t] = rows[t], rows[i]
+                    row_swap(i, t)
                     break
             else:
-                row_t = rows[t]
-                for j in range(m):
-                    x = row_t[j]
-                    if j == t or not x:
+                # the row sweep left column t of S zero off the pivot, so
+                # column j -= q * column t changes S only at (t, j), to r
+                row_t = S[t]
+                for j in sorted(row_t):
+                    if j == t:
                         continue
-                    q, r = euclid_div(x, row_t[t])
+                    q, r = euclid_div(row_t[j], piv)
                     if q:
-                        col_axpy(rows, j, t, neg(q))
+                        axpy(V[j], V[t], neg(q))
                     if r:
+                        row_t[j] = r
                         col_swap(j, t)
                         break
+                    del row_t[j]
                 else:
                     return
 
     def pivot(t):
         """(row, col) of the smallest nonzero entry of S[t:, t:], ties to lowest (row, col).
 
-        Size 1 is the smallest a nonzero entry can have, so the scan stops at
-        the first such entry; this keeps the same choice the full scan makes.
+        Rows t and below are zero left of column t, so every entry they hold
+        is a candidate.  Size 1 is the smallest a nonzero entry can have, so
+        the scan stops at the first row holding one; this keeps the same
+        choice the full scan makes.
         """
         best = None
         for i in range(t, n):
-            row = rows[i]
-            for j in range(t, m):
-                x = row[j]
-                if x:
-                    sz = size(x)
+            if S[i]:
+                sz, j = min((size(x), j) for j, x in S[i].items())
+                if best is None or sz < best[0]:
+                    best = (sz, i, j)
                     if sz == 1:
-                        return i, j
-                    if best is None or sz < best[0]:
-                        best = (sz, i, j)
+                        break
         return None if best is None else best[1:]
 
     t = 0
@@ -385,39 +476,49 @@ def _smith_ext(A: Matrix):
             break
         i, j = found
         if i != t:
-            rows[i], rows[t] = rows[t], rows[i]
+            row_swap(i, t)
         if j != t:
             col_swap(j, t)
         reduce_at(t)
         t += 1
     rank = t
-    # enforce the divisibility chain d1 | d2 | ... (vacuous over a field)
-    done = ring.is_field
+    # enforce the divisibility chain d1 | d2 | ... (vacuous over a field).  By
+    # transitivity the chain holds once every adjacent pair divides, and then
+    # the full scan would make no operation, so it runs only when one fails.
+    try_divide = ring.try_divide
+    done = ring.is_field or all(try_divide(S[i + 1][i + 1], S[i][i]) is not None
+                                for i in range(rank - 1))
     while not done:
         done = True
         for i in range(rank):
             for j in range(i + 1, rank):
-                if ring.try_divide(rows[j][j], rows[i][i]) is None:
-                    col_axpy(rows, i, j, one)
+                if try_divide(S[j][j], S[i][i]) is None:
+                    # column i += column j; S is diagonal here, so only (j, i) changes
+                    S[j][i] = S[j][j]
+                    axpy(V[i], V[j], one)
                     reduce_at(i)
                     done = False
     # canonical associates on the diagonal
     mul = ring.mul
     for i in range(rank):
-        u, _ = ring.canonical_factor(rows[i][i])
+        u, _ = ring.canonical_factor(S[i][i])
         if u != one:
             v = ring.unit_inverse(u)
-            rows[i] = [mul(v, x) for x in rows[i]]
-    U = Matrix(ring, n, n, [x for r in rows[:n] for x in r[m:]])
-    S = Matrix(ring, n, m, [x for r in rows[:n] for x in r[:m]])
-    V = Matrix(ring, m, m, [x for r in rows[n:] for x in r])
-    A._snf = (U, S, V)
+            S[i] = {k: mul(v, x) for k, x in S[i].items()}
+            U[i] = {k: mul(v, x) for k, x in U[i].items()}
+    V_rows = [[] for _ in range(m)]
+    for j, col in enumerate(V):
+        for i, x in col.items():
+            V_rows[i] += (j, x)
+    A._snf = (Matrix._of(ring, n, n, [_packed(r) for r in U]),
+              Matrix._of(ring, n, m, [(i, S[i][i]) for i in range(rank)] + [()] * (n - rank)),
+              Matrix._of(ring, m, m, [tuple(r) for r in V_rows]))
     return A._snf
 
 
-def _rank_of(ring: Ring, S: Matrix) -> int:
+def _rank_of(S: Matrix) -> int:
     """Number of nonzero diagonal entries of S."""
-    return sum(not ring.is_zero(S.get(i, i)) for i in range(min(S.rows, S.cols)))
+    return sum(i in row[::2] for i, row in enumerate(S._nz))
 
 
 def smith(A: Matrix) -> SmithDecomposition:
@@ -436,30 +537,29 @@ def solve(A: Matrix, B: Matrix):
 
 
 def _solve_prepared(ring, U, S, V, B):
-    C = U @ B
-    k = B.cols
-    m = V.rows
-    Y = [[ring.zero] * k for _ in range(m)]
-    r = _rank_of(ring, S)
+    C = (U @ B)._nz
+    r = _rank_of(S)
+    if any(C[r:]):
+        return None
+    one, try_divide = ring.one, ring.try_divide
+    Y = []
     for i in range(r):
         d = S.get(i, i)
-        for j in range(k):
-            q = ring.try_divide(C.get(i, j), d)
-            if q is None:
-                return None
-            Y[i][j] = q
-    for i in range(r, S.rows):
-        for j in range(k):
-            if not ring.is_zero(C.get(i, j)):
-                return None
-    Ymat = Matrix.from_rows(ring, Y) if m else Matrix(ring, 0, k, [])
-    return V @ Ymat
+        if d == one:
+            Y.append(C[i])
+            continue
+        quotients = [try_divide(x, d) for x in C[i][1::2]]
+        if None in quotients:
+            return None
+        Y.append(_with_entries(C[i], quotients))
+    Y.extend([()] * (V.rows - r))
+    return V @ Matrix._of(ring, V.rows, B.cols, Y)
 
 
 def kernel_basis(A: Matrix) -> Matrix:
     """Columns form a basis of {x : A x = 0} (the full kernel, saturated over a PID)."""
     _, S, V = _smith_ext(A)
-    return V.submatrix(0, V.rows, _rank_of(A.ring, S), V.cols)
+    return V.submatrix(0, V.rows, _rank_of(S), V.cols)
 
 
 def column_space_basis(A: Matrix) -> Matrix:
@@ -469,7 +569,7 @@ def column_space_basis(A: Matrix) -> Matrix:
     scaled by the invariant factors, so U^-1 itself is never needed.
     """
     _, S, V = _smith_ext(A)
-    return A @ V.submatrix(0, V.rows, 0, _rank_of(A.ring, S))
+    return A @ V.submatrix(0, V.rows, 0, _rank_of(S))
 
 
 def det(A: Matrix):
@@ -515,8 +615,7 @@ def rank_over_fractions(A: Matrix) -> int:
     """
     ring = A.ring
     if ring == ZZ:
-        rows = [[Fraction(x) for x in A.entries[i * A.cols:(i + 1) * A.cols]]
-                for i in range(A.rows)]
+        rows = [[Fraction(x) for x in r] for r in A.row_list()]
         is_zero = lambda x: x == 0
         div = lambda a, b: a / b
         sub = lambda a, b: a - b

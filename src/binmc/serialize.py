@@ -100,7 +100,7 @@ def ring_from_doc(doc, where="ring") -> Ring:
 
 def matrix_to_doc(A: Matrix) -> dict:
     to = A.ring.element_to_doc
-    rows = [[to(A.get(i, j)) for j in range(A.cols)] for i in range(A.rows)]
+    rows = [[to(x) for x in row] for row in A.row_list()]
     return {"rows": A.rows, "cols": A.cols, "entries": rows}
 
 

@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 
 from binmc.matrix import (Matrix, block_diag, column_space_basis, det, hstack,
-                          kernel_basis, rank, rank_over_fractions, smith, solve, vstack)
+                          kernel_basis, kron, rank, rank_over_fractions, smith, solve,
+                          vstack)
 from binmc.rings import GF, QQ, ZZ, polynomial_ring
 
 
@@ -282,6 +283,13 @@ GOLDEN = [
      [[(1,), ()], [(), (1,)], [(), ()], [(), ()]],
      [[(1,), (1, 3)], [(), (1,)]],
      [[(1, 0, 1), (1, 4, 1, 3)], [_X, (0, 1, 3)], [(3,), ()], [(0, 0, 1), (1, 1, 1, 3)]]),
+    # ZZ, the divisibility pass runs: 2 does not divide 3
+    (ZZ, [[1, 0, 0], [0, 2, 0], [0, 0, 3]],
+     [[1, 0, 0], [0, -1, 1], [0, -3, 2]], [[1, 0, 0], [0, 1, 0], [0, 0, 6]],
+     [[1, 0, 0], [0, 1, -3], [0, 1, -2]], [[1, 0, 0], [0, 2, -6], [0, 3, -6]]),
+    # ZZ, the pivot is the 4 and the divisibility pass runs on diag(4, 6)
+    (ZZ, [[6, 0], [0, 4]],
+     [[1, -1], [2, -3]], [[2, 0], [0, 12]], [[1, -2], [1, -3]], [[6, -12], [4, -12]]),
 ]
 
 
@@ -292,3 +300,157 @@ def test_smith_golden_decompositions(ring, a, U, S, V, B):
     assert (d.U.row_list(), d.S.row_list(), d.V.row_list()) == (U, S, V)
     assert column_space_basis(A).row_list() == B
     assert d.verify(A)
+
+
+@pytest.mark.parametrize("rows, cols, U, S, V, B", [
+    (0, 3, [], [], [[1, 0, 0], [0, 1, 0], [0, 0, 1]], []),
+    (3, 0, [[1, 0, 0], [0, 1, 0], [0, 0, 1]], [[], [], []], [], [[], [], []]),
+    (0, 0, [], [], [], []),
+])
+def test_smith_golden_empty_shapes(rows, cols, U, S, V, B):
+    A = Matrix.zeros(ZZ, rows, cols)
+    d = smith(A)
+    assert (d.U.row_list(), d.S.row_list(), d.V.row_list()) == (U, S, V)
+    assert column_space_basis(A).row_list() == B
+    assert d.verify(A)
+
+
+# -- sparse storage against a dense reference ----------------------------------
+#
+# The reference keeps a matrix as (rows, cols, flat list of every entry) and
+# computes with the ring's own operations, one entry at a time.
+
+def _ref(A):
+    return A.rows, A.cols, list(A.entries)
+
+
+def _ref_binary(ring, op, a, b):
+    return a[0], a[1], [op(x, y) for x, y in zip(a[2], b[2])]
+
+
+def _ref_mul(ring, a, b):
+    n, k, x = a
+    _, m, y = b
+    out = []
+    for i in range(n):
+        for j in range(m):
+            acc = ring.zero
+            for t in range(k):
+                acc = ring.add(acc, ring.mul(x[i * k + t], y[t * m + j]))
+            out.append(acc)
+    return n, m, out
+
+
+def _ref_transpose(a):
+    n, m, x = a
+    return m, n, [x[i * m + j] for j in range(m) for i in range(n)]
+
+
+def _ref_sub(a, r0, r1, c0, c1):
+    n, m, x = a
+    return r1 - r0, c1 - c0, [x[i * m + j] for i in range(r0, r1) for j in range(c0, c1)]
+
+
+def _ref_block(ring, blocks):
+    """Dense matrix from a grid of reference matrices."""
+    rows = sum(row[0][0] for row in blocks)
+    cols = sum(b[1] for b in blocks[0])
+    out = []
+    for row in blocks:
+        for i in range(row[0][0]):
+            for n, m, x in row:
+                out.extend(x[i * m:(i + 1) * m])
+    return rows, cols, out
+
+
+def _ref_kron(ring, a, b):
+    n1, m1, x = a
+    n2, m2, y = b
+    return n1 * n2, m1 * m2, [ring.mul(x[i1 * m1 + j1], y[i2 * m2 + j2])
+                              for i1 in range(n1) for i2 in range(n2)
+                              for j1 in range(m1) for j2 in range(m2)]
+
+
+def _same(ring, A, ref):
+    """A holds the reference's entries, stored the one way equal matrices are."""
+    n, m, x = ref
+    B = Matrix(ring, n, m, x)
+    return A == B and hash(A) == hash(B) and A.entries == B.entries
+
+
+def _raw_entry(rng, ring):
+    """A nonzero-looking entry as callers pass it: GF(7) ones unreduced."""
+    if ring == ZZ:
+        return rng.choice([-3, -2, -1, 1, 2, 5])
+    if ring == QQ:
+        return Fraction(rng.choice([-3, -1, 1, 2]), rng.choice([1, 2, 3]))
+    if ring == F5X:
+        return F5X.poly([rng.randint(0, 4) for _ in range(rng.randint(1, 3))] + [rng.randint(1, 4)])
+    return rng.choice([-8, -1, 3, 7, 10, 14, 20])  # 7 and 14 are zero in GF(7)
+
+
+def _random_sparse(rng, ring, n, m, density):
+    zero = ring.zero
+    return Matrix(ring, n, m, [_raw_entry(rng, ring) if rng.random() < density else zero
+                               for _ in range(n * m)])
+
+
+SHAPES = [(0, 0), (0, 3), (3, 0), (1, 1), (4, 6), (9, 7)]
+
+
+@pytest.mark.parametrize("ring", [ZZ, GF(7), QQ, F5X], ids=["ZZ", "GF7", "QQ", "F5X"])
+@pytest.mark.parametrize("density", [0.0, 0.05, 1.0])
+def test_sparse_storage_matches_dense_reference(ring, density):
+    rng = random.Random(f"{ring.kind}:{density}")
+    for n, m in SHAPES:
+        k = rng.randint(0, 5)
+        A = _random_sparse(rng, ring, n, m, density)
+        C = _random_sparse(rng, ring, n, m, density)
+        B = _random_sparse(rng, ring, m, k, density)
+        a, c, b = _ref(A), _ref(C), _ref(B)
+        assert len(A.entries) == n * m
+        assert A.row_list() == [a[2][i * m:(i + 1) * m] for i in range(n)]
+        assert all(A.get(i, j) == a[2][i * m + j] for i in range(n) for j in range(m))
+        assert A.is_zero() == all(ring.is_zero(x) for x in a[2])
+        # equality and hash follow the entries, not how the matrix was built
+        again = Matrix(ring, n, m, A.entries)
+        assert again == A and hash(again) == hash(A)
+        if n:
+            assert Matrix.from_rows(ring, A.row_list()) == A
+        assert (A == C) == (a[2] == c[2])
+        assert _same(ring, A + C, _ref_binary(ring, ring.add, a, c))
+        assert _same(ring, A - C, _ref_binary(ring, ring.sub, a, c))
+        assert _same(ring, A - A, (n, m, [ring.zero] * (n * m))) and (A - A).is_zero()
+        assert _same(ring, -A, (n, m, [ring.neg(x) for x in a[2]]))
+        for s in (ring.zero, ring.one, ring.neg(ring.one) if ring != F5X else (2, 1)):
+            assert _same(ring, A.scale(s), (n, m, [ring.mul(s, x) for x in a[2]]))
+        assert _same(ring, A @ B, _ref_mul(ring, a, b))
+        D = _random_sparse(rng, ring, m, k, 1.0)  # sparse rows of A pick dense rows
+        assert _same(ring, A @ D, _ref_mul(ring, a, _ref(D)))
+        assert _same(ring, A.transpose(), _ref_transpose(a))
+        r0, r1 = sorted(rng.randint(0, n) for _ in range(2))
+        c0, c1 = sorted(rng.randint(0, m) for _ in range(2))
+        assert _same(ring, A.submatrix(r0, r1, c0, c1), _ref_sub(a, r0, r1, c0, c1))
+        assert _same(ring, A.submatrix(0, n, 0, m), a)
+        assert _same(ring, hstack([A, C]), _ref_block(ring, [[a, c]]))
+        assert _same(ring, vstack([A, C]), (2 * n, m, a[2] + c[2]))
+        zeros = lambda p, q: (p, q, [ring.zero] * (p * q))
+        assert _same(ring, block_diag(ring, [A, B]),
+                     _ref_block(ring, [[a, zeros(n, k)], [zeros(m, m), b]]))
+        small = _random_sparse(rng, ring, 2, 3, max(density, 0.5))
+        assert _same(ring, kron(A, small), _ref_kron(ring, a, _ref(small)))
+        assert _same(ring, kron(small, A), _ref_kron(ring, _ref(small), a))
+
+        # solve, kernel and column space, checked by dense products
+        X0 = _random_sparse(rng, ring, m, k, density)
+        rhs = _ref_mul(ring, a, _ref(X0))
+        X = solve(A, Matrix(ring, n, k, rhs[2]))
+        assert X is not None and _same(ring, Matrix(ring, n, k, rhs[2]), _ref_mul(ring, a, _ref(X)))
+        K = kernel_basis(A)
+        assert K.rows == m and K.cols == m - rank(A) and rank(K) == K.cols
+        assert _same(ring, Matrix.zeros(ring, n, K.cols), _ref_mul(ring, a, _ref(K)))
+        if ring != F5X:
+            assert rank(A) == rank_over_fractions(A)
+        basis = column_space_basis(A)
+        assert basis.rows == n and basis.cols == rank(A) == rank(basis)
+        assert solve(A, basis) is not None and solve(basis, A) is not None

@@ -1,4 +1,5 @@
 """Tests for the resolution constructions and the class map."""
+import hashlib
 import random
 
 import pytest
@@ -240,4 +241,24 @@ def test_resolve_multi_golden_digests():
     results = [resolve_multi(M) for M in inputs]
     assert [sorted(r.diagonal_axes) for r in results[-2:]] == [[1], [0]]
     got = [digest(resolution_to_doc(r))[:16] for r in results]
+    assert got == expected
+
+
+def test_canonical_key_golden_digests():
+    # pins canonical_key(), and with it the order of FormalClass.entries(), on
+    # the kernels P' of criterion-4-style resolutions over ZZ: eight of
+    # dimension 2 and two of dimension 3, half with torsion objects
+    expected = ["ae77e32e247154a0", "82a9ee6acfdd5312", "15773fc43a5c5a9a",
+                "b1b419238c01b43a", "f3c0590d6b2f5c5b", "1a2d36ffc095786e",
+                "149252e0956b8a80", "eabed09fdba9d21c", "61a51d1bcb35f354",
+                "98e8d5dedf07b4bf"]
+    rng = random.Random(104)
+    got = []
+    for case in range(10):
+        dim = 2 if case < 8 else 3
+        M = random_multicomplex(rng, ZZ, dim, length=2 if dim == 3 else rng.randint(2, 3),
+                                max_rank=2 if dim == 2 else 1, bricks=1,
+                                allow_fp=case % 2 == 0)
+        key = resolve_multi(M, check=False).Pprime.canonical_key()
+        got.append(hashlib.sha256(repr(key).encode("utf-8")).hexdigest()[:16])
     assert got == expected
