@@ -123,12 +123,7 @@ class Matrix:
     @property
     def entries(self) -> tuple:
         """Every entry, row by row, as one flat tuple."""
-        c = self.cols
-        out = [self.ring.zero] * (self.rows * c)
-        for i, row in enumerate(self._nz):
-            for j, x in _pairs(row):
-                out[i * c + j] = x
-        return tuple(out)
+        return tuple(chain.from_iterable(self.row_list()))
 
     def __eq__(self, other):
         return (isinstance(other, Matrix) and other.ring == self.ring
@@ -156,9 +151,6 @@ class Matrix:
         zero = self.ring.zero
         out = []
         for a, b in zip(self._nz, other._nz):
-            if not b:
-                out.append(a)
-                continue
             row = dict(_pairs(a))
             for j, y in _pairs(b):
                 x = op(row.get(j, zero), y)
@@ -195,17 +187,6 @@ class Matrix:
             # raw int accumulation, reduced once per entry over GF(p)
             p = ring.p if ring.kind == "prime-field" else None
             for arow in self._nz:
-                if len(arow) == 2:
-                    # one term, so no cancellation: the routings between atoms
-                    t, c = arow
-                    brow = b[t]
-                    if c != 1:
-                        values = [c * v for v in brow[1::2]]
-                        if p is not None:
-                            values = [x % p for x in values]
-                        brow = _with_entries(brow, values)
-                    out.append(brow)
-                    continue
                 acc = {}
                 for t, c in _pairs(arow):
                     bt = iter(b[t])
@@ -541,13 +522,10 @@ def _solve_prepared(ring, U, S, V, B):
     r = _rank_of(S)
     if any(C[r:]):
         return None
-    one, try_divide = ring.one, ring.try_divide
+    try_divide = ring.try_divide
     Y = []
     for i in range(r):
         d = S.get(i, i)
-        if d == one:
-            Y.append(C[i])
-            continue
         quotients = [try_divide(x, d) for x in C[i][1::2]]
         if None in quotients:
             return None
