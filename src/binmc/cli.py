@@ -25,9 +25,7 @@ import time
 
 from .cofinal import complement, diagonal_represent, rel_class
 from .complexes import homology
-from .errors import (BinmcError, CertificateError, MembershipRefusal,
-                     NotAcyclic, NotDiagonal, ParseError, RingError,
-                     ShapeError)
+from .errors import BinmcError, ParseError, RingError, ShapeError
 from .gen import random_multicomplex
 from .kgroups import tn_membership_certificate, torsion, verify_chain
 from .matrix import smith
@@ -40,7 +38,7 @@ from .serialize import (CHAIN_SCHEMA, CLASS_SCHEMA, MATRIX_SCHEMA,
                         class_from_document, digest, load_text,
                         matrix_from_document, matrix_to_doc,
                         multicomplex_from_doc, multicomplex_to_doc, parse_any,
-                        resolution_from_doc, resolution_to_doc)
+                        resolution_to_doc)
 
 _RING_NAMES = "Z, Q, F<p>, or F<p>[x]"
 
@@ -416,15 +414,9 @@ def main(argv=None) -> int:
         return 2 if e.code else 0
     try:
         return args.func(args)
-    except (ParseError, OSError) as e:
+    except (ParseError, OSError, ShapeError, RingError) as e:
         print(f"input error: {e}", file=sys.stderr)
         return 2
-    except (ShapeError, RingError) as e:
-        print(f"input error: {e}", file=sys.stderr)
-        return 2
-    except (NotAcyclic, NotDiagonal, MembershipRefusal, CertificateError) as e:
-        print(f"verification failure: {e}", file=sys.stderr)
-        return 1
     except BinmcError as e:
         print(f"verification failure: {e}", file=sys.stderr)
         return 1

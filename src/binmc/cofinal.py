@@ -33,8 +33,7 @@ from .kgroups import (DiagonalStep, FormalClass, RelationChain, SesStep,
 from .multicomplex import (BinaryMulticomplex, BinaryTower,
                            block_identity_morphism, collapse_along,
                            common_shape, direct_sum_multi, expand_along,
-                           image_multicomplex, pad_to, rediagonalize,
-                           validate)
+                           image_multicomplex, pad_to, validate)
 from .rings import ZZ, Ring
 
 
@@ -234,17 +233,7 @@ def pair_complement(N1: BinaryMulticomplex, N2: BinaryMulticomplex) -> BinaryMul
     return P
 
 
-# -- the retraction and diagonal representation --------------------------
-
-
-def delta_top_retract(M: BinaryMulticomplex, i: int) -> BinaryMulticomplex:
-    """Replace the direction-i bottom differential by the top one.
-
-    The result is always diagonal in direction i, the operation is
-    idempotent, and inputs already diagonal in i are returned unchanged
-    (for free objects, literally the same matrices).
-    """
-    return rediagonalize(M, i)
+# -- the diagonal representation -----------------------------------------
 
 
 def diagonal_represent(x: FormalClass, witnesses, i: int = None, ring: Ring = ZZ):

@@ -8,14 +8,14 @@ failure reports the lowest bad degree together with its homology class.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .errors import RingError, ShapeError
-from .fpmod import (FpModule, FpMorphism, analyze, check_ses, cokernel,
-                    factor_through_mono, image, is_epi, is_mono, kernel)
-from .matrix import Matrix, column_space_basis, rank_over_fractions, smith, solve
-from .rings import Ring, ZZ
+from .fpmod import (FpModule, FpMorphism, check_ses, cokernel,
+                    factor_through_mono, image, kernel)
+from .matrix import column_space_basis, rank_over_fractions, smith, solve
+from .rings import Ring
 
 
 class ChainComplex:
@@ -231,83 +231,3 @@ def acyclicity_witness(C: ChainComplex, mode: str = "fp") -> WitnessOutcome:
         if not check_ses(mono_into_k, epi_from_k).ok:
             return WitnessOutcome(False, None, k, homology(C, k))
     return WitnessOutcome(True, AcyclicityWitness(C, tuple(cycles), tuple(epis), tuple(monos), mode))
-
-
-def is_acyclic(C: ChainComplex, mode: str = "fp") -> bool:
-    return acyclicity_witness(C, mode).ok
-
-
-class ChainMap:
-    """Degreewise morphism of equal-length complexes, verified to commute."""
-
-    __slots__ = ("source", "target", "components")
-
-    def __init__(self, source: ChainComplex, target: ChainComplex, components, check=True):
-        components = tuple(components)
-        if len(components) != source.length or source.length != target.length:
-            raise ShapeError("chain map needs one component per degree of equal-length complexes")
-        for k, f in enumerate(components):
-            if f.source != source.objects[k] or f.target != target.objects[k]:
-                raise ShapeError(f"component {k} has wrong endpoints")
-        if check:
-            for k in range(source.length - 1):
-                lhs = target.diffs[k] @ components[k + 1]
-                rhs = components[k] @ source.diffs[k]
-                if not lhs.equals(rhs):
-                    raise ShapeError(f"square at degrees {k + 1}->{k} does not commute")
-        self.source = source
-        self.target = target
-        self.components = components
-
-
-@dataclass(frozen=True)
-class ChainSesVerdict:
-    ok: bool
-    failing_degree: Optional[int] = None
-    reason: str = ""
-
-
-def check_complex_ses(i: ChainMap, p: ChainMap) -> ChainSesVerdict:
-    """Degreewise short exactness of N' -> N -> N''."""
-    if i.target is not p.source and i.target != p.source:
-        return ChainSesVerdict(False, None, "middle complexes differ")
-    for k in range(i.source.length):
-        verdict = check_ses(i.components[k], p.components[k])
-        if not verdict.ok:
-            return ChainSesVerdict(False, k, verdict.reason)
-    return ChainSesVerdict(True)
-
-
-@dataclass(frozen=True)
-class AdmissibleEpiReport:
-    degreewise_epi: bool
-    first_non_epi_degree: Optional[int]
-    kernel_complex: Optional[ChainComplex]
-    kernel_acyclic: Optional[bool]
-    admissible: bool
-
-
-def kernel_complex(phi: ChainMap):
-    """(K, inclusions) where K_k = ker(phi_k) with induced differentials."""
-    pieces = [kernel(f) for f in phi.components]
-    mods = [K for K, _ in pieces]
-    incls = [i for _, i in pieces]
-    diffs = []
-    for k in range(phi.source.length - 1):
-        lifted = factor_through_mono(incls[k], phi.source.diffs[k] @ incls[k + 1])
-        if lifted is None:
-            raise RingError("differential does not preserve kernels; chain map is broken")
-        diffs.append(lifted)
-    K = ChainComplex(phi.source.ring, mods, diffs)
-    return K, incls
-
-
-def admissible_epi_check(phi: ChainMap, mode: str = "fp") -> AdmissibleEpiReport:
-    """Degreewise epi with acyclic kernel complex."""
-    for k, f in enumerate(phi.components):
-        if not is_epi(f):
-            return AdmissibleEpiReport(False, k, None, None, False)
-    K, _ = kernel_complex(phi)
-    kernel_mode = mode if mode == "fp" or K.is_free() else "fp"
-    outcome = acyclicity_witness(K, kernel_mode)
-    return AdmissibleEpiReport(True, None, K, outcome.ok, outcome.ok)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import ShapeError
-from .fpmod import FpMorphism, check_ses
+from .fpmod import check_ses
 from .multicomplex import (BinaryMulticomplex, MultiMorphism, box_coords,
                            common_shape, direct_sum_multi, pad_to,
                            summand_inclusion, summand_projection)
@@ -54,9 +54,6 @@ class ExtensionObject:
                 return ExtensionFailure("ses", c, verdict.reason)
         return None
 
-    def is_valid(self) -> bool:
-        return self.verify() is None
-
     def members(self):
         return (self.sub, self.total, self.quot)
 
@@ -85,23 +82,3 @@ def repack(sub: BinaryMulticomplex, total: BinaryMulticomplex,
     return ExtensionObject(sub, total, quot,
                            MultiMorphism(sub, total, monos),
                            MultiMorphism(total, quot, epis))
-
-
-def ext_layer(ext: ExtensionObject, axis: int, t: int) -> ExtensionObject:
-    """The extension of (dim-1)-multicomplexes at layer t of the axis."""
-    from .multicomplex import expand_along
-
-    sub_t = expand_along(ext.sub, axis).terms[t]
-    tot_t = expand_along(ext.total, axis).terms[t]
-    quo_t = expand_along(ext.quot, axis).terms[t]
-
-    def _restrict(mm, src, tgt):
-        comps = {}
-        for r in box_coords(src.shape):
-            full = r[:axis] + (t,) + r[axis:]
-            comps[r] = mm.components[full]
-        return MultiMorphism(src, tgt, comps)
-
-    return ExtensionObject(sub_t, tot_t, quo_t,
-                           _restrict(ext.mono, sub_t, tot_t),
-                           _restrict(ext.epi, tot_t, quo_t))

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .errors import IllDefinedMorphism, ShapeError
 from .matrix import (Matrix, _smith_ext, _solve_prepared, block_diag,
-                     column_space_basis, hstack, kernel_basis, solve)
+                     column_space_basis, hstack, kernel_basis, solve, vstack)
 from .rings import Ring
 
 
@@ -307,7 +307,6 @@ def split_inclusion(parts, k: int) -> FpMorphism:
             blocks.append(Matrix.identity(ring, m.gens))
         else:
             blocks.append(Matrix.zeros(ring, m.gens, parts[k].gens))
-    from .matrix import vstack
     return FpMorphism(parts[k], total, vstack(blocks), _trusted=True)
 
 

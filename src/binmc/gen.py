@@ -11,7 +11,7 @@ import random
 
 from .complexes import ChainComplex
 from .errors import IllDefinedMorphism
-from .fpmod import (FpModule, FpMorphism, direct_sum_modules, free_cover)
+from .fpmod import FpModule, FpMorphism, direct_sum_modules
 from .matrix import Matrix, block_diag, det, solve
 from .rings import Ring, ZZ
 

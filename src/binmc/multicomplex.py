@@ -168,9 +168,6 @@ class DiagonalityReport:
     directions: frozenset
     counterexamples: dict
 
-    def is_diagonal(self) -> bool:
-        return bool(self.directions)
-
 
 def _first_non_diagonal(M: BinaryMulticomplex, axis: int):
     """The least coordinate whose two differentials along the axis differ, or None."""
@@ -597,16 +594,6 @@ def collapse_along(tw: BinaryTower, axis: int) -> BinaryMulticomplex:
             tops[(axis, c)] = tw.tops[t - 1].components[r]
             bots[(axis, c)] = tw.bots[t - 1].components[r]
     return BinaryMulticomplex(ring, rest_dim + 1, shape, objects, tops, bots)
-
-
-def top_slice(M: BinaryMulticomplex, axis: int) -> Tower:
-    bt = expand_along(M, axis)
-    return Tower(bt.terms, bt.tops)
-
-
-def bottom_slice(M: BinaryMulticomplex, axis: int) -> Tower:
-    bt = expand_along(M, axis)
-    return Tower(bt.terms, bt.bots)
 
 
 def diagonal_embed(tw: Tower, axis: int, mode: str = "fp") -> BinaryMulticomplex:

@@ -23,10 +23,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import NotAcyclic, NotDiagonal, ShapeError
-from .fpmod import (FpModule, FpMorphism, check_ses, direct_sum_modules,
-                    direct_sum_morphisms, free_cover, hsum, is_epi, kernel)
-from .matrix import Matrix, hstack, vstack
+from .errors import NotAcyclic, ShapeError
+from .fpmod import FpModule, FpMorphism, check_ses, free_cover, is_epi, kernel
+from .matrix import Matrix, hstack
 from .multicomplex import (BinaryMulticomplex, BinaryTower, MultiMorphism, _rebox,
                            _rebox_morphism, block_identity_morphism, box_coords,
                            collapse_along, direct_sum_multi, expand_along,
@@ -54,11 +53,6 @@ class ResolutionResult:
         self.target = target
         self.offset = tuple(offset)
         self.diagonal_axes = frozenset(diagonal_axes)
-
-    def ses_witness(self) -> dict:
-        """Coordinate -> (inclusion, projection) for the degreewise sequences."""
-        return {c: (self.incl.components[c], self.zeta.components[c])
-                for c in box_coords(self.P.shape)}
 
     def __repr__(self):
         return (f"ResolutionResult(dim={self.P.dim}, shape={self.P.shape}, "
@@ -241,12 +235,7 @@ def _resolve(M: BinaryMulticomplex, branch=None) -> ResolutionResult:
     diag = M.diagonal_directions()
     if branch is None:
         branch = "staircase" if diag else "ladder"
-    if branch == "staircase":
-        if not diag:
-            raise NotDiagonal("no axis has equal top and bottom differentials")
-        axis = min(diag)
-    else:
-        axis = M.dim - 1
+    axis = min(diag) if branch == "staircase" else M.dim - 1
     tower = expand_along(M, axis)
     L = tower.length
     covers = [_resolve(term) for term in tower.terms]
@@ -322,17 +311,6 @@ def resolve_binary(M: BinaryMulticomplex, check: bool = True) -> ResolutionResul
     return _resolve(M, branch="ladder")
 
 
-def resolve_diagonal(M: BinaryMulticomplex, check: bool = True) -> ResolutionResult:
-    """One-dimensional staircase resolution; input must be diagonal."""
-    if M.dim != 1:
-        raise ShapeError("resolve_diagonal expects a one-dimensional input")
-    if check:
-        _checked(M)
-    if not M.is_diagonal_in(0):
-        raise NotDiagonal("input differentials differ; use resolve_binary")
-    return _resolve(M, branch="staircase")
-
-
 def phi_class(M: FpModule, cover: FpMorphism = None) -> int:
     """rank(P) - rank(P') for a free presentation P' >-> P ->> M.
 
@@ -352,84 +330,3 @@ def phi_class(M: FpModule, cover: FpMorphism = None) -> int:
     if not K.is_free_presentation():
         raise ShapeError("kernel of the cover is not free over this ring")
     return cover.source.gens - K.gens
-
-
-@dataclass(frozen=True)
-class AdmissibleSumReport:
-    ok: bool
-    pivot: int
-    steps: tuple
-    reason: str = ""
-
-    def composite(self):
-        f = self.steps[0]
-        for s in self.steps[1:]:
-            f = s @ f
-        return f
-
-
-def admissible_sum_factorization(fs, pivot: int = None) -> AdmissibleSumReport:
-    """Factor [f_1 ... f_m] : (+) Q_i -> N into verified epimorphisms.
-
-    Requires some f_i to be an admissible epi; the factorization threads the
-    pivot through two-summand steps ([[f,0],[0,1]], [[1,g],[0,1]], [1 0] and
-    the mirrored orientation when the pivot sits on the right).
-    """
-    fs = list(fs)
-    if not fs:
-        return AdmissibleSumReport(False, -1, (), "no morphisms given")
-    target = fs[0].target
-    for f in fs:
-        if f.target != target:
-            raise ShapeError("summands need a common target")
-    if pivot is None:
-        pivot = next((i for i, f in enumerate(fs) if is_epi(f)), -1)
-        if pivot < 0:
-            return AdmissibleSumReport(False, -1, (),
-                                       "no summand is an admissible epimorphism")
-    elif not is_epi(fs[pivot]):
-        return AdmissibleSumReport(False, pivot, (),
-                                   "chosen pivot is not an admissible epimorphism")
-
-    def build(k):
-        # factorization of [f_0 .. f_k]; requires pivot <= k
-        if k == 0:
-            return [fs[0]]
-        Qk = fs[k].source
-        if pivot <= k - 1:
-            prefix = build(k - 1)
-            steps = [direct_sum_morphisms([s, FpMorphism.identity(Qk)]) for s in prefix]
-            NQ = direct_sum_modules([target, Qk])
-            shear = FpMorphism(NQ, NQ, vstack([
-                hstack([Matrix.identity(target.ring, target.gens), fs[k].mat]),
-                hstack([Matrix.zeros(target.ring, Qk.gens, target.gens),
-                        Matrix.identity(target.ring, Qk.gens)]),
-            ]), _trusted=True)
-            proj = hsum([FpMorphism.identity(target), FpMorphism.zero(Qk, target)])
-            return steps + [shear, proj]
-        # pivot == k: mirrored orientation keeps the left block untouched
-        left = direct_sum_modules([f.source for f in fs[:k]])
-        g = hsum(fs[:k])
-        s1 = direct_sum_morphisms([FpMorphism.identity(left), fs[k]])
-        LN = direct_sum_modules([left, target])
-        s2 = FpMorphism(LN, LN, vstack([
-            hstack([Matrix.identity(left.ring, left.gens),
-                    Matrix.zeros(left.ring, left.gens, target.gens)]),
-            hstack([g.mat, Matrix.identity(target.ring, target.gens)]),
-        ]), _trusted=True)
-        s3 = hsum([FpMorphism.zero(left, target), FpMorphism.identity(target)])
-        return [s1, s2, s3]
-
-    steps = build(len(fs) - 1)
-    report_steps = tuple(steps)
-    for s in report_steps:
-        if not is_epi(s):
-            return AdmissibleSumReport(False, pivot, report_steps,
-                                       "a factorization step failed the epi check")
-    composite = report_steps[0]
-    for s in report_steps[1:]:
-        composite = s @ composite
-    if not composite.equals(hsum(fs)):
-        return AdmissibleSumReport(False, pivot, report_steps,
-                                   "factorization does not compose to the sum")
-    return AdmissibleSumReport(True, pivot, report_steps)

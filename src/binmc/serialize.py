@@ -23,14 +23,13 @@ import hashlib
 import json
 import math
 
-from .errors import (BinmcError, IllDefinedMorphism, ParseError, RingError,
-                     ShapeError)
+from .errors import IllDefinedMorphism, ParseError, RingError, ShapeError
 from .extension import ExtensionObject
 from .fpmod import FpModule, FpMorphism
 from .kgroups import (DiagonalStep, FormalClass, IsoStep, RelationChain,
                       SesStep)
 from .matrix import Matrix
-from .multicomplex import BinaryMulticomplex, MultiMorphism, box_coords
+from .multicomplex import BinaryMulticomplex, MultiMorphism
 from .resolve import ResolutionResult
 from .rings import Ring, ring_from_descriptor
 

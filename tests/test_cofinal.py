@@ -4,8 +4,7 @@ import pytest
 
 from binmc import cofinal, kgroups
 from binmc.cofinal import (CofinalInstance, RelClass, complement,
-                           delta_top_retract, diagonal_represent,
-                           pair_complement, rel_class)
+                           diagonal_represent, pair_complement, rel_class)
 from binmc.errors import (CertificateError, MembershipRefusal, NotAcyclic,
                           ShapeError)
 from binmc.fpmod import FpModule, FpMorphism
@@ -14,7 +13,7 @@ from binmc.gen import (conjugate_multicomplex, random_multicomplex,
 from binmc.kgroups import FormalClass, class_torsion, torsion, verify_chain
 from binmc.matrix import Matrix
 from binmc.multicomplex import (BinaryMulticomplex, direct_sum_multi,
-                                validate)
+                                rediagonalize, validate)
 from binmc.rings import QQ, ZZ
 from binmc.serialize import chain_to_doc, digest, multicomplex_to_doc
 
@@ -153,12 +152,12 @@ def test_delta_top_retract():
     rng = random.Random(6)
     for _ in range(5):
         M = random_multicomplex(rng, ZZ, 2, length=2, max_rank=2)
-        out = delta_top_retract(M, 0)
+        out = rediagonalize(M, 0)
         assert out.is_diagonal_in(0)
         assert validate(out).ok
-        assert delta_top_retract(out, 0) == out
+        assert rediagonalize(out, 0) == out
     D = random_multicomplex(rng, ZZ, 2, length=2, max_rank=2, diagonal_axes=(1,))
-    assert delta_top_retract(D, 1) == D
+    assert rediagonalize(D, 1) == D
 
 
 def test_diagonal_represent_two_directions():

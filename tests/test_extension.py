@@ -1,8 +1,7 @@
 """Extensions of binary multicomplexes: exactness checks and repackaging."""
 import random
 
-from binmc.extension import (ExtensionObject, ext_layer, repack,
-                             split_extension, unpack)
+from binmc.extension import ExtensionObject, repack, split_extension, unpack
 from binmc.fpmod import FpModule, FpMorphism
 from binmc.gen import random_multi_extension, random_multicomplex
 from binmc.matrix import Matrix
@@ -69,14 +68,3 @@ def test_noncommuting_projection_is_caught():
                               MultiMorphism(E.total, E.quot, comps))
     failure = twisted.verify()
     assert failure is not None and failure.kind == "epi-square"
-
-
-def test_ext_layer_is_extension_of_slices():
-    rng = random.Random(63)
-    A = random_multicomplex(rng, GF(3), 2, length=2, bricks=1)
-    B = random_multicomplex(rng, GF(3), 2, length=2, bricks=1)
-    E = random_multi_extension(rng, A, B)
-    for t in range(E.total.shape[0]):
-        layer = ext_layer(E, 0, t)
-        assert layer.verify() is None
-        assert layer.total.dim == 1

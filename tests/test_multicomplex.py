@@ -1,4 +1,4 @@
-"""Binary multicomplex structure: validation, slicing, embedding, images."""
+"""Binary multicomplex structure: validation, towers, embedding, images."""
 import random
 
 import pytest
@@ -9,13 +9,13 @@ from binmc.gen import (conjugate_multicomplex, random_diagonal_multicomplex,
                        random_multicomplex)
 from binmc.matrix import Matrix
 from binmc.multicomplex import (BinaryMulticomplex, BinaryTower, MultiMorphism,
-                                Tower, bottom_slice, box_coords, collapse_along,
+                                Tower, box_coords, collapse_along,
                                 diagonal_embed, diagonality_report,
                                 direct_sum_multi, expand_along,
                                 image_multicomplex, pad_morphism, pad_to,
                                 rediagonalize, shift, shift_morphism,
                                 summand_inclusion, summand_projection,
-                                top_slice, validate)
+                                validate)
 from binmc.rings import GF, QQ, ZZ
 
 
@@ -197,7 +197,8 @@ def test_direct_sum_and_split_maps():
 def test_top_slice_and_diagonal_embed():
     rng = random.Random(31)
     D = random_multicomplex(rng, ZZ, 2, length=3, diagonal_axes=(0,), bricks=1)
-    tower = top_slice(D, 0)
+    bt = expand_along(D, 0)
+    tower = Tower(bt.terms, bt.tops)
     E = diagonal_embed(tower, 0, mode="fp")
     assert E == rediagonalize(D, 0)
     assert 0 in diagonality_report(E).directions
@@ -219,18 +220,6 @@ def test_diagonal_embed_rejects_nonacyclic():
     broken = Tower((t0, t1), (MultiMorphism.zero(t1, t0),))
     with pytest.raises(NotAcyclic):
         diagonal_embed(broken, 0)
-
-
-def test_slices_agree_with_lines():
-    rng = random.Random(37)
-    M = random_multicomplex(rng, GF(7), 1, length=4, bricks=1)
-    tower = top_slice(M, 0)
-    line = M.line(0, (), "top")
-    assert [t.objects[()] for t in tower.terms] == list(line.objects)
-    for k, d in enumerate(tower.diffs):
-        assert d.components[()].mat == line.diffs[k].mat
-    bot = bottom_slice(M, 0)
-    assert len(bot.diffs) == len(tower.diffs)
 
 
 def test_image_of_isomorphism_is_everything():

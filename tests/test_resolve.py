@@ -4,14 +4,13 @@ import random
 
 import pytest
 
-from binmc.errors import NotAcyclic, NotDiagonal, ShapeError
-from binmc.fpmod import FpModule, FpMorphism, check_ses, free_cover, hsum, is_epi
+from binmc.errors import NotAcyclic, ShapeError
+from binmc.fpmod import FpModule, FpMorphism, free_cover, hsum, is_epi
 from binmc.gen import (random_diagonal_multicomplex, random_fp_module,
                        random_multicomplex)
 from binmc.matrix import Matrix
 from binmc.multicomplex import BinaryMulticomplex, MultiMorphism, validate
-from binmc.resolve import (DeltaLadder, admissible_sum_factorization, phi_class,
-                           resolve_binary, resolve_diagonal, resolve_multi,
+from binmc.resolve import (DeltaLadder, phi_class, resolve_binary, resolve_multi,
                            verify_resolution)
 from binmc.rings import GF, QQ, ZZ
 from binmc.serialize import digest, resolution_to_doc
@@ -27,7 +26,7 @@ def unit_complex(ring, u):
 
 def test_staircase_identity_complex():
     M = unit_complex(ZZ, 1)
-    res = resolve_diagonal(M)
+    res = resolve_multi(M)
     assert res.offset == (1,)
     assert res.P.rank_grid() == {(0,): 1, (1,): 2, (2,): 1}
     assert res.Pprime.rank_grid() == {(0,): 1, (1,): 1, (2,): 0}
@@ -54,7 +53,7 @@ def test_ladder_works_on_diagonal_input():
     rep = verify_resolution(res)
     assert rep.ok, rep.failures
     # same input through the staircase: both give valid covers of one target
-    res2 = resolve_diagonal(M)
+    res2 = resolve_multi(M)
     assert res.target == res2.target
     assert res.offset == res2.offset
 
@@ -63,7 +62,7 @@ def test_resolve_torsion_diagonal_complex():
     m6 = FpModule(ZZ, 1, Matrix(ZZ, 1, 1, [6]))
     ident = FpMorphism.identity(m6)
     M = BinaryMulticomplex.from_binary_chain(ZZ, [m6, m6], [ident], [ident])
-    res = resolve_diagonal(M)
+    res = resolve_multi(M)
     rep = verify_resolution(res)
     assert rep.ok, rep.failures
     assert validate(res.P, "free").ok and validate(res.Pprime, "free").ok
@@ -88,9 +87,6 @@ def test_resolve_rejects_bad_input():
     with pytest.raises(NotAcyclic):
         resolve_binary(M)
     ident = FpMorphism.identity(R1)
-    D = unit_complex(ZZ, ZZ.from_int(-1))
-    with pytest.raises(NotDiagonal):
-        resolve_diagonal(D)
     with pytest.raises(ShapeError):
         resolve_binary(BinaryMulticomplex.zero(ZZ, 2))
 
@@ -181,48 +177,6 @@ def test_phi_class_independent_of_cover():
         bigger = hsum([free_cover(m), noise])
         assert is_epi(bigger)
         assert phi_class(m, bigger) == default
-
-
-def test_admissible_sum_factorization_basic():
-    N = FpModule.free(ZZ, 2)
-    f1 = FpMorphism.identity(N)
-    f2 = FpMorphism.zero(N, N)
-    report = admissible_sum_factorization([f1, f2])
-    assert report.ok and report.pivot == 0
-    assert all(is_epi(s) for s in report.steps)
-    assert report.composite().equals(hsum([f1, f2]))
-
-
-def test_admissible_sum_factorization_right_pivot():
-    N = FpModule.free(ZZ, 2)
-    fs = [FpMorphism.zero(N, N), FpMorphism.identity(N)]
-    report = admissible_sum_factorization(fs)
-    assert report.ok and report.pivot == 1
-    assert report.composite().equals(hsum(fs))
-    three = [FpMorphism.zero(N, N), FpMorphism.identity(N),
-             FpMorphism(N, N, Matrix.from_int_rows(ZZ, [[1, 2], [0, 3]]))]
-    report = admissible_sum_factorization(three)
-    assert report.ok and report.pivot == 1
-    assert all(is_epi(s) for s in report.steps)
-    assert report.composite().equals(hsum(three))
-
-
-def test_admissible_sum_factorization_refuses():
-    N = FpModule.free(ZZ, 1)
-    doubling = FpMorphism(N, N, Matrix(ZZ, 1, 1, [2]))
-    report = admissible_sum_factorization([doubling, doubling])
-    assert not report.ok
-    assert "epimorphism" in report.reason
-
-
-def test_ses_witness_grid():
-    rng = random.Random(41)
-    M = random_multicomplex(rng, GF(5), 1, length=3, max_rank=2)
-    res = resolve_binary(M)
-    grid = res.ses_witness()
-    assert set(grid) == set(res.P.rank_grid())
-    for c, (mono, epi) in grid.items():
-        assert check_ses(mono, epi).ok
 
 
 def test_resolve_multi_golden_digests():
