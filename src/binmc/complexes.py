@@ -14,7 +14,8 @@ from typing import Optional
 from .errors import RingError, ShapeError
 from .fpmod import (FpModule, FpMorphism, check_ses, cokernel,
                     factor_through_mono, image, kernel)
-from .matrix import column_space_basis, rank_over_fractions, smith, solve
+from .matrix import (column_space_basis, invariant_factors, rank_over_fractions,
+                     smith, solve)
 from .rings import Ring
 
 
@@ -116,19 +117,20 @@ def free_line_exact(C: ChainComplex) -> bool:
     n_k = rank d_k + rank d_{k+1} at every degree (out-of-range differentials
     have rank 0) and every nonzero invariant factor of every differential is
     a unit: the ranks make each cycle module and boundary module equal up to
-    torsion, and unit factors make every boundary module saturated.  Reads one
-    cached Smith form per differential.  A False answer carries no location;
-    acyclicity_witness is the path that names the failing degree.
+    torsion, and unit factors make every boundary module saturated.  Reads the
+    cached invariant factors of each differential, which need no U or V.  A
+    False answer carries no location; acyclicity_witness is the path that
+    names the failing degree.
     """
     if not C.is_free():
         raise RingError("the rank certificate needs free objects")
     ring = C.ring
     ranks = [0]
     for d in C.diffs:
-        diagonal = [x for x in smith(d.mat).diagonal() if not ring.is_zero(x)]
-        if not all(ring.is_unit(x) for x in diagonal):
+        factors = invariant_factors(d.mat)
+        if not all(map(ring.is_unit, factors)):
             return False
-        ranks.append(len(diagonal))
+        ranks.append(len(factors))
     ranks.append(0)
     return all(m.gens == ranks[k] + ranks[k + 1] for k, m in enumerate(C.objects))
 

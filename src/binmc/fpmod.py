@@ -156,7 +156,8 @@ class FpMorphism:
         """Equality as morphisms, i.e. matrices agree modulo target relations."""
         if other.source != self.source or other.target != self.target:
             return False
-        return self.target.solve_mod_rels(self.mat - other.mat) is not None
+        return (self.mat == other.mat
+                or self.target.solve_mod_rels(self.mat - other.mat) is not None)
 
     def is_zero(self) -> bool:
         return self.target.solve_mod_rels(self.mat) is not None

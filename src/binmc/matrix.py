@@ -10,7 +10,9 @@ are reduced, which the public constructors do.
 
 The decomposition routines are deterministic: pivot selection always takes the
 nonzero entry of smallest Euclidean size, ties broken by lowest row then column
-index, and diagonal entries are normalized to canonical associates.
+index, and diagonal entries are normalized to canonical associates.  One
+elimination serves both the full decomposition (smith, solve, kernels) and
+invariant_factors, which needs no U or V and so builds neither.
 """
 from __future__ import annotations
 
@@ -59,7 +61,7 @@ def _nonzeros(ring: Ring, values) -> tuple:
 
 
 class Matrix:
-    __slots__ = ("ring", "rows", "cols", "_nz", "_snf")
+    __slots__ = ("ring", "rows", "cols", "_nz", "_snf", "_factors")
 
     def __init__(self, ring: Ring, rows: int, cols: int, entries):
         entries = list(entries)
@@ -70,6 +72,7 @@ class Matrix:
         self.cols = cols
         self._nz = [_nonzeros(ring, entries[i * cols:(i + 1) * cols]) for i in range(rows)]
         self._snf = None  # cached (U, S, V) from _smith_ext; instances are immutable
+        self._factors = None  # cached invariant_factors when _snf was not needed
 
     @staticmethod
     def _of(ring: Ring, rows: int, cols: int, nz: list) -> "Matrix":
@@ -80,6 +83,7 @@ class Matrix:
         A.cols = cols
         A._nz = nz
         A._snf = None
+        A._factors = None
         return A
 
     @staticmethod
@@ -182,12 +186,25 @@ class Matrix:
             raise ShapeError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
         ring = self.ring
         b = other._nz
+        one, mul = ring.one, ring.mul
+        raw = ring.kind == "integers" or ring.kind == "prime-field"
+        p = ring.p if ring.kind == "prime-field" else None
+        add, zero = ring.add, ring.zero
         out = []
-        if ring.kind == "integers" or ring.kind == "prime-field":
-            # raw int accumulation, reduced once per entry over GF(p)
-            p = ring.p if ring.kind == "prime-field" else None
-            for arow in self._nz:
-                acc = {}
+        for arow in self._nz:
+            if len(arow) == 2:
+                # one term c at column t: row t of the right factor times c, which
+                # has no zero entries because no ring here has zero divisors
+                t, c = arow
+                row = b[t]
+                out.append(row if c == one else _with_entries(row, [mul(c, v) for v in row[1::2]]))
+                continue
+            if not arow:
+                out.append(())
+                continue
+            acc = {}
+            if raw:
+                # raw int accumulation, reduced once per entry over GF(p)
                 for t, c in _pairs(arow):
                     bt = iter(b[t])
                     for j, v in zip(bt, bt):
@@ -196,16 +213,13 @@ class Matrix:
                     acc = {j: y for j, x in acc.items() if (y := x % p)}
                 elif 0 in acc.values():
                     acc = {j: x for j, x in acc.items() if x}
-                out.append(_packed(acc))
-        else:
-            add, mul, zero = ring.add, ring.mul, ring.zero
-            for arow in self._nz:
-                acc = {}
+            else:
                 for t, c in _pairs(arow):
                     bt = iter(b[t])
                     for j, v in zip(bt, bt):
                         acc[j] = add(acc.get(j, zero), mul(c, v))
-                out.append(_packed({j: x for j, x in acc.items() if x}))
+                acc = {j: x for j, x in acc.items() if x}
+            out.append(_packed(acc))
         return Matrix._of(ring, self.rows, other.cols, out)
 
     def transpose(self) -> "Matrix":
@@ -357,30 +371,54 @@ def _axpy(ring: Ring):
 def _smith_ext(A: Matrix):
     """(U, S, V) with U A V = S.  See SmithDecomposition for the S contract.
 
-    One elimination for every ring, on sparse rows of S and U over sparse
-    columns of V, starting from A, I_n and I_m: a row op moves S and U
-    together, a column op moves S and V together.  The decomposition is cached
-    on the matrix, so repeated rank / solve / kernel questions about one
-    matrix only eliminate once.
+    The decomposition is cached on the matrix, so repeated rank / solve /
+    kernel questions about one matrix only eliminate once.
+    """
+    if A._snf is None:
+        A._snf = _eliminate(A, True)
+    return A._snf
+
+
+def invariant_factors(A: Matrix) -> tuple:
+    """The nonzero diagonal of smith(A).S: d1 | d2 | ..., canonical associates.
+
+    Read from a cached decomposition when there is one; otherwise computed by
+    an elimination that keeps no U or V, and cached on the matrix.
     """
     if A._snf is not None:
-        return A._snf
+        return tuple(row[1] for row in A._snf[1]._nz if row)
+    if A._factors is None:
+        A._factors = _eliminate(A, False)
+    return A._factors
+
+
+def _eliminate(A: Matrix, full: bool):
+    """The one Smith elimination; (U, S, V) when full, else the nonzero diagonal of S.
+
+    It runs for every ring on sparse rows of S and U over sparse columns of V,
+    starting from A, I_n and I_m: a row op moves S and U together, a column op
+    moves S and V together.  Without full, U and V are never built or moved;
+    S goes through the same operations, so its diagonal is the same.
+    """
     ring = A.ring
     n, m = A.rows, A.cols
     if n == 0 or m == 0:
-        A._snf = (Matrix.identity(ring, n), Matrix.zeros(ring, n, m), Matrix.identity(ring, m))
-        return A._snf
+        if not full:
+            return ()
+        return (Matrix.identity(ring, n), Matrix.zeros(ring, n, m), Matrix.identity(ring, m))
     one = ring.one
     neg, size, euclid_div = ring.neg, ring.size, ring.euclid_div
     axpy = _axpy(ring)
     # rows of S and U and columns of V, as {index: nonzero entry} while they change
     S = [dict(_pairs(r)) for r in A._nz]
-    U = [{i: one} for i in range(n)]
-    V = [{j: one} for j in range(m)]
+    if full:
+        U = [{i: one} for i in range(n)]
+        V = [{j: one} for j in range(m)]
 
     def row_swap(i, j):
         S[i], S[j] = S[j], S[i]
-        U[i], U[j] = U[j], U[i]
+        if full:
+            U[i], U[j] = U[j], U[i]
 
     def col_swap(i, j):
         # rows above min(i, j) hold only their pivots, left of both columns
@@ -392,7 +430,8 @@ def _smith_ext(A: Matrix):
                     r[j] = a
                 if b is not None:
                     r[i] = b
-        V[i], V[j] = V[j], V[i]
+        if full:
+            V[i], V[j] = V[j], V[i]
 
     def reduce_at(t):
         """Clear row t and column t off the pivot at (t, t).
@@ -410,7 +449,8 @@ def _smith_ext(A: Matrix):
                 if q:
                     c = neg(q)
                     axpy(S[i], S[t], c)
-                    axpy(U[i], U[t], c)
+                    if full:
+                        axpy(U[i], U[t], c)
                 if r:
                     row_swap(i, t)
                     break
@@ -422,7 +462,7 @@ def _smith_ext(A: Matrix):
                     if j == t:
                         continue
                     q, r = euclid_div(row_t[j], piv)
-                    if q:
+                    if q and full:
                         axpy(V[j], V[t], neg(q))
                     if r:
                         row_t[j] = r
@@ -476,25 +516,28 @@ def _smith_ext(A: Matrix):
                 if try_divide(S[j][j], S[i][i]) is None:
                     # column i += column j; S is diagonal here, so only (j, i) changes
                     S[j][i] = S[j][j]
-                    axpy(V[i], V[j], one)
+                    if full:
+                        axpy(V[i], V[j], one)
                     reduce_at(i)
                     done = False
-    # canonical associates on the diagonal
+    # canonical associates on the diagonal; S's rows hold only their pivots now
     mul = ring.mul
     for i in range(rank):
         u, _ = ring.canonical_factor(S[i][i])
         if u != one:
             v = ring.unit_inverse(u)
-            S[i] = {k: mul(v, x) for k, x in S[i].items()}
-            U[i] = {k: mul(v, x) for k, x in U[i].items()}
+            S[i] = {i: mul(v, S[i][i])}
+            if full:
+                U[i] = {k: mul(v, x) for k, x in U[i].items()}
+    if not full:
+        return tuple(S[i][i] for i in range(rank))
     V_rows = [[] for _ in range(m)]
     for j, col in enumerate(V):
         for i, x in col.items():
             V_rows[i] += (j, x)
-    A._snf = (Matrix._of(ring, n, n, [_packed(r) for r in U]),
-              Matrix._of(ring, n, m, [(i, S[i][i]) for i in range(rank)] + [()] * (n - rank)),
-              Matrix._of(ring, m, m, [tuple(r) for r in V_rows]))
-    return A._snf
+    return (Matrix._of(ring, n, n, [_packed(r) for r in U]),
+            Matrix._of(ring, n, m, [(i, S[i][i]) for i in range(rank)] + [()] * (n - rank)),
+            Matrix._of(ring, m, m, [tuple(r) for r in V_rows]))
 
 
 def _rank_of(S: Matrix) -> int:
@@ -507,7 +550,7 @@ def smith(A: Matrix) -> SmithDecomposition:
 
 
 def rank(A: Matrix) -> int:
-    return smith(A).rank
+    return len(invariant_factors(A))
 
 
 def solve(A: Matrix, B: Matrix):

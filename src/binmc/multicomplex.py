@@ -53,8 +53,20 @@ def _drop(coord, axis):
     return coord[:axis] + coord[axis + 1:]
 
 
+class _HashedKey(tuple):
+    """A tuple that hashes once: equal, ordered and hashed as the plain tuple."""
+
+    def __new__(cls, items):
+        key = super().__new__(cls, items)
+        key._hash = tuple.__hash__(key)
+        return key
+
+    def __hash__(self):
+        return self._hash
+
+
 class BinaryMulticomplex:
-    __slots__ = ("ring", "dim", "shape", "objects", "tops", "bots")
+    __slots__ = ("ring", "dim", "shape", "objects", "tops", "bots", "_key")
 
     def __init__(self, ring: Ring, dim: int, shape, objects, tops, bots):
         shape = tuple(shape)
@@ -66,6 +78,7 @@ class BinaryMulticomplex:
         self.objects = dict(objects)
         self.tops = dict(tops)
         self.bots = dict(bots)
+        self._key = None  # canonical_key, computed once: nothing changes the tables
         coords = set(box_coords(shape))
         if set(self.objects) != coords:
             raise ShapeError("object table must cover the support box exactly")
@@ -135,13 +148,15 @@ class BinaryMulticomplex:
         return _rebox(self, tuple(-l for l in lo), tuple(h - l + 1 for l, h in zip(lo, hi)))
 
     def canonical_key(self):
-        n = self.normalize()
-        objs = tuple((c, n.objects[c].gens, n.objects[c].rels.rows,
-                      n.objects[c].rels.cols, n.objects[c].rels.entries)
-                     for c in sorted(n.objects))
-        diffs = tuple((a, c, n.tops[(a, c)].mat.entries, n.bots[(a, c)].mat.entries)
-                      for (a, c) in sorted(n.tops))
-        return (n.dim, n.shape, objs, diffs)
+        if self._key is None:
+            n = self.normalize()
+            objs = tuple((c, n.objects[c].gens, n.objects[c].rels.rows,
+                          n.objects[c].rels.cols, n.objects[c].rels.entries)
+                         for c in sorted(n.objects))
+            diffs = tuple((a, c, n.tops[(a, c)].mat.entries, n.bots[(a, c)].mat.entries)
+                          for (a, c) in sorted(n.tops))
+            self._key = _HashedKey((n.dim, n.shape, objs, diffs))
+        return self._key
 
     def equivalent(self, other: "BinaryMulticomplex") -> bool:
         return self.canonical_key() == other.canonical_key()

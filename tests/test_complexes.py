@@ -8,7 +8,7 @@ from binmc.complexes import (ChainComplex, acyclicity_witness, free_line_exact,
 from binmc.errors import RingError, ShapeError
 from binmc.fpmod import FpModule, FpMorphism
 from binmc.gen import random_acyclic_complex, random_complex_with_known_homology
-from binmc.matrix import Matrix
+from binmc.matrix import Matrix, smith
 from binmc.rings import GF, QQ, ZZ, polynomial_ring
 
 
@@ -181,6 +181,49 @@ def test_rank_certificate_over_polynomials_with_nonconstant_torsion():
                                        mor(f1, f2, [[x], [x2]])])
     assert not _certificate_matches_witness(B)
     assert acyclicity_witness(B).failing_degree == 1
+
+
+def _with_diffs(C, mats):
+    """C's objects with new differential matrices, on which nothing is cached."""
+    return ChainComplex(C.ring, C.objects,
+                        [FpMorphism(d.source, d.target, Matrix(C.ring, a.rows, a.cols, a.entries),
+                                    _trusted=True) for d, a in zip(C.diffs, mats)])
+
+
+def test_rank_certificate_without_u_and_v_matches_witness():
+    # criterion 1's family, each exact line also broken twice: one nonzero
+    # differential set to zero (a rank deficit) and, over ZZ, doubled (a
+    # non-unit invariant factor)
+    rng = random.Random(101)
+    verdicts = {True: 0, False: 0}
+    for ring in (ZZ, GF(7)):
+        for _ in range(60):
+            length = rng.randint(2, 6)
+            if rng.random() < 0.5:
+                C, _ = random_complex_with_known_homology(rng, ring, length=length, max_rank=5)
+            else:
+                C = random_acyclic_complex(rng, ring, length=length, max_rank=5, allow_fp=False)
+            mats = [d.mat for d in C.diffs]
+            lines = [(_with_diffs(C, mats), None)]
+            nonzero = [k for k, a in enumerate(mats) if not a.is_zero()]
+            if nonzero:
+                k = rng.choice(nonzero)
+                broken = [Matrix.zeros(ring, mats[k].rows, mats[k].cols)]
+                if ring == ZZ:
+                    broken.append(mats[k].scale(2))
+                lines += [(_with_diffs(C, mats[:k] + [b] + mats[k + 1:]), C) for b in broken]
+            for L, origin in lines:
+                exact = free_line_exact(L)
+                assert all(d.mat._snf is None for d in L.diffs)  # no U or V was built
+                ok = acyclicity_witness(L, "fp").ok
+                assert exact == ok
+                if origin is not None and acyclicity_witness(origin, "fp").ok:
+                    assert not ok
+                for d in L.diffs:
+                    smith(d.mat)
+                assert free_line_exact(L) == ok  # now read from the full decompositions
+                verdicts[ok] += 1
+    assert min(verdicts.values()) > 20
 
 
 def test_rank_certificate_needs_free_objects():

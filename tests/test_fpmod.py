@@ -76,6 +76,32 @@ def test_morphism_well_definedness():
     assert not is_epi(f)
 
 
+def test_equals_compares_matrices_before_subtracting(monkeypatch):
+    # Z^2 -> Z/6 + Z/4 + Z: equal matrices, matrices that differ by relations,
+    # and morphisms that differ
+    target = pres(ZZ, 3, [[6, 0], [0, 4], [0, 0]])
+    source = FpModule.free(ZZ, 2)
+
+    def mor(rows):
+        return FpMorphism(source, target, Matrix.from_int_rows(ZZ, rows))
+
+    f = mor([[1, 5], [3, -2], [7, 0]])
+    same = mor([[1, 5], [3, -2], [7, 0]])
+    shifted = mor([[7, -1], [3, 6], [7, 0]])  # f plus multiples of 6, 4 and 0
+    other = [mor([[2, 5], [3, -2], [7, 0]]),  # 1 in Z/6 changed
+             mor([[1, 5], [3, 0], [7, 0]]),  # 2 in Z/4 changed
+             mor([[1, 5], [3, -2], [7, 6]])]  # the free part changed
+    assert shifted.mat != f.mat
+    assert shifted.equals(f) and f.equals(shifted)
+    assert not any(g.equals(f) or f.equals(g) for g in other)
+
+    def refuse(*args):
+        raise AssertionError("equal matrices were subtracted")
+
+    monkeypatch.setattr(Matrix, "__sub__", refuse)
+    assert f.equals(same) and f.equals(f)
+
+
 def test_kernel_cokernel_image_hand_example():
     # multiplication by 2 on Z
     free1 = FpModule.free(ZZ, 1)

@@ -5,8 +5,8 @@ from fractions import Fraction
 import pytest
 
 from binmc.matrix import (Matrix, block_diag, column_space_basis, det, hstack,
-                          kernel_basis, kron, rank, rank_over_fractions, smith, solve,
-                          vstack)
+                          invariant_factors, kernel_basis, kron, rank,
+                          rank_over_fractions, smith, solve, vstack)
 from binmc.rings import GF, QQ, ZZ, polynomial_ring
 
 
@@ -396,6 +396,8 @@ def _random_sparse(rng, ring, n, m, density):
 
 
 SHAPES = [(0, 0), (0, 3), (3, 0), (1, 1), (4, 6), (9, 7)]
+ONE_TERM_SCALE = {"integers": 3, "prime-field": 5, "rationals": Fraction(-2, 3),
+                  "polynomials-over": (2, 1)}
 
 
 @pytest.mark.parametrize("ring", [ZZ, GF(7), QQ, F5X], ids=["ZZ", "GF7", "QQ", "F5X"])
@@ -427,6 +429,18 @@ def test_sparse_storage_matches_dense_reference(ring, density):
         assert _same(ring, A @ B, _ref_mul(ring, a, b))
         D = _random_sparse(rng, ring, m, k, 1.0)  # sparse rows of A pick dense rows
         assert _same(ring, A @ D, _ref_mul(ring, a, _ref(D)))
+        # left factors whose rows hold 0 or 1 terms: a permutation with some
+        # rows emptied, scaled by one, by -one and by a c != one (over GF(7)
+        # c * v wraps modulo 7)
+        picks = [j if rng.random() < 0.8 else None for j in rng.sample(range(m), min(n, m))]
+        picks += [None] * (n - len(picks))
+        for scale in (ring.one, ring.neg(ring.one), ONE_TERM_SCALE[ring.kind]):
+            P = Matrix(ring, n, m, [scale if j == picks[i] else ring.zero
+                                    for i in range(n) for j in range(m)])
+            assert all(sum(1 for x in row if x) <= 1 for row in P.row_list())
+            p = _ref(P)
+            for right, r in ((B, b), (D, _ref(D))):
+                assert _same(ring, P @ right, _ref_mul(ring, p, r))
         assert _same(ring, A.transpose(), _ref_transpose(a))
         r0, r1 = sorted(rng.randint(0, n) for _ in range(2))
         c0, c1 = sorted(rng.randint(0, m) for _ in range(2))
@@ -454,3 +468,29 @@ def test_sparse_storage_matches_dense_reference(ring, density):
         basis = column_space_basis(A)
         assert basis.rows == n and basis.cols == rank(A) == rank(basis)
         assert solve(A, basis) is not None and solve(basis, A) is not None
+
+
+# -- invariant factors without U and V -------------------------------------------
+
+def _nonzero_diagonal(ring, d):
+    return tuple(x for x in d.diagonal() if not ring.is_zero(x))
+
+
+@pytest.mark.parametrize("ring", [ZZ, GF(7), QQ, F5X], ids=["ZZ", "GF7", "QQ", "F5X"])
+def test_invariant_factors_match_smith_diagonal(ring):
+    rng = random.Random(f"factors:{ring.kind}")
+    cases = [Matrix.from_rows(r, a) for r, a, *_ in GOLDEN if r == ring]
+    cases += [_random_matrix(rng, ring, rng.randint(0, 6), rng.randint(0, 6)) for _ in range(60)]
+    cases += [_random_sparse(rng, ring, rng.randint(1, 8), rng.randint(1, 8), 0.3)
+              for _ in range(30)]
+    for A in cases:
+        expected = _nonzero_diagonal(ring, smith(Matrix(ring, A.rows, A.cols, A.entries)))
+        # before any decomposition is cached: the elimination without U and V
+        assert invariant_factors(A) == expected
+        assert rank(A) == len(expected)
+        # after the full decomposition is cached, the factors are read from it
+        assert _nonzero_diagonal(ring, smith(A)) == expected
+        assert invariant_factors(A) == expected
+        B = Matrix(ring, A.rows, A.cols, A.entries)
+        smith(B)
+        assert invariant_factors(B) == expected

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from binmc import matrix
 from binmc.errors import NotAcyclic, ShapeError
 from binmc.fpmod import FpModule, FpMorphism, free_cover, hsum, is_epi
 from binmc.gen import (random_diagonal_multicomplex, random_fp_module,
@@ -213,6 +214,33 @@ def test_canonical_key_golden_digests():
         M = random_multicomplex(rng, ZZ, dim, length=2 if dim == 3 else rng.randint(2, 3),
                                 max_rank=2 if dim == 2 else 1, bricks=1,
                                 allow_fp=case % 2 == 0)
-        key = resolve_multi(M, check=False).Pprime.canonical_key()
+        Pprime = resolve_multi(M, check=False).Pprime
+        key = Pprime.canonical_key()
         got.append(hashlib.sha256(repr(key).encode("utf-8")).hexdigest()[:16])
+        # computed once, and equal, ordered and hashed as the plain tuple
+        plain = tuple(key)
+        assert Pprime.canonical_key() is key
+        assert key == plain and plain == key and hash(key) == hash(plain)
+        assert not key < plain and not plain < key and {plain: 1}[key] == 1
     assert got == expected
+
+
+@pytest.mark.parametrize("seed", [2, 7])
+def test_validate_of_a_resolution_needs_no_full_smith_form(monkeypatch, seed):
+    # the resolve-large shapes: every line of P and P' is free, so validate
+    # settles each one with the rank certificate, whose invariant factors need
+    # an elimination without U and V (one per differential, 108 here) and no
+    # full (U, S, V) decomposition
+    M = random_multicomplex(random.Random(seed), ZZ, 3, length=2, max_rank=1, bricks=1)
+    res = resolve_multi(M)
+    eliminate = matrix._eliminate
+    for part in (res.P, res.Pprime):
+        counts = {True: 0, False: 0}
+
+        def counted(A, full):
+            counts[full] += 1
+            return eliminate(A, full)
+
+        monkeypatch.setattr(matrix, "_eliminate", counted)
+        assert validate(part, "free").ok
+        assert counts == {True: 0, False: 108}
