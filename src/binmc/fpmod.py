@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 from .errors import IllDefinedMorphism, ShapeError
 from .matrix import (Matrix, _smith_ext, _solve_prepared, block_diag,
-                     column_space_basis, hstack, kernel_basis, solve, vstack)
+                     column_space_basis, hstack, invariant_factors, kernel_basis,
+                     rank, solve, vstack)
 from .rings import Ring
 
 
@@ -52,18 +53,10 @@ class FpModule:
         relations matrix, canonical associates in divisibility order.
         """
         if self._canon is None:
-            ring = self.ring
-            _, S, _ = self._rels_snf()
-            tors = []
-            r = 0
-            for i in range(min(S.rows, S.cols)):
-                d = S.get(i, i)
-                if ring.is_zero(d):
-                    break
-                r += 1
-                if not ring.is_unit(d):
-                    tors.append(d)
-            self._canon = (self.gens - r, tuple(tors))
+            factors = invariant_factors(self.rels)
+            is_unit = self.ring.is_unit
+            self._canon = (self.gens - len(factors),
+                           tuple(d for d in factors if not is_unit(d)))
         return self._canon
 
     def is_zero_module(self) -> bool:
@@ -246,7 +239,18 @@ def analyze(f: FpMorphism) -> MorphismAnalysis:
 
 
 def is_mono(f: FpMorphism) -> bool:
-    return kernel(f)[0].is_zero_module()
+    """Is f injective?
+
+    For a free source, no x != 0 has F x in the span of the target's
+    relations R exactly when rank [F R] = gens + rank R, so ranks decide it;
+    a source with relations goes through its kernel.
+    """
+    if f.source.rels.cols:
+        return kernel(f)[0].is_zero_module()
+    R = f.target.rels
+    if not R.cols:
+        return rank(f.mat) == f.source.gens
+    return rank(hstack([f.mat, R])) == f.source.gens + rank(R)
 
 
 def is_epi(f: FpMorphism) -> bool:
@@ -288,11 +292,10 @@ def check_ses(i: FpMorphism, p: FpMorphism) -> SesVerdict:
         return SesVerdict(False, "second map is not epi")
     if not (p @ i).is_zero():
         return SesVerdict(False, "composite is not zero")
-    K, incl = kernel(p)
-    g = factor_through_mono(incl, i)
-    if g is None:
-        return SesVerdict(False, "first map does not factor through ker(p)")
-    if not is_epi(g):
+    # p kills im(i), so it induces a surjection coker(i) ->> C; a surjection
+    # between isomorphic finitely generated modules is injective (Vasconcelos),
+    # so im(i) = ker(p) exactly when coker(i) and C are isomorphic
+    if cokernel(i)[0].canonical() != p.target.canonical():
         return SesVerdict(False, "image of first map is smaller than ker(p)")
     return SesVerdict(True)
 

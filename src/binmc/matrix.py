@@ -12,10 +12,12 @@ The decomposition routines are deterministic: pivot selection always takes the
 nonzero entry of smallest Euclidean size, ties broken by lowest row then column
 index, and diagonal entries are normalized to canonical associates.  One
 elimination serves both the full decomposition (smith, solve, kernels) and
-invariant_factors, which needs no U or V and so builds neither.
+invariant_factors, which needs no U or V and so builds neither, and which
+first peels off the unit entries alone in their row or column.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, compress
@@ -383,13 +385,72 @@ def invariant_factors(A: Matrix) -> tuple:
     """The nonzero diagonal of smith(A).S: d1 | d2 | ..., canonical associates.
 
     Read from a cached decomposition when there is one; otherwise computed by
-    an elimination that keeps no U or V, and cached on the matrix.
+    an elimination that keeps no U or V, after the lone unit pivots are peeled
+    off, and cached on the matrix.
     """
     if A._snf is not None:
         return tuple(row[1] for row in A._snf[1]._nz if row)
     if A._factors is None:
-        A._factors = _eliminate(A, False)
+        peeled, rest = _peel(A)
+        A._factors = (A.ring.one,) * peeled + _eliminate(rest, False)
     return A._factors
+
+
+def _peel(A: Matrix):
+    """(k, rest): k unit entries peeled off A, each alone in its row or column.
+
+    A unit alone in its row clears its column by row operations that change
+    nothing else (and alone in its column, its row by column operations), so
+    it gives the invariant factor one and leaves the factors of the matrix
+    without its row and column; S is unique, so the rest may be eliminated
+    apart.  Dropping a row and a column can leave new lone entries, found
+    through a column index, so the pass costs O(nonzeros).  rest keeps the
+    other nonzero rows and columns, renumbered.
+    """
+    nz = A._nz
+    col_count = Counter(chain.from_iterable(row[::2] for row in nz))
+    if not any(len(row) == 2 for row in nz) and 1 not in col_count.values():
+        return 0, A
+    is_unit = A.ring.is_unit
+    rows = [dict(_pairs(row)) for row in nz]
+    cols = {j: set() for j in col_count}  # column -> rows holding it
+    for i, row in enumerate(rows):
+        for j in row:
+            cols[j].add(i)
+    lone_rows = [i for i, row in enumerate(rows) if len(row) == 1]
+    lone_cols = [j for j, c in cols.items() if len(c) == 1]
+    peeled = 0
+    while lone_rows or lone_cols:
+        if lone_rows:
+            i = lone_rows.pop()
+            if len(rows[i]) != 1:
+                continue
+            (j, x), = rows[i].items()
+        else:
+            j = lone_cols.pop()
+            if len(cols.get(j, ())) != 1:
+                continue
+            i, = cols[j]
+            x = rows[i][j]
+        if not is_unit(x):
+            continue
+        peeled += 1
+        for k in rows[i]:
+            c = cols[k]
+            c.discard(i)
+            if len(c) == 1:
+                lone_cols.append(k)
+        rows[i] = {}
+        for r in cols.pop(j):
+            row = rows[r]
+            del row[j]
+            if len(row) == 1:
+                lone_rows.append(r)
+    if not peeled:
+        return 0, A
+    kept = {j: new for new, j in enumerate(sorted(j for j, c in cols.items() if c))}
+    rest = [_flat((kept[j], row[j]) for j in sorted(row)) for row in rows if row]
+    return peeled, Matrix._of(A.ring, len(rest), len(kept), rest)
 
 
 def _eliminate(A: Matrix, full: bool):

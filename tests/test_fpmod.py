@@ -5,16 +5,17 @@ every vector, so the lattice computations are validated independently.
 """
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
 from binmc.errors import IllDefinedMorphism
-from binmc.fpmod import (FpModule, FpMorphism, analyze, check_ses, cokernel,
-                         direct_sum_modules, factor_through_mono, free_cover,
-                         hsum, image, is_epi, is_mono, kernel, split_inclusion,
-                         split_projection)
+from binmc.fpmod import (FpModule, FpMorphism, SesVerdict, analyze, check_ses,
+                         cokernel, direct_sum_modules, factor_through_mono,
+                         free_cover, hsum, image, is_epi, is_mono, kernel,
+                         split_inclusion, split_projection)
 from binmc.matrix import Matrix
-from binmc.rings import GF, ZZ
+from binmc.rings import GF, QQ, ZZ, polynomial_ring
 
 
 def zmod(n):
@@ -270,3 +271,125 @@ def test_hsum_and_direct_sum():
     f = hsum([FpMorphism.identity(z2), FpMorphism.zero(z3, z2)])
     assert f.source.canonical() == direct_sum_modules([z2, z3]).canonical()
     assert is_epi(f)
+
+
+# -- check_ses by invariant factors against the kernel route ---------------------
+
+F5X = polynomial_ring(GF(5))
+RINGS = [ZZ, GF(7), QQ, F5X]
+RING_IDS = ["ZZ", "GF7", "QQ", "F5X"]
+
+
+def _check_ses_by_kernel(i, p):
+    """check_ses decided through ker(p), a factorization and kernels throughout."""
+    if i.target != p.source:
+        return SesVerdict(False, "middle objects differ")
+    if not kernel(i)[0].is_zero_module():
+        return SesVerdict(False, "first map is not mono")
+    if not cokernel(p)[0].is_zero_module():
+        return SesVerdict(False, "second map is not epi")
+    if not (p @ i).is_zero():
+        return SesVerdict(False, "composite is not zero")
+    K, incl = kernel(p)
+    g = factor_through_mono(incl, i)
+    if g is None:
+        return SesVerdict(False, "first map does not factor through ker(p)")
+    if not cokernel(g)[0].is_zero_module():
+        return SesVerdict(False, "image of first map is smaller than ker(p)")
+    return SesVerdict(True)
+
+
+def _element(rng, ring):
+    """Small entries, zero a third of the time; over F5[x] degree up to 2."""
+    if rng.random() < 0.35:
+        return ring.zero
+    if ring == F5X:
+        return F5X.poly([rng.randint(0, 4) for _ in range(rng.randint(1, 3))])
+    if ring == QQ:
+        return Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+    return ring.from_int(rng.randint(-4, 4))
+
+
+def _mat(rng, ring, n, m):
+    return Matrix(ring, n, m, [_element(rng, ring) for _ in range(n * m)])
+
+
+def _module(rng, ring, gens):
+    return FpModule(ring, gens, _mat(rng, ring, gens, rng.randint(0, gens)))
+
+
+def _sequences(rng, ring):
+    """Candidate (i, p) pairs, exact and not, with free and torsion sources."""
+    t = {"integers": 2, "polynomials-over": F5X.poly([0, 1])}.get(ring.kind)
+    one, zero = ring.one, ring.zero
+    free = lambda n: FpModule.free(ring, n)
+    mor = lambda s, d, rows: FpMorphism(s, d, Matrix.from_rows(ring, rows))
+    out = []
+    for _ in range(12):
+        B = _module(rng, ring, rng.randint(0, 3))
+        # a free source mapped anywhere, with p the cokernel of itself, of a
+        # wider map, or of a random map
+        A = free(rng.randint(0, 2))
+        i = FpMorphism(A, B, _mat(rng, ring, B.gens, A.gens))
+        wider = hsum([i, FpMorphism(free(1), B, _mat(rng, ring, B.gens, 1))])
+        other = FpMorphism(free(1), B, _mat(rng, ring, B.gens, 1))
+        out += [(i, cokernel(f)[1]) for f in (i, wider, other)]
+        # a torsion source: B itself mapped by a scalar c, against the cokernels
+        # of c and c^2
+        c = _element(rng, ring) or one
+        cB = FpMorphism(B, B, Matrix.identity(ring, B.gens).scale(c))
+        out += [(cB, cokernel(cB)[1]), (cB, cokernel(cB @ cB)[1]),
+                (cB, FpMorphism.identity(B)), (cB, FpMorphism.zero(B, B))]
+        # a kernel inclusion and the cover it resolves
+        eps = free_cover(B)
+        out.append((kernel(eps)[1], eps))
+        # split sequences, and a middle object that differs
+        C = _module(rng, ring, rng.randint(0, 2))
+        out.append((split_inclusion([B, C], 0), split_projection([B, C], 1)))
+        out.append((split_inclusion([B, C], 0), split_projection([C, B], 0)))
+    if t is not None:
+        t2 = ring.mul(t, t)
+        Zt, Zt2, Zt3 = (FpModule(ring, 1, Matrix.from_rows(ring, [[x]]))
+                        for x in (t, t2, ring.mul(t2, t)))
+        out += [
+            # 0 -> R -t^2-> R -> R/t -> 0: the image is smaller than ker(p)
+            (mor(free(1), free(1), [[t2]]), mor(free(1), Zt, [[one]])),
+            (mor(free(1), free(1), [[t]]), mor(free(1), Zt, [[one]])),
+            # free rank right, torsion wrong: coker(i) = R/t^2 + R against R/t + R
+            (mor(free(1), free(2), [[t2], [zero]]),
+             mor(free(2), direct_sum_modules([Zt, free(1)]), [[one, zero], [zero, one]])),
+            # torsion sources: R/t -t-> R/t^2 -> R/t exact, R/t -t^2-> R/t^3 not
+            (mor(Zt, Zt2, [[t]]), mor(Zt2, Zt, [[one]])),
+            (mor(Zt, Zt3, [[t2]]), mor(Zt3, Zt, [[one]])),
+            (mor(Zt2, Zt2, [[t]]), mor(Zt2, Zt, [[one]])),
+        ]
+    # 0 -> R -> R^2 -> 0: epi onto zero, composite zero, image too small
+    out.append((mor(free(1), free(2), [[one], [zero]]), FpMorphism.zero(free(2), free(0))))
+    return out
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=RING_IDS)
+def test_check_ses_matches_the_kernel_route(ring):
+    rng = random.Random(f"ses:{ring.kind}")
+    reasons = {}
+    for i, p in _sequences(rng, ring):
+        want = _check_ses_by_kernel(i, p)
+        assert check_ses(i, p) == want
+        reasons[want.reason] = reasons.get(want.reason, 0) + 1
+    every = {"", "middle objects differ", "first map is not mono", "second map is not epi",
+             "composite is not zero", "image of first map is smaller than ker(p)"}
+    assert set(reasons) == every, reasons
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=RING_IDS)
+def test_is_mono_by_ranks_matches_the_kernel(ring):
+    rng = random.Random(f"mono:{ring.kind}")
+    seen = set()
+    for _ in range(80):
+        A = FpModule.free(ring, rng.randint(0, 3))
+        B = _module(rng, ring, rng.randint(0, 4))
+        f = FpMorphism(A, B, _mat(rng, ring, B.gens, A.gens))
+        want = kernel(f)[0].is_zero_module()
+        assert is_mono(f) == want
+        seen.add((want, B.rels.cols > 0))
+    assert seen == {(True, False), (False, False), (True, True), (False, True)}

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from binmc import matrix
 from binmc.matrix import (Matrix, block_diag, column_space_basis, det, hstack,
                           invariant_factors, kernel_basis, kron, rank,
                           rank_over_fractions, smith, solve, vstack)
@@ -476,13 +477,92 @@ def _nonzero_diagonal(ring, d):
     return tuple(x for x in d.diagonal() if not ring.is_zero(x))
 
 
+# units and non-units as callers pass them: GF(7) ones unreduced (8 is 1, -1 is 6)
+UNITS = {"integers": [1, -1], "prime-field": [1, 3, 8, -1],
+         "rationals": [Fraction(1), Fraction(-2, 3), Fraction(5)],
+         "polynomials-over": [(1,), (3,), (4,)]}
+NON_UNITS = {"integers": [2, -4, 6], "prime-field": [], "rationals": [],
+             "polynomials-over": [(0, 1), (1, 1), (0, 0, 1)]}  # x, x + 1, x^2
+
+
+def _partial_permutation(rng, ring, n, m):
+    """Units at (i, pi(i)) for some rows i, every other entry zero."""
+    rows = [[ring.zero] * m for _ in range(n)]
+    k = rng.randint(0, min(n, m))
+    for i, j in zip(rng.sample(range(n), k), rng.sample(range(m), k)):
+        rows[i][j] = rng.choice(UNITS[ring.kind])
+    return Matrix.from_rows(ring, rows)
+
+
+def _chain(rng, ring, n, diagonal):
+    """Upper bidiagonal: only row n - 1 is lone at first, each peel frees the next."""
+    rows = [[ring.zero] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = diagonal[i]
+        if i + 1 < n:
+            rows[i][i + 1] = rng.choice(UNITS[ring.kind] + NON_UNITS[ring.kind])
+    return Matrix.from_rows(ring, rows)
+
+
+def _peeling_cases(rng, ring):
+    """(matrix, True when every nonzero entry peels) for the lone-unit pass."""
+    units, non_units = UNITS[ring.kind], NON_UNITS[ring.kind]
+    pick = lambda: rng.choice(units)
+    cases = [(Matrix.zeros(ring, n, m), True) for n, m in [(0, 0), (0, 3), (3, 0), (3, 4)]]
+    for n, m in [(1, 1), (4, 4), (5, 3), (3, 6), (8, 8), (9, 2)]:
+        for _ in range(3):
+            P = _partial_permutation(rng, ring, n, m)
+            cases += [(P, True), (P.transpose(), True)]
+    for n in (2, 3, 6):
+        C = _chain(rng, ring, n, [pick() for _ in range(n)])
+        cases += [(C, True), (C.transpose(), True)]
+        # below a full row, each peel of the lower chain leaves only a row lone
+        # (and beside a full column, only a column)
+        full = Matrix.from_rows(ring, [[rng.choice(units + non_units) for _ in range(n)]])
+        cases += [(vstack([C.transpose(), full]), True), (hstack([C, full.transpose()]), True)]
+    for x in non_units:
+        # lone non-units stay: alone, beside each other, and between peeled units
+        cases += [(Matrix.from_rows(ring, [[x]]), False),
+                  (Matrix.from_rows(ring, [[x, ring.zero], [ring.zero, ring.add(x, ring.one)]]), False),
+                  (Matrix.from_rows(ring, [[pick(), x], [ring.zero, x]]), False),
+                  (_chain(rng, ring, 5, [pick(), pick(), x, pick(), pick()]), False)]
+    for _ in range(4):
+        # a unit alone in its row over a dense column, and in its column over a dense row
+        D = _random_matrix(rng, ring, 3, 4)
+        u = Matrix.from_rows(ring, [[pick()] + [ring.zero] * 4])
+        below = hstack([_random_matrix(rng, ring, 3, 1), D])
+        cases += [(vstack([u, below]), False), (vstack([u, below]).transpose(), False),
+                  (block_diag(ring, [_partial_permutation(rng, ring, 3, 3), D]), False)]
+    if ring.kind == "prime-field":
+        cases += [(Matrix(ring, 2, 3, [8, 14, 0, 0, 7, 13]), True),
+                  (Matrix(ring, 3, 3, [14, 8, 0, 15, 7, 21, 0, 0, -6]), True),
+                  (Matrix(ring, 2, 2, [8, 15, 22, 29]), False)]
+    return cases
+
+
 @pytest.mark.parametrize("ring", [ZZ, GF(7), QQ, F5X], ids=["ZZ", "GF7", "QQ", "F5X"])
-def test_invariant_factors_match_smith_diagonal(ring):
+def test_invariant_factors_match_smith_diagonal(ring, monkeypatch):
     rng = random.Random(f"factors:{ring.kind}")
     cases = [Matrix.from_rows(r, a) for r, a, *_ in GOLDEN if r == ring]
     cases += [_random_matrix(rng, ring, rng.randint(0, 6), rng.randint(0, 6)) for _ in range(60)]
     cases += [_random_sparse(rng, ring, rng.randint(1, 8), rng.randint(1, 8), 0.3)
               for _ in range(30)]
+    peeling = _peeling_cases(rng, ring)
+    cases += [A for A, _ in peeling]
+
+    # a matrix whose nonzeros all peel leaves no nonzero entry to eliminate
+    eliminate, remainders = matrix._eliminate, []
+
+    def recorded(A, full):
+        remainders.append(A.is_zero())
+        return eliminate(A, full)
+
+    monkeypatch.setattr(matrix, "_eliminate", recorded)
+    for A, peels in peeling:
+        invariant_factors(Matrix(ring, A.rows, A.cols, A.entries))
+        assert remainders[-1] == peels
+    monkeypatch.undo()
+
     for A in cases:
         expected = _nonzero_diagonal(ring, smith(Matrix(ring, A.rows, A.cols, A.entries)))
         # before any decomposition is cached: the elimination without U and V

@@ -244,3 +244,12 @@ def test_validate_of_a_resolution_needs_no_full_smith_form(monkeypatch, seed):
         monkeypatch.setattr(matrix, "_eliminate", counted)
         assert validate(part, "free").ok
         assert counts == {True: 0, False: 108}
+    # the whole re-check: check_ses at every coordinate reads the invariant
+    # factors of presentations and stacked maps, never a kernel, so it too
+    # needs no full decomposition (279 eliminations without U and V in all)
+    monkeypatch.setattr(matrix, "_eliminate", eliminate)
+    fresh = resolve_multi(M)
+    counts = {True: 0, False: 0}
+    monkeypatch.setattr(matrix, "_eliminate", counted)
+    assert verify_resolution(fresh).ok
+    assert counts == {True: 0, False: 279}
