@@ -8,7 +8,8 @@ so they can be fed back into `recheck` or `verify-chain`.
 
 Exit status: 0 when every verdict passes, 1 on a verification failure
 (including refused preconditions such as a non-acyclic input), 2 on input
-errors (unreadable files, malformed documents, bad arguments).
+errors (unreadable files, malformed documents, bad arguments, and inputs too
+large for memory, reported with the command and the input path).
 
 Reports are deterministic: rerunning a command on the same input with the
 same seed reproduces the verdict section byte for byte.  Only the timing
@@ -420,6 +421,11 @@ def main(argv=None) -> int:
     except BinmcError as e:
         print(f"verification failure: {e}", file=sys.stderr)
         return 1
+    except MemoryError:
+        path = getattr(args, "file", None)
+        where = f" on {path}" if path else ""
+        print(f"input error: out of memory in {args.command}{where}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

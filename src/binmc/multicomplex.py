@@ -18,9 +18,10 @@ reads the old coordinate c - offsets, and everything outside the old box is
 zero.  Its entry points are shift (translate up), pad_to (grow at the high
 end), BinaryMulticomplex.normalize (crop to the tight support),
 shift_morphism and pad_morphism; each checks its arguments and makes one
-call into the core.  The kernel and image multicomplexes of a morphism share
-one restriction, _restrict, of both differential families through
-coordinatewise monos.
+call into the core.  The kernel and image multicomplexes of a morphism, and
+the kernels that resolutions build from carried sections, share one
+restriction, _restrict, of both differential families through coordinatewise
+monos.
 """
 from __future__ import annotations
 
@@ -407,16 +408,28 @@ def pad_morphism(f: MultiMorphism, shape) -> MultiMorphism:
     return _rebox_morphism(f, *_pad_args(f.source, shape))
 
 
-def _restrict(M: BinaryMulticomplex, incls, failure: str):
+def _restrict(M: BinaryMulticomplex, incls, failure: str, retractions=None):
     """(S, incl): both differential families of M restricted through the monos incls[c].
 
-    The restrictions are recovered by factoring through the inclusions; a
-    differential that does not restrict raises ShapeError(failure).
+    Where retractions[c] is a matrix rho with rho @ incls[c].mat the identity,
+    an edge d from c' into c restricts to rho @ d @ incls[c']: a product, and
+    the restriction whenever d maps the image of incls[c'] into that of
+    incls[c], which is left for the caller's verification to confirm.  Every
+    other edge is recovered by factoring through the inclusion; one that does
+    not restrict raises ShapeError(failure).
     """
+    retractions = retractions or {}
     tops, bots = {}, {}
     for fam, out in ((M.tops, tops), (M.bots, bots)):
         for (a, c) in fam:
-            lifted = factor_through_mono(incls[_minus(c, a)], fam[(a, c)] @ incls[c])
+            below = _minus(c, a)
+            moved = fam[(a, c)] @ incls[c]
+            rho = retractions.get(below)
+            if rho is not None:
+                out[(a, c)] = FpMorphism(incls[c].source, incls[below].source,
+                                         rho @ moved.mat, _trusted=True)
+                continue
+            lifted = factor_through_mono(incls[below], moved)
             if lifted is None:
                 raise ShapeError(failure)
             out[(a, c)] = lifted

@@ -18,6 +18,24 @@ alternating ladder of composites of the two differentials.  Higher
 dimensions recurse: the epimorphism provider for an n-dimensional input is
 the (n-1)-dimensional resolution of its slices, and the base provider for
 modules is the free cover.
+
+Kernels are assembled by products, not eliminated.  Each resolution
+carries, per coordinate, a section s of its projection (zeta s = 1 modulo
+the target's relations) and, where one exists, a retraction rho of its
+inclusion (rho incl = 1).  At layer j >= 1 the new projection is [A | E], with E the
+projection of a lower resolution whose inclusion K_E, section s and
+retraction rho_E are known; then
+
+    ker [A | E] = [[1, 0], [-s A, K_E]],  section [0; s],
+    retraction [[1, 0], [rho_E s A, rho_E]] = [[1, 0], [0, rho_E]],
+
+because rho s = 0 throughout: it holds for a module's empty retraction and
+[0; s] keeps it.  At layer 0, which maps to the zero slice, the kernel is
+everything.  The kernel's differentials are rho d incl.  A module has the
+section 1 of its free cover, and a free module the zero kernel and the empty
+retraction; only a module with relations computes its kernel, and the
+coordinates above a torsion target have no retraction, so the edges into
+them are lifted by a solve.
 """
 from __future__ import annotations
 
@@ -25,11 +43,11 @@ from dataclasses import dataclass
 
 from .errors import NotAcyclic, ShapeError
 from .fpmod import FpModule, FpMorphism, check_ses, free_cover, is_epi, kernel
-from .matrix import Matrix, hstack
-from .multicomplex import (BinaryMulticomplex, BinaryTower, MultiMorphism, _rebox,
-                           _rebox_morphism, block_identity_morphism, box_coords,
-                           collapse_along, direct_sum_multi, expand_along,
-                           kernel_multicomplex, pad_to, shift, validate)
+from .matrix import Matrix, block_diag, hstack, vstack
+from .multicomplex import (BinaryMulticomplex, BinaryTower, MultiMorphism, _insert,
+                           _origins, _rebox, _rebox_morphism, _restrict,
+                           block_identity_morphism, box_coords, collapse_along,
+                           direct_sum_multi, expand_along, pad_to, shift, validate)
 
 
 class ResolutionResult:
@@ -38,13 +56,18 @@ class ResolutionResult:
     diagonal_axes lists the axes in which the construction promises to keep
     P and Pprime diagonal (every diagonal axis of the source, unless the
     doubled-cover branch was forced on a diagonal input).
+
+    sect and retr hold, per coordinate, a section of zeta and a retraction
+    of incl (or None), which the next level of the construction builds its
+    kernel from; they serve the recursion only, so they are neither
+    serialized nor read by verify_resolution.
     """
 
     __slots__ = ("P", "Pprime", "zeta", "incl", "source", "target", "offset",
-                 "diagonal_axes")
+                 "diagonal_axes", "sect", "retr")
 
     def __init__(self, P, Pprime, zeta, incl, source, target, offset,
-                 diagonal_axes=frozenset()):
+                 diagonal_axes=frozenset(), sect=None, retr=None):
         self.P = P
         self.Pprime = Pprime
         self.zeta = zeta
@@ -53,6 +76,8 @@ class ResolutionResult:
         self.target = target
         self.offset = tuple(offset)
         self.diagonal_axes = frozenset(diagonal_axes)
+        self.sect = sect
+        self.retr = retr
 
     def __repr__(self):
         return (f"ResolutionResult(dim={self.P.dim}, shape={self.P.shape}, "
@@ -138,15 +163,23 @@ class DeltaLadder:
 
 def _module_resolution(M0: BinaryMulticomplex) -> ResolutionResult:
     mod = M0.obj(())
+    ring, g = mod.ring, mod.gens
     eps = free_cover(mod)
-    K, incl = kernel(eps)
+    if mod.is_free_presentation():
+        K = FpModule.free(ring, 0)
+        incl = FpMorphism(K, eps.source, Matrix.zeros(ring, g, 0), _trusted=True)
+        retr = Matrix.zeros(ring, 0, g)
+    else:
+        K, incl = kernel(eps)
+        retr = None
     P = BinaryMulticomplex.of_module(eps.source)
     Pp = BinaryMulticomplex.of_module(K)
     return ResolutionResult(
         P, Pp,
         MultiMorphism(P, M0, {(): eps}),
         MultiMorphism(Pp, P, {(): incl}),
-        source=M0, target=M0, offset=())
+        source=M0, target=M0, offset=(),
+        sect={(): Matrix.identity(ring, g)}, retr={(): retr})
 
 
 def _staircase_tables(L, eps, big):
@@ -224,6 +257,40 @@ def _assemble_zeta_component(atom_list, piece_list, term, big_term):
     return comps
 
 
+def _carried(cover: ResolutionResult, moves, shape) -> dict:
+    """(inclusion matrix, section, retraction) of a cover at each coordinate
+    of its re-boxed projection; coordinates outside its box hold zero modules."""
+    ring = cover.P.ring
+    empty = Matrix.zeros(ring, 0, 0)
+    return {r: (empty, empty, empty) if old is None
+            else (cover.incl.components[old].mat, cover.sect[old], cover.retr[old])
+            for r, old in _origins(moves, cover.P.shape, shape).items()}
+
+
+def _kernel_from_section(Z: Matrix, lower):
+    """(inclusion, section, retraction) of ker Z at one coordinate.
+
+    Z = [A | E], where lower = (K_E, s, rho_E) carries E's kernel inclusion,
+    a section with E s = 1 modulo the target's relations, and a retraction
+    with rho_E K_E = 1 (or None); lower is None on layer 0, where Z maps to
+    the zero module.
+    """
+    ring, n = Z.ring, Z.cols
+    if lower is None:
+        ident = Matrix.identity(ring, n)
+        return ident, Matrix.zeros(ring, n, Z.rows), ident
+    K, s, rho = lower
+    a = n - s.rows
+    sA = s @ Z.submatrix(0, Z.rows, 0, a)
+    ident = Matrix.identity(ring, a)
+    incl = vstack([hstack([ident, Matrix.zeros(ring, a, K.cols)]), hstack([-sA, K])])
+    sect = vstack([Matrix.zeros(ring, a, Z.rows), s])
+    if rho is not None:
+        # [[1, 0], [rho_E s A, rho_E]], where rho_E s = 0 (see the module notes)
+        rho = block_diag(ring, [ident, rho])
+    return incl, sect, rho
+
+
 def _resolve(M: BinaryMulticomplex, branch=None) -> ResolutionResult:
     if M.dim == 0:
         return _module_resolution(M)
@@ -231,7 +298,7 @@ def _resolve(M: BinaryMulticomplex, branch=None) -> ResolutionResult:
         ident = MultiMorphism(M, M, {})
         return ResolutionResult(M, M, ident, ident, source=M, target=M,
                                 offset=(0,) * M.dim,
-                                diagonal_axes=range(M.dim))
+                                diagonal_axes=range(M.dim), sect={}, retr={})
     diag = M.diagonal_directions()
     if branch is None:
         branch = "staircase" if diag else "ladder"
@@ -245,6 +312,7 @@ def _resolve(M: BinaryMulticomplex, branch=None) -> ResolutionResult:
     r_star = tuple(max(c.zeta.source.shape[a] + m[a] for c, m in zip(covers, moves))
                    for a in range(rest_dim))
     eps = [_rebox_morphism(c.zeta, m, r_star) for c, m in zip(covers, moves)]
+    lower = [_carried(c, m, r_star) for c, m in zip(covers, moves)]
     offset = W[:axis] + (1,) + W[axis:]
     final_shape = r_star[:axis] + (L + 1,) + r_star[axis:]
     target = _rebox(M, offset, final_shape)
@@ -274,16 +342,20 @@ def _resolve(M: BinaryMulticomplex, branch=None) -> ResolutionResult:
             atom_rows[j], atom_rows[j - 1], route_bot[j], terms[j], terms[j - 1]))
     P = collapse_along(BinaryTower(tuple(terms), tuple(tower_tops), tuple(tower_bots)), axis)
 
-    zeta_comps = {}
+    zeta_comps, incls, sect, retr = {}, {}, {}, {}
     for j in range(L + 1):
         layer = _assemble_zeta_component(atom_rows[j], pieces[j], terms[j], big.terms[j])
         for r, f in layer.items():
-            zeta_comps[r[:axis] + (j,) + r[axis:]] = f
+            c = _insert(r, axis, j)
+            zeta_comps[c] = f
+            K, sect[c], retr[c] = _kernel_from_section(f.mat, lower[j - 1][r] if j else None)
+            incls[c] = FpMorphism(FpModule.free(M.ring, K.cols), f.source, K, _trusted=True)
     zeta = MultiMorphism(P, target, zeta_comps)
-    Pprime, incl = kernel_multicomplex(zeta)
+    Pprime, incl = _restrict(P, incls, "source differential does not restrict to the kernel",
+                             retr)
     claimed = diag if branch == "staircase" else frozenset()
     return ResolutionResult(P, Pprime, zeta, incl, source=M, target=target,
-                            offset=offset, diagonal_axes=claimed)
+                            offset=offset, diagonal_axes=claimed, sect=sect, retr=retr)
 
 
 def _checked(M: BinaryMulticomplex):

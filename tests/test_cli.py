@@ -304,3 +304,23 @@ def test_hostile_resolution_offsets_are_input_errors(tmp_path, monkeypatch, caps
         assert main(["recheck", _write(tmp_path / "hostile.json", hostile)]) == 2
         err = capsys.readouterr().err
         assert "resolution: target shape" in err and "offset" in err
+
+
+def test_memory_error_is_a_located_input_error(tmp_path, monkeypatch, capsys):
+    from binmc import cli
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError()
+
+    path = str(tmp_path / "m.json")
+    assert main(["gen", "--seed", "5", "--out", path]) == 0
+    monkeypatch.setattr(cli, "multicomplex_from_doc", exhausted)
+    for command in ("check", "resolve-multi"):
+        capsys.readouterr()
+        assert main([command, path]) == 2
+        err = capsys.readouterr().err
+        assert err == f"input error: out of memory in {command} on {path}\n"
+    monkeypatch.setattr(cli, "random_multicomplex", exhausted)
+    capsys.readouterr()
+    assert main(["gen", "--out", str(tmp_path / "g.json")]) == 2
+    assert capsys.readouterr().err == "input error: out of memory in gen\n"

@@ -4,16 +4,17 @@ import random
 
 import pytest
 
-from binmc import matrix
+from binmc import fpmod, matrix, multicomplex, resolve
 from binmc.errors import NotAcyclic, ShapeError
-from binmc.fpmod import FpModule, FpMorphism, free_cover, hsum, is_epi
+from binmc.fpmod import FpModule, FpMorphism, factor_through_mono, free_cover, hsum, is_epi
 from binmc.gen import (random_diagonal_multicomplex, random_fp_module,
                        random_multicomplex)
 from binmc.matrix import Matrix
-from binmc.multicomplex import BinaryMulticomplex, MultiMorphism, validate
+from binmc.multicomplex import (BinaryMulticomplex, BinaryTower, MultiMorphism,
+                                collapse_along, kernel_multicomplex, validate)
 from binmc.resolve import (DeltaLadder, phi_class, resolve_binary, resolve_multi,
                            verify_resolution)
-from binmc.rings import GF, QQ, ZZ
+from binmc.rings import GF, QQ, ZZ, polynomial_ring
 from binmc.serialize import digest, resolution_to_doc
 
 
@@ -183,9 +184,9 @@ def test_phi_class_independent_of_cover():
 def test_resolve_multi_golden_digests():
     # pins the re-boxing of covers and target to exact bundle bytes; the last
     # two inputs are diagonal, so they take the staircase branch
-    expected = ["841d6c1828e5d53b", "57bd47e7337fae6a", "afc4a82e2dd24e4a",
-                "1e53ac10ded86154", "bf49f059980fa1d1", "b35539045ef6e8b0",
-                "e42aaf86de298bf2", "89024ef2b6c278ea"]
+    expected = ["757c922cc2718fdc", "324eff70ed7dfcc0", "afc4a82e2dd24e4a",
+                "eafaf199c1a06f8b", "25dd9b21337ea27e", "1052512a6c32d330",
+                "3de66db9b06a31a7", "b1b644977b34be11"]
     rng = random.Random(47)
     inputs = [random_multicomplex(rng, ring, dim, length=3 if dim == 1 else 2,
                                   max_rank=2 if dim == 1 else 1,
@@ -203,10 +204,10 @@ def test_canonical_key_golden_digests():
     # pins canonical_key(), and with it the order of FormalClass.entries(), on
     # the kernels P' of criterion-4-style resolutions over ZZ: eight of
     # dimension 2 and two of dimension 3, half with torsion objects
-    expected = ["ae77e32e247154a0", "82a9ee6acfdd5312", "15773fc43a5c5a9a",
-                "b1b419238c01b43a", "f3c0590d6b2f5c5b", "1a2d36ffc095786e",
-                "149252e0956b8a80", "eabed09fdba9d21c", "61a51d1bcb35f354",
-                "98e8d5dedf07b4bf"]
+    expected = ["3d38e87c7eceb2f5", "5fa654573149b157", "09bbe9d08d15717f",
+                "bffb87cf23e1fcbf", "74e4892d0928aa3e", "032ff2aa3d3e743e",
+                "074e3443057b39bf", "281aad2fdc5d56b5", "803f8f17ab88bca2",
+                "1c8a37e61c6936d1"]
     rng = random.Random(104)
     got = []
     for case in range(10):
@@ -232,24 +233,149 @@ def test_validate_of_a_resolution_needs_no_full_smith_form(monkeypatch, seed):
     # an elimination without U and V (one per differential, 108 here) and no
     # full (U, S, V) decomposition
     M = random_multicomplex(random.Random(seed), ZZ, 3, length=2, max_rank=1, bricks=1)
-    res = resolve_multi(M)
-    eliminate = matrix._eliminate
+    eliminate, kern = matrix._eliminate, fpmod.kernel
+    counts = {True: 0, False: 0, "kernel": 0}
+
+    def counted(A, full):
+        counts[full] += 1
+        return eliminate(A, full)
+
+    def counted_kernel(f):
+        counts["kernel"] += 1
+        return kern(f)
+
+    # construction builds every kernel from carried sections: no elimination
+    # and no fpmod.kernel at all
+    monkeypatch.setattr(matrix, "_eliminate", counted)
+    for module in (fpmod, resolve, multicomplex):
+        monkeypatch.setattr(module, "kernel", counted_kernel)
+    res = resolve_multi(M, check=False)
+    assert counts == {True: 0, False: 0, "kernel": 0}
     for part in (res.P, res.Pprime):
-        counts = {True: 0, False: 0}
-
-        def counted(A, full):
-            counts[full] += 1
-            return eliminate(A, full)
-
-        monkeypatch.setattr(matrix, "_eliminate", counted)
+        counts.update({True: 0, False: 0})
         assert validate(part, "free").ok
-        assert counts == {True: 0, False: 108}
+        assert counts == {True: 0, False: 108, "kernel": 0}
     # the whole re-check: check_ses at every coordinate reads the invariant
     # factors of presentations and stacked maps, never a kernel, so it too
-    # needs no full decomposition (279 eliminations without U and V in all)
+    # needs no full decomposition (306 eliminations without U and V in all,
+    # one of them per coordinate for is_mono of the inclusion)
     monkeypatch.setattr(matrix, "_eliminate", eliminate)
     fresh = resolve_multi(M)
-    counts = {True: 0, False: 0}
+    counts.update({True: 0, False: 0})
     monkeypatch.setattr(matrix, "_eliminate", counted)
     assert verify_resolution(fresh).ok
-    assert counts == {True: 0, False: 279}
+    assert counts == {True: 0, False: 306, "kernel": 0}
+
+
+F5X = polynomial_ring(GF(5))
+
+
+def _torsion_line(ring, t, u, v):
+    """0 -> R -t-> R -> R/(t) -> 0 as a binary complex; the bottom family
+    scales the projection by v and the multiplication by u."""
+    R1 = FpModule.free(ring, 1)
+    Q = FpModule(ring, 1, Matrix.from_rows(ring, [[t]]))
+    proj = FpMorphism(R1, Q, Matrix.identity(ring, 1))
+    mult = FpMorphism(R1, R1, Matrix.from_rows(ring, [[t]]))
+    return BinaryMulticomplex.from_binary_chain(
+        ring, [Q, R1, R1], [proj, mult], [proj.scale(v), mult.scale(u)])
+
+
+def _doubled(M, ut, ub):
+    """Two copies of M joined along a new last axis by ut * 1 (top) and ub * 1 (bottom)."""
+    def scaled(u):
+        return MultiMorphism(M, M, {c: FpMorphism.identity(m).scale(u)
+                                    for c, m in M.objects.items()})
+    return collapse_along(BinaryTower((M, M), (scaled(ut),), (scaled(ub),)), M.dim)
+
+
+def _hand_built(ring, ts, u, v):
+    """Torsion lines R -t-> R ->> R/(t), diagonal and skewed by the units u
+    and v, and their doublings into dimensions 2 and 3."""
+    out = []
+    for t in ts:
+        diag = _torsion_line(ring, t, ring.one, ring.one)
+        skew = _torsion_line(ring, t, u, v)
+        out += [diag, skew, _doubled(skew, u, u), _doubled(skew, u, v),
+                _doubled(_doubled(diag, v, u), u, v)]
+    return out
+
+
+def _resolution_inputs():
+    # non-constant F5[x] torsion by hand (gen makes constant polynomials only);
+    # dimension 3 over QQ is the hand-built line, which is cheap for the
+    # reference kernels, unlike random ones
+    two, three = F5X.poly([2]), F5X.poly([3])
+    inputs = _hand_built(F5X, [(0, 1), (1, 1), (0, 0, 1)], two, three)
+    inputs += _hand_built(ZZ, [4], -1, -1) + _hand_built(QQ, [QQ.from_int(2)], 2, 3)
+    rng = random.Random(211)
+    for ring in (ZZ, GF(7), QQ, F5X):
+        for dim in (1, 2, 3) if ring in (ZZ, GF(7)) else (1, 2):
+            for diagonal in ((), (0,)):
+                for allow_fp in (False, True):
+                    inputs.append(random_multicomplex(
+                        rng, ring, dim, length=3 if dim == 1 else 2,
+                        max_rank=2 if dim == 1 else 1, bricks=1 if dim == 3 else None,
+                        diagonal_axes=diagonal, allow_fp=allow_fp))
+    inputs.append(BinaryMulticomplex.of_module(FpModule(ZZ, 2, Matrix.from_int_rows(ZZ, [[4], [6]]))))
+    return inputs
+
+
+def test_carried_inclusions_span_the_reference_kernels():
+    # the carried inclusion at every coordinate spans the same lattice as the
+    # reference kernel by elimination (each factors through the other); the
+    # section splits zeta and the retraction, where there is one, splits incl
+    branches = set()
+    torsion_edges = 0
+    for M in _resolution_inputs():
+        assert validate(M, "fp").ok
+        res = resolve_multi(M)
+        assert verify_resolution(res).ok
+        if M.dim:
+            branches.add("staircase" if M.diagonal_directions() else "ladder")
+        _, ref = kernel_multicomplex(res.zeta)
+        for c, incl in res.incl.components.items():
+            assert factor_through_mono(incl, ref.components[c]) is not None, c
+            assert factor_through_mono(ref.components[c], incl) is not None, c
+            z = res.zeta.components[c]
+            split = FpMorphism(z.target, z.target, z.mat @ res.sect[c], _trusted=True)
+            assert split.equals(FpMorphism.identity(z.target))
+            if res.retr[c] is None:
+                torsion_edges += 1
+            else:
+                assert res.retr[c] @ incl.mat == Matrix.identity(M.ring, incl.source.gens)
+                assert (res.retr[c] @ res.sect[c]).is_zero()
+    assert branches == {"staircase", "ladder"}
+    assert torsion_edges
+
+
+def _broken_inputs():
+    R1 = FpModule.free(ZZ, 1)
+    zero, ident = FpMorphism.zero(R1, R1), FpMorphism.identity(R1)
+    yield BinaryMulticomplex.from_binary_chain(ZZ, [R1, R1], [zero], [zero])
+    yield BinaryMulticomplex.from_binary_chain(ZZ, [R1, R1, R1], [ident, ident], [ident, ident])
+    # x^2 where x belongs: H_1 = F5[x]/(x), over a torsion object
+    line = _torsion_line(F5X, (0, 1), F5X.one, F5X.one)
+    sq = FpMorphism.identity(line.obj((2,))).scale((0, 1))
+    tops = {k: f @ sq if k == (0, (2,)) else f for k, f in line.tops.items()}
+    yield BinaryMulticomplex(F5X, 1, line.shape, line.objects, tops, tops)
+    rng = random.Random(223)
+    for trial in range(12):
+        ring = [ZZ, GF(7)][trial % 2]
+        dim = 1 + trial % 3
+        M = random_multicomplex(rng, ring, dim, length=2, max_rank=2 if dim < 3 else 1,
+                                bricks=1, allow_fp=trial % 4 == 0)
+        key = next(k for k in sorted(M.tops) if not M.tops[k].mat.is_zero())
+        tops = dict(M.tops)
+        tops[key] = tops[key].scale(ring.from_int(2 if ring is ZZ else 0))
+        yield BinaryMulticomplex(ring, M.dim, M.shape, M.objects, tops, M.bots)
+
+
+def test_unchecked_resolution_of_a_non_acyclic_input_never_verifies():
+    # construction lifts differentials by retractions without checking that
+    # they restrict, so a non-acyclic input must be caught by verification
+    # (an edge into a torsion coordinate is still lifted by a solve, which
+    # may refuse with ShapeError; none of these inputs makes it refuse)
+    for M in _broken_inputs():
+        assert not validate(M, "fp").ok
+        assert not verify_resolution(resolve_multi(M, check=False)).ok
