@@ -8,8 +8,9 @@ so they can be fed back into `recheck` or `verify-chain`.
 
 Exit status: 0 when every verdict passes, 1 on a verification failure
 (including refused preconditions such as a non-acyclic input), 2 on input
-errors (unreadable files, malformed documents, bad arguments, and inputs too
-large for memory, reported with the command and the input path).
+errors (unreadable files, malformed documents, bad arguments, a BINMC_SEED
+that is not an integer, and inputs too large for memory, reported with the
+command and the input path).
 
 Reports are deterministic: rerunning a command on the same input with the
 same seed reproduces the verdict section byte for byte.  Only the timing
@@ -18,6 +19,7 @@ field varies; `verdict_bytes` strips it for comparisons.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import random
 import re
@@ -329,16 +331,17 @@ def cmd_recheck(args) -> int:
 # -- parser ------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process; --seed is left None when not given."""
     parser = argparse.ArgumentParser(
         prog="binmc",
         description="Check, resolve, and certify acyclic binary multicomplexes.")
     sub = parser.add_subparsers(dest="command", required=True)
-    default_seed = int(os.environ.get("BINMC_SEED", "0"))
 
     def add(name, fn, **kwargs):
         p = sub.add_parser(name, **kwargs)
-        p.add_argument("--seed", type=int, default=default_seed,
+        p.add_argument("--seed", type=int, default=None,
                        help="seed recorded in the report (default: BINMC_SEED or 0)")
         p.add_argument("--report", metavar="PATH",
                        help="write the full JSON report here")
@@ -407,6 +410,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _env_seed() -> int:
+    """The seed in BINMC_SEED, read at run time, or 0 when it is unset."""
+    text = os.environ.get("BINMC_SEED", "0")
+    try:
+        return int(text)
+    except ValueError:
+        raise ParseError(f"not an integer: {text!r}", "BINMC_SEED")
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -414,6 +426,8 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return 2 if e.code else 0
     try:
+        if args.seed is None:
+            args.seed = _env_seed()
         return args.func(args)
     except (ParseError, OSError, ShapeError, RingError) as e:
         print(f"input error: {e}", file=sys.stderr)

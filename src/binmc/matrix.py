@@ -3,7 +3,8 @@
 A Matrix is immutable: a ring reference plus one tuple per row that holds the
 row's nonzero entries only, as (column, entry, column, entry, ...) with the
 columns ascending.  Products, solves and eliminations therefore walk nonzeros
-only; ``entries``, ``row_list`` and ``get`` give the dense view.  Rows are
+only; ``entries``, ``row_list`` and ``get`` give the dense view, and
+``from_row_pairs`` and ``row_pairs`` the sparse one to other modules.  Rows are
 shared freely between matrices.  A ring element is zero exactly when it is
 falsy (0, Fraction(0) and the empty polynomial ()), given that GF(p) entries
 are reduced, which the public constructors do.
@@ -98,6 +99,15 @@ class Matrix:
         return Matrix._of(ring, len(rows), nc, [_nonzeros(ring, r) for r in rows])
 
     @staticmethod
+    def from_row_pairs(ring: Ring, cols: int, rows) -> "Matrix":
+        """The matrix whose row i holds the (column, entry) pairs of rows[i].
+
+        The pairs come in ascending column order and their entries are
+        nonzero and, over GF(p), reduced; nothing is checked.
+        """
+        return Matrix._of(ring, len(rows), cols, [_flat(r) for r in rows])
+
+    @staticmethod
     def from_int_rows(ring: Ring, rows) -> "Matrix":
         conv = ring.from_int
         return Matrix.from_rows(ring, [[conv(x) for x in r] for r in rows])
@@ -115,6 +125,10 @@ class Matrix:
         row = self._nz[i]
         columns = row[::2]
         return row[2 * columns.index(j) + 1] if j in columns else self.ring.zero
+
+    def row_pairs(self):
+        """Row by row, the (column, nonzero entry) pairs in column order."""
+        return [_pairs(row) for row in self._nz]
 
     def row_list(self):
         z, c = self.ring.zero, self.cols

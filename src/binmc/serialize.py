@@ -16,6 +16,12 @@ input digests too.  A document that nests too deeply, or declares a support
 box larger than its object list, is refused before any work is done.  Parsed
 morphisms go through the ordinary constructors, so ill-defined maps and
 mismatched shapes are rejected, not smuggled in.
+
+Matrix entries cost one comparison per cell and one parse per nonzero.  A
+parse compares each cell with the ring's zero literal ("0", "0/1" or []),
+skips an all-zero row with one count, and parses only the other cells; an
+emit starts each row as the zero literal repeated and converts only the
+nonzero entries.  Neither ever builds a dense row of ring elements.
 """
 from __future__ import annotations
 
@@ -98,9 +104,16 @@ def ring_from_doc(doc, where="ring") -> Ring:
 
 
 def matrix_to_doc(A: Matrix) -> dict:
-    to = A.ring.element_to_doc
-    rows = [[to(x) for x in row] for row in A.row_list()]
-    return {"rows": A.rows, "cols": A.cols, "entries": rows}
+    ring = A.ring
+    to, zero, cols = ring.element_to_doc, ring.element_to_doc(ring.zero), A.cols
+    fresh = isinstance(zero, list)  # every zero polynomial cell gets its own []
+    rows = []
+    for pairs in A.row_pairs():
+        row = [[] for _ in range(cols)] if fresh else [zero] * cols
+        for j, x in pairs:
+            row[j] = to(x)
+        rows.append(row)
+    return {"rows": A.rows, "cols": cols, "entries": rows}
 
 
 def matrix_from_doc(ring: Ring, doc, where="matrix") -> Matrix:
@@ -109,16 +122,24 @@ def matrix_from_doc(ring: Ring, doc, where="matrix") -> Matrix:
     entries = _need(doc, "entries", list, where)
     if rows < 0 or cols < 0 or len(entries) != rows:
         raise ParseError(f"expected {rows} rows of entries", where)
-    flat = []
+    # the zero literal parses to zero and never fails, so only the other
+    # cells are parsed, in row order: the first bad cell is still reported
+    zero, parse = ring.element_to_doc(ring.zero), ring.element_from_doc
+    out = []
     for i, row in enumerate(entries):
         if not isinstance(row, list) or len(row) != cols:
             raise ParseError(f"row {i} must hold {cols} entries", where)
-        for j, cell in enumerate(row):
+        pairs = []
+        if row.count(zero) != cols:
             try:
-                flat.append(ring.element_from_doc(cell))
+                for j in [j for j, cell in enumerate(row) if cell != zero]:
+                    x = parse(row[j])
+                    if x:  # QQ "0/5" and F_p[x] ["0"] parse to zero
+                        pairs.append((j, x))
             except RingError as e:
                 raise ParseError(str(e), f"{where}.entries[{i}][{j}]")
-    return Matrix(ring, rows, cols, flat)
+        out.append(pairs)
+    return Matrix.from_row_pairs(ring, cols, out)
 
 
 def matrix_document(A: Matrix) -> dict:

@@ -207,6 +207,17 @@ def test_seed_defaults_to_environment(tmp_path, monkeypatch):
     assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
 
+def test_bad_environment_seed_is_an_input_error(tmp_path, monkeypatch, capsys):
+    path = str(tmp_path / "m.json")
+    assert main(["gen", "--seed", "5", "--out", path]) == 0
+    monkeypatch.setenv("BINMC_SEED", "abc")
+    capsys.readouterr()
+    assert main(["check", path]) == 2
+    assert capsys.readouterr().err == "input error: BINMC_SEED: not an integer: 'abc'\n"
+    # an explicit --seed never reads the environment
+    assert main(["check", path, "--seed", "3"]) == 0
+
+
 def test_empty_class_represents_over_named_ring(tmp_path, capsys):
     doc = ser.class_document(FormalClass.zero(2), [])
     src = _write(tmp_path / "zero.json", doc)

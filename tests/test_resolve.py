@@ -1,6 +1,7 @@
 """Tests for the resolution constructions and the class map."""
 import hashlib
 import random
+from itertools import islice
 
 import pytest
 
@@ -349,7 +350,7 @@ def test_carried_inclusions_span_the_reference_kernels():
     assert torsion_edges
 
 
-def _broken_inputs():
+def _broken_inputs(dim3_rank=1):
     R1 = FpModule.free(ZZ, 1)
     zero, ident = FpMorphism.zero(R1, R1), FpMorphism.identity(R1)
     yield BinaryMulticomplex.from_binary_chain(ZZ, [R1, R1], [zero], [zero])
@@ -363,7 +364,7 @@ def _broken_inputs():
     for trial in range(12):
         ring = [ZZ, GF(7)][trial % 2]
         dim = 1 + trial % 3
-        M = random_multicomplex(rng, ring, dim, length=2, max_rank=2 if dim < 3 else 1,
+        M = random_multicomplex(rng, ring, dim, length=2, max_rank=2 if dim < 3 else dim3_rank,
                                 bricks=1, allow_fp=trial % 4 == 0)
         key = next(k for k in sorted(M.tops) if not M.tops[k].mat.is_zero())
         tops = dict(M.tops)
@@ -379,3 +380,27 @@ def test_unchecked_resolution_of_a_non_acyclic_input_never_verifies():
     for M in _broken_inputs():
         assert not validate(M, "fp").ok
         assert not verify_resolution(resolve_multi(M, check=False)).ok
+
+
+def test_a_failing_inclusion_spares_the_kernel_validation(monkeypatch):
+    # trial 2 of the broken inputs (ZZ, dim 3) at max_rank 2: P′'s lifted
+    # differentials do not even compose to zero, and validating them costs
+    # about a hundred times what P does; once incl fails to commute, P is the
+    # only one validated
+    M = next(islice(_broken_inputs(dim3_rank=2), 5, None))
+    assert M.dim == 3 and M.ring is ZZ
+    res, twin = resolve_multi(M, check=False), resolve_multi(M, check=False)
+    eliminate = matrix._eliminate
+    count = [0]
+
+    def counted(A, full):
+        count[0] += 1
+        return eliminate(A, full)
+
+    monkeypatch.setattr(matrix, "_eliminate", counted)
+    assert validate(twin.P, "free").ok
+    of_cover, count[0] = count[0], 0
+    rep = verify_resolution(res)
+    assert count[0] == of_cover > 0
+    assert rep.failures == ("projection does not commute with the differentials",
+                            "inclusion does not commute with the differentials")

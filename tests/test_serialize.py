@@ -1,9 +1,10 @@
 import random
+from fractions import Fraction
 
 import pytest
 
 from binmc import serialize as ser
-from binmc.errors import ParseError
+from binmc.errors import ParseError, RingError
 from binmc.extension import split_extension
 from binmc.gen import (conjugate_multicomplex, random_multicomplex,
                        random_tn_class)
@@ -226,3 +227,152 @@ def test_non_canonical_entry_is_rejected_with_location():
             ser.multicomplex_from_doc(doc)
         assert "differentials[0].top.entries[0][0]" in str(e.value)
         assert repr(literal) in str(e.value)
+
+
+# -- the sparse document layer against the per-cell reference ----------------
+
+
+def _reference_matrix_to_doc(A):
+    """Every cell converted, as the document layer once did."""
+    to = A.ring.element_to_doc
+    return {"rows": A.rows, "cols": A.cols,
+            "entries": [[to(x) for x in row] for row in A.row_list()]}
+
+
+def _reference_matrix_from_doc(ring, doc, where="matrix"):
+    """Every cell parsed into a dense list, as the document layer once did."""
+    rows = ser._need(doc, "rows", int, where)
+    cols = ser._need(doc, "cols", int, where)
+    entries = ser._need(doc, "entries", list, where)
+    if rows < 0 or cols < 0 or len(entries) != rows:
+        raise ParseError(f"expected {rows} rows of entries", where)
+    flat = []
+    for i, row in enumerate(entries):
+        if not isinstance(row, list) or len(row) != cols:
+            raise ParseError(f"row {i} must hold {cols} entries", where)
+        for j, cell in enumerate(row):
+            try:
+                flat.append(ring.element_from_doc(cell))
+            except RingError as e:
+                raise ParseError(str(e), f"{where}.entries[{i}][{j}]")
+    return Matrix(ring, rows, cols, flat)
+
+
+F7, F5X = PrimeField(7), PolynomialRing(PrimeField(5))
+
+
+def _random_element(rng, ring):
+    """A nonzero element, usually small, sometimes with a large numerator."""
+    k = rng.choice([1, 2, 3, -1, -4, 10 ** 30 + 7])
+    if ring is QQ:
+        return Fraction(k, rng.choice([1, 2, 9]))
+    if isinstance(ring, PolynomialRing):
+        coeffs = [rng.randrange(5) for _ in range(rng.randrange(3))] + [rng.randrange(1, 5)]
+        return ring.poly(coeffs)
+    return ring.from_int(k) or ring.one
+
+
+def _random_matrix(rng, ring, rows, cols, density):
+    """density of nonzero entries, with every third row (when rows > 2) all zero."""
+    out = [[_random_element(rng, ring) if i % 3 != 2 and rng.random() < density
+            else ring.zero for _ in range(cols)] for i in range(rows)]
+    return Matrix(ring, rows, cols, [x for row in out for x in row])
+
+
+def _outcome(parse, ring, doc):
+    try:
+        A = parse(ring, doc, "m")
+    except ParseError as e:
+        return ("error", str(e))
+    return ("matrix", A, hash(A))
+
+
+def _bad_cells(ring):
+    common = ["01", "-0", "+1", "1_0", 5, 0, None, True, "", "x", [], {}]
+    if ring is F7:
+        return common + ["7", "-1"]
+    if ring is QQ:
+        return common + ["1/0", "1/2/3", "01/2", "1/-0", "-0/3"]
+    if ring is F5X:
+        return [c for c in common if c != []] + [["1", "5"], ["01"], ["+1"], [1], [None],
+                                                 "0", [["1"]]]
+    return common + ["1.0", " 1"]
+
+
+@pytest.mark.parametrize("ring", [ZZ, F7, QQ, F5X], ids=lambda r: r.kind)
+def test_sparse_parse_and_emit_match_the_per_cell_reference(ring):
+    rng = random.Random(401)
+    shapes = [(0, 0), (0, 4), (4, 0), (1, 1), (3, 5), (6, 2), (7, 9)]
+    mats = [_random_matrix(rng, ring, r, c, d) for r, c in shapes for d in (0.0, 0.15, 1.0)]
+    for A in mats:
+        doc = ser.matrix_to_doc(A)
+        assert (ser.canonical_dumps(doc)
+                == ser.canonical_dumps(_reference_matrix_to_doc(A)))
+        lists = [c for row in doc["entries"] for c in row if isinstance(c, list)]
+        assert len({id(c) for c in lists}) == len(lists)
+        assert len({id(row) for row in doc["entries"]}) == A.rows
+        new = _outcome(ser.matrix_from_doc, ring, doc)
+        assert new == _outcome(_reference_matrix_from_doc, ring, doc)
+        assert new[1] == A
+
+    def same(doc):
+        new = _outcome(ser.matrix_from_doc, ring, doc)
+        assert new == _outcome(_reference_matrix_from_doc, ring, doc), doc
+        return new
+
+    zero_literals = {QQ: ["0", "0/5"], F5X: [["0"], ["0", "0"]]}.get(ring, [])
+    for A in mats:
+        if not A.rows or not A.cols:
+            continue
+        for cell in _bad_cells(ring) + zero_literals:
+            doc = ser.matrix_to_doc(A)
+            i, j = rng.randrange(A.rows), rng.randrange(A.cols)
+            doc["entries"][i][j] = cell
+            same(doc)
+            if cell in zero_literals or (i, j) == (A.rows - 1, A.cols - 1):
+                continue
+            # a second bad cell later in row order does not change the report
+            doc["entries"][-1][-1] = "bad"
+            assert same(doc)[1].startswith(f"m.entries[{i}][{j}]: ")
+        for cell in zero_literals:
+            doc = ser.matrix_to_doc(A)
+            for row in doc["entries"]:
+                row[:] = [cell] * A.cols
+            assert same(doc)[1] == Matrix.zeros(ring, A.rows, A.cols)
+        # ragged and malformed rows, and a wrong row count
+        for k, mangle in enumerate([lambda r: r.append(r[0]), lambda r: r.pop(),
+                                    lambda r: r.clear()]):
+            doc = ser.matrix_to_doc(A)
+            mangle(doc["entries"][k % A.rows])
+            assert same(doc)[0] == "error"
+        for row in ("0", None, {}):
+            doc = ser.matrix_to_doc(A)
+            doc["entries"][-1] = row
+            assert same(doc)[0] == "error"
+        doc = ser.matrix_to_doc(A)
+        doc["rows"] += 1
+        assert same(doc)[0] == "error"
+
+
+@pytest.mark.parametrize("ring", [ZZ, F7, QQ, F5X], ids=lambda r: r.kind)
+def test_parsing_parses_each_cell_that_is_not_the_zero_literal_once(monkeypatch, ring):
+    # the O(nonzeros) property: a zero cell costs one comparison, never a parse
+    M = random_multicomplex(random.Random(409), ring, 2, length=3, max_rank=2,
+                            allow_fp=True)
+    doc = ser.multicomplex_to_doc(M)
+    matrices = [rec["rels"] for rec in doc["objects"]]
+    matrices += [rec[fam] for rec in doc["differentials"] for fam in ("top", "bottom")]
+    zero = ring.element_to_doc(ring.zero)
+    cells = [c for m in matrices for row in m["entries"] for c in row]
+    nonzero = sum(c != zero for c in cells)
+    assert 0 < nonzero < len(cells) // 2
+    calls = []
+    parse = type(ring).element_from_doc
+
+    def counted(self, cell):
+        calls.append(cell)
+        return parse(self, cell)
+
+    monkeypatch.setattr(type(ring), "element_from_doc", counted)
+    assert ser.multicomplex_from_doc(doc) == M
+    assert len(calls) == nonzero
