@@ -1,8 +1,11 @@
 #!/usr/bin/env bash
 # The command line pipeline, each step in a fresh `python -m binmc` process:
 # gen --fp, check, resolve-multi, recheck, cofinalize, recheck, each expected
-# to exit 0, then a non-integer BINMC_SEED, expected to exit 2 with a located
-# input error.  Run from the root of a checkout:
+# to exit 0; then a non-integer BINMC_SEED, expected to exit 2 with a located
+# input error; check of a free line that is not exact (Z -2-> Z), expected to
+# exit 1 and name the homology; and represent-diagonal of a class whose
+# coefficient is over the cap, expected to exit 2.  Run from the root of a
+# checkout:
 #
 #     bash scripts/cli_pipeline.sh
 set -euo pipefail
@@ -31,3 +34,20 @@ expect 0 python -m binmc cofinalize m.json --direction 0 --out T.json
 expect 0 python -m binmc recheck T.json
 expect 2 env BINMC_SEED=abc python -m binmc check m.json
 grep -q "^input error: BINMC_SEED: " err.txt || { cat err.txt >&2; exit 1; }
+
+# one free object per degree of a dim-1 ZZ line, with the scalar $1 as both
+# differentials
+line() {
+    local d='{"cols":1,"entries":[["'"$1"'"]],"rows":1}'
+    local z='"gens":1,"rels":{"cols":0,"entries":[[]],"rows":1}'
+    echo '{"differentials":[{"at":[1],"axis":0,"bottom":'"$d"',"top":'"$d"'}],"dim":1,'\
+'"objects":[{"at":[0],'"$z"'},{"at":[1],'"$z"'}],"ring":{"kind":"integers"},'\
+'"schema":"binmc.multicomplex/1","shape":[2]}'
+}
+line 2 >two.json
+expect 1 python -m binmc check two.json
+grep -q "homology at degree 0: free rank 0, torsion \[2\]" out.txt || { cat out.txt >&2; exit 1; }
+echo '{"dim":1,"entries":[{"coeff":17,"multicomplex":'"$(line 1)"'}],'\
+'"schema":"binmc.class/1","witnesses":[0]}' >over.json
+expect 2 python -m binmc represent-diagonal over.json
+grep -q "^input error: class entry 0 (coefficient 17)" err.txt || { cat err.txt >&2; exit 1; }

@@ -1,10 +1,12 @@
 """Bounded chain complexes of finitely presented modules.
 
-Degrees run 0..length-1 and differentials lower degree by one.  The central
-primitive is the acyclicity witness: a factorization of every differential as
-epi then mono through cycle objects, with each induced short sequence verified
-exact.  Witness extraction succeeds exactly when all homology vanishes, and a
-failure reports the lowest bad degree together with its homology class.
+Degrees run 0..length-1 and differentials lower degree by one.  Exactness is
+decided on two paths, and both name the lowest degree k with H_k != 0 and
+that homology.  A complex of free modules is read off the invariant factors
+of its differentials (free_line_homology; free_line_exact is its yes/no
+view).  Any complex has the acyclicity witness: every differential factored
+as epi then mono through its image, with each induced short sequence
+verified exact.  describe_homology writes either path's failure.
 """
 from __future__ import annotations
 
@@ -14,8 +16,7 @@ from typing import Optional
 from .errors import RingError, ShapeError
 from .fpmod import (FpModule, FpMorphism, check_ses, cokernel,
                     factor_through_mono, image, kernel)
-from .matrix import (column_space_basis, invariant_factors, rank_over_fractions,
-                     smith, solve)
+from .matrix import invariant_factors, rank_over_fractions, smith
 from .rings import Ring
 
 
@@ -108,31 +109,40 @@ def homology_by_ranks(C: ChainComplex, k: int):
     return betti, torsion
 
 
-def free_line_exact(C: ChainComplex) -> bool:
-    """Exactness of a complex of free modules, certified by ranks and units.
+def free_line_homology(C: ChainComplex):
+    """(k, free rank, torsion) of H_k at the lowest degree k where it is nonzero,
+    or None when the complex is exact.  Needs free objects.
 
-    Precondition: every object is freely presented and consecutive
-    differentials compose to zero (the constructor's check, or the composite
-    check in validate).  Over a PID such a complex is exact iff
-    n_k = rank d_k + rank d_{k+1} at every degree (out-of-range differentials
-    have rank 0) and every nonzero invariant factor of every differential is
-    a unit: the ranks make each cycle module and boundary module equal up to
-    torsion, and unit factors make every boundary module saturated.  Reads the
-    cached invariant factors of each differential, which need no U or V.  A
-    False answer carries no location; acyclicity_witness is the path that
-    names the failing degree.
+    Precondition: consecutive differentials compose to zero (the
+    constructor's check, or the composite check in validate).  Over a PID the
+    free rank of H_k is n_k - rank d_k - rank d_{k+1}, with d_k = diffs[k-1]
+    leaving degree k, d_{k+1} = diffs[k] entering it, and out-of-range
+    differentials of rank 0.  The cycles of degree k are saturated in the
+    free object, so the torsion of H_k is the tuple of non-unit invariant
+    factors of d_{k+1}.  Reads the cached invariant factors of each
+    differential, which need no U or V, and stops at the first bad degree.
     """
     if not C.is_free():
         raise RingError("the rank certificate needs free objects")
-    ring = C.ring
-    ranks = [0]
-    for d in C.diffs:
-        factors = invariant_factors(d.mat)
-        if not all(map(ring.is_unit, factors)):
-            return False
-        ranks.append(len(factors))
-    ranks.append(0)
-    return all(m.gens == ranks[k] + ranks[k + 1] for k, m in enumerate(C.objects))
+    is_unit = C.ring.is_unit
+    rank_out = 0
+    for k, m in enumerate(C.objects):
+        factors = invariant_factors(C.diffs[k].mat) if k < len(C.diffs) else ()
+        free = m.gens - rank_out - len(factors)
+        torsion = tuple(d for d in factors if not is_unit(d))
+        if free or torsion:
+            return k, free, torsion
+        rank_out = len(factors)
+    return None
+
+
+def free_line_exact(C: ChainComplex) -> bool:
+    """Exactness of a complex of free modules: free_line_homology finds nothing."""
+    return free_line_homology(C) is None
+
+
+def describe_homology(k: int, free: int, torsion) -> str:
+    return f"homology at degree {k}: free rank {free}, torsion {list(torsion)}"
 
 
 @dataclass(frozen=True)
@@ -148,7 +158,6 @@ class AcyclicityWitness:
     cycles: tuple
     epis: tuple
     monos: tuple
-    mode: str
 
     def verify(self) -> bool:
         C = self.complex
@@ -156,8 +165,6 @@ class AcyclicityWitness:
         if len(self.cycles) != L + 1 or len(self.epis) != L or len(self.monos) != L:
             return False
         if not self.cycles[0].is_zero_module() or not self.cycles[L].is_zero_module():
-            return False
-        if self.mode == "free" and not all(z.is_free_presentation() for z in self.cycles):
             return False
         for k in range(L):
             epi, mono = self.epis[k], self.monos[k]
@@ -184,52 +191,28 @@ class WitnessOutcome:
     def describe(self) -> str:
         if self.ok:
             return "acyclic"
-        free, tors = self.obstruction.canonical()
-        return f"homology at degree {self.failing_degree}: free rank {free}, torsion {list(tors)}"
+        return describe_homology(self.failing_degree, *self.obstruction.canonical())
 
 
-def _factor_differential(d: FpMorphism, mode: str):
-    """(Z, epi, mono) with mono @ epi == d; Z free in free mode."""
-    if mode == "free":
-        basis = column_space_basis(d.mat)
-        Z = FpModule.free(d.source.ring, basis.cols)
-        mono = FpMorphism(Z, d.target, basis, _trusted=True)
-        coords = solve(basis, d.mat)
-        if coords is None:
-            raise RingError("image basis does not span the differential's image")
-        epi = FpMorphism(d.source, Z, coords, _trusted=True)
-        return Z, epi, mono
-    Z, incl, coproj = image(d)
-    return Z, coproj, incl
+def acyclicity_witness(C: ChainComplex) -> WitnessOutcome:
+    """Factor every differential through fpmod.image and verify the short sequences.
 
-
-def acyclicity_witness(C: ChainComplex, mode: str = "fp") -> WitnessOutcome:
-    """Factor every differential epi-mono and verify the resulting short sequences.
-
-    mode="free" demands free objects and produces free cycle modules with
-    lattice-basis inclusions; mode="fp" works for arbitrary presentations.
+    Works for any presentations; validate runs it on lines with a non-free
+    object.  A failure carries the lowest degree with nonzero homology and
+    that homology.
     """
-    if mode not in ("fp", "free"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if mode == "free" and not C.is_free():
-        raise RingError("free mode requires free objects")
     L = C.length
     zero = FpModule.zero(C.ring)
     if L == 0:
-        return WitnessOutcome(True, AcyclicityWitness(C, (zero,), (), (), mode))
+        return WitnessOutcome(True, AcyclicityWitness(C, (zero,), (), ()))
     cycles = [zero] * (L + 1)
     epis: list = [None] * L
     monos: list = [None] * L
     for k in range(1, L):
-        Z, epi, mono = _factor_differential(C.diffs[k - 1], mode)
-        cycles[k] = Z
-        epis[k] = epi
-        monos[k - 1] = mono
+        cycles[k], monos[k - 1], epis[k] = image(C.diffs[k - 1])
     epis[0] = FpMorphism.zero(C.objects[0], zero)
     monos[L - 1] = FpMorphism.zero(zero, C.objects[L - 1])
     for k in range(L):
-        mono_into_k = monos[k]
-        epi_from_k = epis[k]
-        if not check_ses(mono_into_k, epi_from_k).ok:
+        if not check_ses(monos[k], epis[k]).ok:
             return WitnessOutcome(False, None, k, homology(C, k))
-    return WitnessOutcome(True, AcyclicityWitness(C, tuple(cycles), tuple(epis), tuple(monos), mode))
+    return WitnessOutcome(True, AcyclicityWitness(C, tuple(cycles), tuple(epis), tuple(monos)))

@@ -11,8 +11,12 @@ import random
 
 from .complexes import ChainComplex
 from .errors import IllDefinedMorphism
+from .extension import ExtensionObject, split_extension
 from .fpmod import FpModule, FpMorphism, direct_sum_modules
-from .matrix import Matrix, block_diag, det, solve
+from .kgroups import FormalClass
+from .matrix import Matrix, block_diag, det, kron, smith, solve
+from .multicomplex import (BinaryMulticomplex, MultiMorphism, box_coords,
+                           direct_sum_multi)
 from .rings import Ring, ZZ
 
 
@@ -251,7 +255,6 @@ def random_complex_with_known_homology(rng: random.Random, ring: Ring,
         if tors:
             diag = Matrix.from_int_rows(ring, [[t if i == j else 0 for j in range(len(tors))]
                                                for i, t in enumerate(tors)])
-            from .matrix import smith
             dec = smith(diag)
             canon = tuple(d for d in dec.diagonal()
                           if not ring.is_zero(d) and not ring.is_unit(d))
@@ -293,10 +296,6 @@ def random_binary_base(rng: random.Random, ring: Ring, length: int,
 def _tensor_brick(ring: Ring, bases):
     """Free binary multicomplex whose axis-a differentials act on one tensor
     factor; per-line acyclicity and all commutation squares hold by shape."""
-    from .fpmod import FpModule, FpMorphism
-    from .matrix import kron
-    from .multicomplex import BinaryMulticomplex, box_coords
-
     dim = len(bases)
     shape = tuple(len(b[0]) for b in bases)
 
@@ -332,12 +331,9 @@ def _tensor_brick(ring: Ring, bases):
 
 
 def _double_brick(rng: random.Random, ring: Ring, dim: int, length: int,
-                  max_rank: int, diagonal_axes) -> "BinaryMulticomplex":
+                  max_rank: int, diagonal_axes) -> BinaryMulticomplex:
     """Finitely presented brick: an acyclic complex along axis 0, doubled
     across unit-scalar identity maps in every other axis."""
-    from .fpmod import FpModule, FpMorphism
-    from .multicomplex import BinaryMulticomplex, box_coords
-
     C = random_acyclic_complex(rng, ring, length=length, max_rank=max_rank, allow_fp=True)
     shape = (C.length,) + (2,) * (dim - 1)
     units = {}
@@ -363,14 +359,12 @@ def _double_brick(rng: random.Random, ring: Ring, dim: int, length: int,
     return BinaryMulticomplex(ring, dim, shape, objects, tops, bots)
 
 
-def conjugate_multicomplex(rng: random.Random, M: "BinaryMulticomplex"):
+def conjugate_multicomplex(rng: random.Random, M: BinaryMulticomplex):
     """(M', iso, iso_inv): same grid, differentials conjugated coordinatewise.
 
     Validity and diagonal directions are preserved because both families are
     conjugated by the same automorphisms.
     """
-    from .multicomplex import BinaryMulticomplex, MultiMorphism, box_coords
-
     autos = {c: random_automorphism(rng, m) for c, m in M.objects.items()}
     tops, bots = {}, {}
     for fam, out in ((M.tops, tops), (M.bots, bots)):
@@ -386,14 +380,12 @@ def conjugate_multicomplex(rng: random.Random, M: "BinaryMulticomplex"):
 def random_multicomplex(rng: random.Random, ring: Ring, dim: int,
                         length: int = 3, max_rank: int = 2,
                         diagonal_axes=(), allow_fp: bool = False,
-                        bricks: int = None) -> "BinaryMulticomplex":
+                        bricks: int = None) -> BinaryMulticomplex:
     """Valid-by-construction binary multicomplex of the given dimension.
 
     Axes listed in diagonal_axes get equal top and bottom differentials.
     With allow_fp, some bricks carry non-free objects (torsion presentations).
     """
-    from .multicomplex import BinaryMulticomplex, direct_sum_multi
-
     diagonal_axes = frozenset(diagonal_axes)
     if dim == 0:
         mod = random_fp_module(rng, ring) if allow_fp else \
@@ -419,16 +411,14 @@ def random_multicomplex(rng: random.Random, ring: Ring, dim: int,
 
 def random_diagonal_multicomplex(rng: random.Random, ring: Ring, dim: int,
                                  length: int = 3, max_rank: int = 2,
-                                 allow_fp: bool = False) -> "BinaryMulticomplex":
+                                 allow_fp: bool = False) -> BinaryMulticomplex:
     return random_multicomplex(rng, ring, dim, length, max_rank,
                                diagonal_axes=range(dim), allow_fp=allow_fp)
 
 
-def random_multi_extension(rng: random.Random, sub: "BinaryMulticomplex",
-                           quot: "BinaryMulticomplex"):
+def random_multi_extension(rng: random.Random, sub: BinaryMulticomplex,
+                           quot: BinaryMulticomplex):
     """A not-visibly-split extension: the split one, conjugated in the middle."""
-    from .extension import ExtensionObject, split_extension
-
     E = split_extension(sub, quot)
     total, iso, iso_inv = conjugate_multicomplex(rng, E.total)
     return ExtensionObject(E.sub, total, E.quot, iso @ E.mono, E.epi @ iso_inv)
@@ -442,8 +432,6 @@ def random_tn_class(rng: random.Random, ring: Ring, dim: int, terms: int = 2,
     per entry of x.entries(), which is what tn_membership_certificate and
     diagonal_represent consume.
     """
-    from .kgroups import FormalClass
-
     by_key = {}
     x = FormalClass.zero(dim)
     for _ in range(terms):

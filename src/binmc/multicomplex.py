@@ -29,7 +29,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional
 
-from .complexes import ChainComplex, acyclicity_witness, free_line_exact
+from .complexes import (ChainComplex, acyclicity_witness, describe_homology,
+                        free_line_homology)
 from .errors import NotAcyclic, ShapeError
 from .fpmod import (FpModule, FpMorphism, direct_sum_modules,
                     factor_through_mono, kernel, split_inclusion,
@@ -220,15 +221,15 @@ class ValidationReport:
 def validate(M: BinaryMulticomplex, mode: str = "fp") -> ValidationReport:
     """Full validity: complexes linewise, acyclic linewise, commuting squares.
 
-    In free mode every object must be freely presented; line witnesses are
-    then computed with free cycle modules.
+    mode names the category: in free mode every object must be freely
+    presented, and a non-free object is reported before anything else.
 
-    In either mode, a line whose objects are all free and whose consecutive
-    differentials compose to zero is first tested with the rank certificate
-    free_line_exact (one cached Smith form per differential).  Only when the
-    certificate does not confirm exactness, or the line has non-free objects,
-    is acyclicity_witness(line, mode) run; every line failure is therefore
-    reported by the witness, with its failing degree and homology.
+    A line whose consecutive differentials do not compose to zero gets one
+    failure per bad composite and no exactness check.  Any other line with
+    free objects is decided and located by free_line_homology, from the
+    cached invariant factors of its differentials; a line with a non-free
+    object goes to acyclicity_witness.  Either path reports the lowest degree
+    with nonzero homology and that homology, in the same words.
     """
     failures = []
     if mode == "free":
@@ -248,13 +249,18 @@ def validate(M: BinaryMulticomplex, mode: str = "fp") -> ValidationReport:
                             "composite", which, axis, _insert(rest, axis, k + 2),
                             "consecutive differentials do not compose to zero"))
                         broken = True
-                if broken or (line.is_free() and free_line_exact(line)):
+                if broken:
                     continue
-                outcome = acyclicity_witness(line, mode)
-                if not outcome.ok:
+                if line.is_free():
+                    found = free_line_homology(line)
+                else:
+                    outcome = acyclicity_witness(line)
+                    found = None if outcome.ok else (outcome.failing_degree,
+                                                     *outcome.obstruction.canonical())
+                if found is not None:
                     failures.append(ValidationFailure(
-                        "line", which, axis, _insert(rest, axis, outcome.failing_degree),
-                        outcome.describe()))
+                        "line", which, axis, _insert(rest, axis, found[0]),
+                        describe_homology(*found)))
     for ai in range(M.dim):
         for aj in range(ai + 1, M.dim):
             for c in sorted(box_coords(M.shape)):

@@ -153,19 +153,6 @@ class DeltaLadder:
                 self.delta[(k, l + 1)] = self.tops[k - l] @ self.delta_prime[(k, l)]
                 self.delta_prime[(k, l + 1)] = self.bots[k - l] @ self.delta[(k, l)]
 
-    def identities_hold(self) -> bool:
-        for (k, l), f in self.delta.items():
-            ref = (self.tops[k] @ self.eps[k] if l == 1
-                   else self.tops[k - l + 1] @ self.delta_prime[(k, l - 1)])
-            if not f.equals(ref):
-                return False
-        for (k, l), f in self.delta_prime.items():
-            ref = (self.bots[k] @ self.eps[k] if l == 1
-                   else self.bots[k - l + 1] @ self.delta[(k, l - 1)])
-            if not f.equals(ref):
-                return False
-        return True
-
 
 def _module_resolution(M0: BinaryMulticomplex) -> ResolutionResult:
     mod = M0.obj(())

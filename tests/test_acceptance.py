@@ -82,7 +82,7 @@ def _criterion_1():
                 if by_modules != (0, ()):
                     vanish = False
                 degrees += 1
-            assert acyclicity_witness(C, "fp").ok == vanish
+            assert acyclicity_witness(C).ok == vanish
             if vanish:
                 acyclic += 1
             else:

@@ -3,11 +3,11 @@ import random
 
 from binmc import serialize as ser
 from binmc.cli import main, verdict_bytes
-from binmc.cofinal import rel_class
+from binmc.cofinal import MAX_COEFFICIENT_SUM, rel_class
 from binmc.gen import random_multicomplex, random_tn_class
 from binmc.kgroups import FormalClass
 from binmc.matrix import Matrix
-from binmc.multicomplex import BinaryMulticomplex
+from binmc.multicomplex import BinaryMulticomplex, direct_sum_multi
 from binmc.rings import ZZ
 
 
@@ -119,6 +119,30 @@ def test_represent_diagonal_refuses_a_non_acyclic_generator(tmp_path, capsys):
     positive = _write(tmp_path / "pos.json", ser.class_document(FormalClass.of(line), [0]))
     assert main(["represent-diagonal", positive]) == 1
     assert "[FAIL] chain-verifies" in capsys.readouterr().out
+
+
+def test_represent_diagonal_caps_the_coefficient_sum(tmp_path, capsys):
+    # the fold behind the chain grows about as the cube of the coefficient
+    # sum, so a class over the cap is an input error naming the entry that
+    # crosses it, and a class exactly at the cap is still represented
+    one = _unit_complex(ZZ, ZZ.one)
+    two = direct_sum_multi([one, one])
+    at_cap = FormalClass.of(one, MAX_COEFFICIENT_SUM - 5) + FormalClass.of(two, -5)
+    cls = _write(tmp_path / "cap.json", ser.class_document(at_cap, [0, 0]))
+    chain = str(tmp_path / "chain.json")
+    assert main(["represent-diagonal", cls, "--out", chain]) == 0
+    assert main(["verify-chain", chain]) == 0
+    over = at_cap + FormalClass.of(two, -1)
+    coeffs = [c for _, c in over.entries()]
+    k = next(k for k in range(len(coeffs))
+             if sum(map(abs, coeffs[:k + 1])) > MAX_COEFFICIENT_SUM)
+    coeff, total = coeffs[k], sum(map(abs, coeffs[:k + 1]))
+    cls = _write(tmp_path / "over.json", ser.class_document(over, [0, 0]))
+    capsys.readouterr()
+    assert main(["represent-diagonal", cls, "--out", chain]) == 2
+    assert capsys.readouterr().err == (
+        f"input error: class entry {k} (coefficient {coeff}) brings the sum of "
+        f"|coefficients| to {total}, over the cap of {MAX_COEFFICIENT_SUM}\n")
 
 
 def test_snf_reports_invariants(tmp_path):

@@ -3,11 +3,13 @@ import random
 
 import pytest
 
-from binmc.complexes import (ChainComplex, acyclicity_witness, free_line_exact,
-                             homology, homology_by_ranks)
+from binmc.complexes import (ChainComplex, acyclicity_witness, describe_homology,
+                             free_line_exact, free_line_homology, homology,
+                             homology_by_ranks)
 from binmc.errors import RingError, ShapeError
 from binmc.fpmod import FpModule, FpMorphism
-from binmc.gen import random_acyclic_complex, random_complex_with_known_homology
+from binmc.gen import (complex_direct_sum, conjugate_complex, random_acyclic_complex,
+                       random_complex_with_known_homology)
 from binmc.matrix import Matrix, smith
 from binmc.rings import GF, QQ, ZZ, polynomial_ring
 
@@ -46,7 +48,6 @@ def test_homology_of_scale_complex():
 def test_homology_identity_complex_vanishes():
     C = two_term(1)
     assert acyclicity_witness(C).ok
-    assert acyclicity_witness(C, mode="free").ok
 
 
 def test_single_zero_object_is_acyclic_nonzero_is_not():
@@ -66,18 +67,8 @@ def test_witness_structure_and_verify():
     rng = random.Random(2)
     for _ in range(20):
         C = random_acyclic_complex(rng, ZZ, length=4, max_rank=3)
-        out = acyclicity_witness(C, mode="fp")
+        out = acyclicity_witness(C)
         assert out.ok
-        assert out.witness.verify()
-
-
-def test_witness_free_mode_gives_free_cycles():
-    rng = random.Random(9)
-    for _ in range(15):
-        C = random_acyclic_complex(rng, ZZ, length=4, max_rank=3, allow_fp=False)
-        out = acyclicity_witness(C, mode="free")
-        assert out.ok
-        assert all(z.is_free_presentation() for z in out.witness.cycles)
         assert out.witness.verify()
 
 
@@ -114,14 +105,28 @@ def test_two_homology_algorithms_agree():
 
 
 def _certificate_matches_witness(C):
-    """free_line_exact agrees with the witness and with vanishing homology."""
+    """free_line_homology locates what the witness locates, with the same homology.
+
+    Also checks free_line_exact against it, and both against the homology of
+    every degree by an independent route (the module machinery over F_p[x],
+    where fraction-field ranks are not available).
+    """
+    found = free_line_homology(C)
     exact = free_line_exact(C)
-    assert exact == acyclicity_witness(C, "fp").ok
+    assert exact == (found is None)
+    out = acyclicity_witness(C)
+    assert exact == out.ok
     if C.ring.kind == "polynomials-over":
-        vanishing = [homology(C, k).canonical() == (0, ()) for k in range(C.length)]
+        by_degree = [homology(C, k).canonical() for k in range(C.length)]
     else:
-        vanishing = [homology_by_ranks(C, k) == (0, ()) for k in range(C.length)]
-    assert exact == all(vanishing)
+        by_degree = [homology_by_ranks(C, k) for k in range(C.length)]
+    assert exact == all(h == (0, ()) for h in by_degree)
+    if found is not None:
+        k, free, torsion = found
+        assert k == out.failing_degree
+        assert all(h == (0, ()) for h in by_degree[:k])
+        assert (free, torsion) == out.obstruction.canonical() == by_degree[k]
+        assert describe_homology(*found) == out.describe()
     return exact
 
 
@@ -181,6 +186,40 @@ def test_rank_certificate_over_polynomials_with_nonconstant_torsion():
                                        mor(f1, f2, [[x], [x2]])])
     assert not _certificate_matches_witness(B)
     assert acyclicity_witness(B).failing_degree == 1
+    assert free_line_homology(B) == (1, 0, (x,))
+
+
+def _poly_line(rng, R, length):
+    """A conjugated sum of scalings by x, x + 1 or x^2, identities and lone
+    free objects, each at a random degree: torsion that is not a constant."""
+    scalars = [(0, 1), (1, 1), (0, 0, 1)]
+    zero = FpModule.zero(R)
+    pieces = []
+    for _ in range(rng.randint(1, 4)):
+        at = rng.randrange(length - 1)
+        roll = rng.random()
+        mods = [zero] * length
+        if roll < 0.8:
+            mods[at] = mods[at + 1] = FpModule.free(R, rng.randint(1, 2))
+        else:
+            mods[at + rng.randint(0, 1)] = FpModule.free(R, 1)
+        diffs = [FpMorphism.zero(mods[k + 1], mods[k]) for k in range(length - 1)]
+        if roll < 0.8:
+            d = FpMorphism.identity(mods[at])
+            diffs[at] = d.scale(rng.choice(scalars)) if roll < 0.5 else d
+        pieces.append(ChainComplex(R, mods, diffs))
+    return conjugate_complex(rng, complex_direct_sum(pieces))
+
+
+def test_rank_certificate_locates_polynomial_torsion():
+    R = polynomial_ring(GF(5))
+    rng = random.Random(13)
+    seen = set()
+    for _ in range(40):
+        C = _poly_line(rng, R, rng.randint(2, 4))
+        if not _certificate_matches_witness(C):
+            seen.update(free_line_homology(C)[2])
+    assert {(0, 1), (1, 1), (0, 0, 1)} <= seen
 
 
 def _with_diffs(C, mats):
@@ -215,9 +254,9 @@ def test_rank_certificate_without_u_and_v_matches_witness():
             for L, origin in lines:
                 exact = free_line_exact(L)
                 assert all(d.mat._snf is None for d in L.diffs)  # no U or V was built
-                ok = acyclicity_witness(L, "fp").ok
+                ok = acyclicity_witness(L).ok
                 assert exact == ok
-                if origin is not None and acyclicity_witness(origin, "fp").ok:
+                if origin is not None and acyclicity_witness(origin).ok:
                     assert not ok
                 for d in L.diffs:
                     smith(d.mat)

@@ -3,6 +3,8 @@ import random
 
 import pytest
 
+from binmc import matrix
+from binmc.complexes import acyclicity_witness
 from binmc.errors import NotAcyclic, ShapeError
 from binmc.fpmod import FpModule, FpMorphism
 from binmc.gen import (conjugate_multicomplex, random_diagonal_multicomplex,
@@ -16,7 +18,9 @@ from binmc.multicomplex import (BinaryMulticomplex, BinaryTower, MultiMorphism,
                                 rediagonalize, shift, shift_morphism,
                                 summand_inclusion, summand_projection,
                                 validate)
-from binmc.rings import GF, QQ, ZZ
+from binmc.rings import GF, QQ, ZZ, polynomial_ring
+
+F5X = polynomial_ring(GF(5))
 
 
 def _square_free(ring, a00, a01, a10, a11):
@@ -67,6 +71,70 @@ def test_free_mode_requires_free_objects():
     assert not report.ok and report.first().kind == "free"
 
 
+def _scaled_free_inputs(seed, per_ring):
+    """Free multicomplexes over the four rings, each with one differential
+    scaled: by a non-unit of the ring (0, 2 or 6 over ZZ, 0 over the fields,
+    0, 1 + x or x^2 over F5[x]), which may leave homology, or by a unit,
+    which leaves every line exact."""
+    rng = random.Random(seed)
+    for ring, scalars in ((ZZ, [2, 6, 0, -1]), (GF(7), [0, 3]), (QQ, [0, 2]),
+                          (F5X, [(1, 1), (0, 0, 1), F5X.zero, (2,)])):
+        for _ in range(per_ring):
+            M = random_multicomplex(rng, ring, rng.randint(1, 2), length=3, max_rank=2)
+            tops, bots = dict(M.tops), dict(M.bots)
+            fam = rng.choice((tops, bots))
+            key = rng.choice(sorted(fam))
+            c = rng.choice(scalars)
+            fam[key] = fam[key].scale(ring.from_int(c) if isinstance(c, int) else c)
+            yield BinaryMulticomplex(ring, M.dim, M.shape, M.objects, tops, bots)
+
+
+def test_free_line_failures_match_the_witness():
+    # validate locates a failing free line by invariant factors; the witness,
+    # run here on every line that composes to zero, must name the same
+    # coordinate and write the same detail
+    located = {}
+    for M in _scaled_free_inputs(61, 15):
+        expected = []
+        for axis in range(M.dim):
+            for rest in sorted(M.rest_coords(axis)):
+                for which in ("top", "bottom"):
+                    line = M.line(axis, rest, which)
+                    if any(not (line.diffs[k] @ line.diffs[k + 1]).is_zero()
+                           for k in range(line.length - 2)):
+                        continue
+                    out = acyclicity_witness(line)
+                    if not out.ok:
+                        coord = rest[:axis] + (out.failing_degree,) + rest[axis:]
+                        expected.append(("line", which, axis, coord, out.describe()))
+        report = validate(M, "free")
+        assert report == validate(M, "fp")
+        got = [(f.kind, f.family, f.axis, f.coord, f.detail)
+               for f in report.failures if f.kind == "line"]
+        assert got == expected
+        located[M.ring.kind] = located.get(M.ring.kind, 0) + len(got)
+    assert len(located) == 4 and min(located.values()) > 0, located
+
+
+def test_validate_of_broken_free_inputs_needs_no_full_smith_form(monkeypatch):
+    # free lines are decided and located from invariant factors, which need
+    # no U or V; squares and composites of free maps compare matrices
+    eliminate, counts = matrix._eliminate, {True: 0, False: 0}
+
+    def counted(A, full):
+        counts[full] += 1
+        return eliminate(A, full)
+
+    inputs = list(_scaled_free_inputs(62, 6))
+    monkeypatch.setattr(matrix, "_eliminate", counted)
+    line_failures = 0
+    for M in inputs:
+        report = validate(M, "free")
+        line_failures += sum(f.kind == "line" for f in report.failures)
+    assert line_failures > 0
+    assert counts[True] == 0 and counts[False] > 0, counts
+
+
 def test_validate_reports_line_failure():
     free1 = FpModule.free(ZZ, 1)
     good = FpMorphism.identity(free1)
@@ -77,7 +145,7 @@ def test_validate_reports_line_failure():
     failure = report.first()
     assert failure.kind == "line" and failure.family == "top"
 
-    # free lines the rank certificate rejects still get the witness's report
+    # free lines are located by invariant factors, in the witness's words
     two = FpMorphism(free1, free1, Matrix.from_int_rows(ZZ, [[2]]), _trusted=True)
     cases = [
         ([free1, free1], [two], [good], "top", (0,),

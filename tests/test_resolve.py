@@ -111,7 +111,19 @@ def test_delta_ladder_identities():
     eps = [mor(Q, terms[k + 1], rows) for k, rows in enumerate(
         [[[1, 0], [0, 1]], [[1, 1], [0, 1]], [[2, 0], [1, 1]]])]
     ladder = DeltaLadder(eps, tops, bots)
-    assert ladder.identities_hold()
+
+    def alternating(outer, inner, k, l):
+        # outer_{k-l+1} o inner_{k-l+2} o ... o eps_k, ending in outer_k when l is odd
+        f = eps[k]
+        for i in range(l):
+            f = (outer if (l - 1 - i) % 2 == 0 else inner)[k - i] @ f
+        return f
+
+    lags = {(k, l) for k in range(1, len(eps)) for l in range(1, k + 1)}
+    assert set(ladder.delta) == set(ladder.delta_prime) == lags
+    for k, l in sorted(lags):
+        assert ladder.delta[(k, l)].equals(alternating(tops, bots, k, l)), (k, l)
+        assert ladder.delta_prime[(k, l)].equals(alternating(bots, tops, k, l)), (k, l)
     want = (tops[1] @ (bots[2] @ eps[2])).components[()]
     assert ladder.delta[(2, 2)].components[()].equals(want)
     want_p = (bots[1] @ (tops[2] @ eps[2])).components[()]
