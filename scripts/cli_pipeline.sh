@@ -1,11 +1,13 @@
 #!/usr/bin/env bash
 # The command line pipeline, each step in a fresh `python -m binmc` process:
-# gen --fp, check, resolve-multi, recheck, cofinalize, recheck, each expected
-# to exit 0; then a non-integer BINMC_SEED, expected to exit 2 with a located
-# input error; check of a free line that is not exact (Z -2-> Z), expected to
-# exit 1 and name the homology; and represent-diagonal of a class whose
-# coefficient is over the cap, expected to exit 2.  Run from the root of a
-# checkout:
+# gen --fp, check, resolve-multi, recheck, cofinalize, check, recheck, each
+# expected to exit 0, where recheck of the resolution bundle must print the
+# verdict lines of resolve-multi and recheck of the complement those of
+# check; then a non-integer BINMC_SEED, expected to exit 2 with a located
+# input error; gen --max-rank 0, expected to exit 2 naming --max-rank; check
+# of a free line that is not exact (Z -2-> Z), expected to exit 1 and name
+# the homology; and represent-diagonal of a class whose coefficient is over
+# the cap, expected to exit 2.  Run from the root of a checkout:
 #
 #     bash scripts/cli_pipeline.sh
 set -euo pipefail
@@ -26,14 +28,26 @@ expect() {
     echo "exit $got: $*"
 }
 
+# the last step printed the same verdict lines as the step saved in $1
+same_verdicts() {
+    cmp -s "$1" out.txt || { echo "verdict lines differ from $1:" >&2; diff "$1" out.txt >&2; exit 1; }
+}
+
 expect 0 python -m binmc gen --seed 0 --dim 2 --fp --out m.json
 expect 0 python -m binmc check m.json
 expect 0 python -m binmc resolve-multi m.json --out res.json
+cp out.txt made.txt
 expect 0 python -m binmc recheck res.json
+same_verdicts made.txt
 expect 0 python -m binmc cofinalize m.json --direction 0 --out T.json
+expect 0 python -m binmc check T.json
+cp out.txt made.txt
 expect 0 python -m binmc recheck T.json
+same_verdicts made.txt
 expect 2 env BINMC_SEED=abc python -m binmc check m.json
 grep -q "^input error: BINMC_SEED: " err.txt || { cat err.txt >&2; exit 1; }
+expect 2 python -m binmc gen --max-rank 0
+grep -q "^input error: --max-rank: " err.txt || { cat err.txt >&2; exit 1; }
 
 # one free object per degree of a dim-1 ZZ line, with the scalar $1 as both
 # differentials

@@ -6,6 +6,14 @@ full machine-readable report can be written with --report; generated
 artifacts (multicomplexes, resolution bundles, relation chains) go to --out
 so they can be fed back into `recheck` or `verify-chain`.
 
+Each document kind has one verdict function, shared by `recheck` and the
+command that makes the document, so `recheck` prints that command's verdict
+names and details: those of `check` for a multicomplex, `snf` for a matrix,
+`resolve`/`resolve-multi` for a resolution, `verify-chain` for a chain, and
+the `certificate` of `represent-diagonal` for a class.  A validation failure
+is worded by `ValidationFailure.__str__` alone, as in `line failure, top
+family, axis 0, at (0,): homology at degree 0: free rank 0, torsion [2]`.
+
 Exit status: 0 when every verdict passes, 1 on a verification failure
 (including refused preconditions such as a non-acyclic input), 2 on input
 errors (unreadable files, malformed documents, bad arguments, a BINMC_SEED
@@ -113,28 +121,73 @@ def _describe_axes(axes) -> str:
     return ", ".join(str(a) for a in axes) if axes else "none"
 
 
+def _load(args, parse):
+    """(object, report): args.file parsed by parse, and a fresh report for args.command."""
+    doc = _read_doc(args.file)
+    return parse(doc), _new_report(args.command, digest(doc), args.seed)
+
+
+# -- verdicts, one function per document kind, shared with recheck ------------
+
+
+def _multicomplex_verdicts(report: dict, M):
+    rep = validate(M, "fp")
+    _verdict(report, "validates", rep.ok,
+             f"dim {M.dim}, shape {list(M.shape)}" if rep.ok else str(rep.first()))
+    _verdict(report, "diagonal-directions", True,
+             _describe_axes(diagonality_report(M).directions))
+
+
+def _matrix_verdicts(report: dict, A):
+    """Returns the Smith decomposition it checked."""
+    dec = smith(A)
+    diag_ok = all(A.ring.is_zero(dec.S.get(i, j))
+                  for i in range(dec.S.rows) for j in range(dec.S.cols) if i != j)
+    _verdict(report, "decomposition", dec.U @ A @ dec.V == dec.S, "U * A * V equals S")
+    _verdict(report, "diagonal-form", diag_ok, f"rank {dec.rank}")
+    return dec
+
+
+def _resolution_verdicts(report: dict, res):
+    rep = verify_resolution(res)
+    _verdict(report, "resolution-verifies", rep.ok,
+             f"cover shape {list(res.P.shape)}, diagonal axes kept: "
+             f"{_describe_axes(res.diagonal_axes)}" if rep.ok else str(rep.first()))
+
+
+def _chain_verdicts(report: dict, chain):
+    rep = verify_chain(chain)
+    where = "global" if rep.step is None else f"step {rep.step}"
+    _verdict(report, "chain-verifies", rep.ok,
+             f"{len(chain.steps)} steps" if rep.ok else f"{where}: {rep.reason}")
+
+
+def _class_verdicts(report: dict, cls) -> bool:
+    """Returns whether the class is certified."""
+    x, wits = cls
+    cert = tn_membership_certificate(x, wits)
+    _verdict(report, "certificate", cert.ok, cert.reason or f"{len(wits)} generators")
+    return cert.ok
+
+
+_VERDICTS = {MULTICOMPLEX_SCHEMA: _multicomplex_verdicts,
+             MATRIX_SCHEMA: _matrix_verdicts,
+             RESOLUTION_SCHEMA: _resolution_verdicts,
+             CHAIN_SCHEMA: _chain_verdicts,
+             CLASS_SCHEMA: _class_verdicts}
+
+
 # -- subcommands -------------------------------------------------------------
 
 
 def cmd_check(args) -> int:
-    doc = _read_doc(args.file)
-    M = multicomplex_from_doc(doc)
-    report = _new_report("check", digest(doc), args.seed)
-    rep = validate(M, "fp")
-    detail = f"dim {M.dim}, shape {list(M.shape)}"
-    if not rep.ok:
-        f = rep.first()
-        detail = f"{f.kind} failure ({f.family}) axis {f.axis} at {f.coord}: {f.detail}"
-    _verdict(report, "validates", rep.ok, detail)
-    diag = diagonality_report(M)
-    _verdict(report, "diagonal-directions", True, _describe_axes(diag.directions))
+    M, report = _load(args, multicomplex_from_doc)
+    _multicomplex_verdicts(report, M)
     return _emit(report, args)
 
 
 def cmd_homology(args) -> int:
-    doc = _read_doc(args.file)
-    M = multicomplex_from_doc(doc)
-    report = _new_report("homology", digest(doc), args.seed)
+    M, report = _load(args, multicomplex_from_doc)
     if M.dim == 0:
         _verdict(report, "degenerate", True, "dimension 0, no lines to check")
         return _emit(report, args)
@@ -154,15 +207,8 @@ def cmd_homology(args) -> int:
 
 
 def cmd_snf(args) -> int:
-    doc = _read_doc(args.file)
-    A = matrix_from_document(doc)
-    report = _new_report("snf", digest(doc), args.seed)
-    dec = smith(A)
-    product_ok = dec.U @ A @ dec.V == dec.S
-    diag_ok = all(A.ring.is_zero(dec.S.get(i, j))
-                  for i in range(dec.S.rows) for j in range(dec.S.cols) if i != j)
-    _verdict(report, "decomposition", product_ok, "U * A * V equals S")
-    _verdict(report, "diagonal-form", diag_ok, f"rank {dec.rank}")
+    A, report = _load(args, matrix_from_document)
+    dec = _matrix_verdicts(report, A)
     to = A.ring.element_to_doc
     report["witnesses"] = {
         "U": matrix_to_doc(dec.U), "S": matrix_to_doc(dec.S),
@@ -171,17 +217,10 @@ def cmd_snf(args) -> int:
     return _emit(report, args)
 
 
-def _run_resolution(args, command, resolver) -> int:
-    doc = _read_doc(args.file)
-    M = multicomplex_from_doc(doc)
-    report = _new_report(command, digest(doc), args.seed)
+def _run_resolution(args, resolver) -> int:
+    M, report = _load(args, multicomplex_from_doc)
     res = resolver(M, check=False)
-    rep = verify_resolution(res)
-    detail = (f"cover shape {list(res.P.shape)}, diagonal axes kept: "
-              f"{_describe_axes(res.diagonal_axes)}")
-    if not rep.ok:
-        detail = str(rep.first())
-    _verdict(report, "resolution-verifies", rep.ok, detail)
+    _resolution_verdicts(report, res)
     bundle = resolution_to_doc(res)
     report["witnesses"] = {"resolution": bundle}
     if args.out:
@@ -190,17 +229,15 @@ def _run_resolution(args, command, resolver) -> int:
 
 
 def cmd_resolve(args) -> int:
-    return _run_resolution(args, "resolve", resolve_binary)
+    return _run_resolution(args, resolve_binary)
 
 
 def cmd_resolve_multi(args) -> int:
-    return _run_resolution(args, "resolve-multi", resolve_multi)
+    return _run_resolution(args, resolve_multi)
 
 
 def cmd_cofinalize(args) -> int:
-    doc = _read_doc(args.file)
-    M = multicomplex_from_doc(doc)
-    report = _new_report("cofinalize", digest(doc), args.seed)
+    M, report = _load(args, multicomplex_from_doc)
     i = args.direction
     if not 0 <= i < M.dim:
         raise ParseError(f"direction {i} is not an axis of a {M.dim}-dimensional input",
@@ -224,21 +261,15 @@ def cmd_cofinalize(args) -> int:
 
 
 def cmd_represent_diagonal(args) -> int:
-    doc = _read_doc(args.file)
-    x, wits = class_from_document(doc)
-    report = _new_report("represent-diagonal", digest(doc), args.seed)
+    (x, wits), report = _load(args, class_from_document)
     ring = ring_from_name(args.ring) if args.ring else (x.ring or ZZ)
-    cert = tn_membership_certificate(x, wits)
-    _verdict(report, "certificate", cert.ok, cert.reason or f"{len(wits)} generators")
-    if not cert.ok:
+    if not _class_verdicts(report, (x, wits)):
         return _emit(report, args)
     t, chain = diagonal_represent(x, wits, i=args.direction, ring=ring)
     i_used = args.direction
     if i_used is None:
         i_used = wits[0] if wits else 0
-    rep = verify_chain(chain)
-    _verdict(report, "chain-verifies", rep.ok,
-             rep.reason if not rep.ok else f"{len(chain.steps)} steps")
+    _chain_verdicts(report, chain)
     _verdict(report, "result-diagonal", t.is_diagonal_in(i_used),
              f"direction {i_used}, shape {list(t.shape)}")
     cdoc = chain_to_doc(chain)
@@ -249,22 +280,13 @@ def cmd_represent_diagonal(args) -> int:
 
 
 def cmd_verify_chain(args) -> int:
-    doc = _read_doc(args.file)
-    chain = chain_from_doc(doc)
-    report = _new_report("verify-chain", digest(doc), args.seed)
-    rep = verify_chain(chain)
-    detail = f"{len(chain.steps)} steps"
-    if not rep.ok:
-        where = "global" if rep.step is None else f"step {rep.step}"
-        detail = f"{where}: {rep.reason}"
-    _verdict(report, "chain-verifies", rep.ok, detail)
+    chain, report = _load(args, chain_from_doc)
+    _chain_verdicts(report, chain)
     return _emit(report, args)
 
 
 def cmd_torsion(args) -> int:
-    doc = _read_doc(args.file)
-    M = multicomplex_from_doc(doc)
-    report = _new_report("torsion", digest(doc), args.seed)
+    M, report = _load(args, multicomplex_from_doc)
     if M.dim != 1:
         raise ParseError(f"torsion needs a 1-dimensional input, got dimension {M.dim}",
                          "torsion")
@@ -277,6 +299,10 @@ def cmd_torsion(args) -> int:
 
 def cmd_gen(args) -> int:
     ring = ring_from_name(args.ring)
+    if args.dim < 0:
+        raise ParseError(f"dimension {args.dim} is negative", "--dim")
+    if args.max_rank < 1:
+        raise ParseError(f"max rank {args.max_rank} is below 1", "--max-rank")
     for a in args.diagonal:
         if not 0 <= a < args.dim:
             raise ParseError(f"diagonal axis {a} is not an axis in dimension {args.dim}",
@@ -299,32 +325,8 @@ def cmd_gen(args) -> int:
 
 
 def cmd_recheck(args) -> int:
-    doc = _read_doc(args.file)
-    schema, obj = parse_any(doc)
-    report = _new_report("recheck", digest(doc), args.seed)
-    if schema == MULTICOMPLEX_SCHEMA:
-        rep = validate(obj, "fp")
-        detail = "" if rep.ok else str(rep.first())
-        _verdict(report, "validates", rep.ok, detail)
-        _verdict(report, "diagonal-directions", True,
-                 _describe_axes(diagonality_report(obj).directions))
-    elif schema == MATRIX_SCHEMA:
-        dec = smith(obj)
-        _verdict(report, "decomposition", dec.U @ obj @ dec.V == dec.S,
-                 f"rank {dec.rank}")
-    elif schema == RESOLUTION_SCHEMA:
-        rep = verify_resolution(obj)
-        _verdict(report, "resolution-verifies", rep.ok,
-                 "" if rep.ok else str(rep.first()))
-    elif schema == CHAIN_SCHEMA:
-        rep = verify_chain(obj)
-        _verdict(report, "chain-verifies", rep.ok,
-                 "" if rep.ok else f"step {rep.step}: {rep.reason}")
-    elif schema == CLASS_SCHEMA:
-        x, wits = obj
-        cert = tn_membership_certificate(x, wits)
-        _verdict(report, "certificate", cert.ok,
-                 cert.reason or f"{len(wits)} generators")
+    (schema, obj), report = _load(args, parse_any)
+    _VERDICTS[schema](report, obj)
     return _emit(report, args)
 
 

@@ -25,8 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import (CertificateError, MembershipRefusal, NotAcyclic,
-                     NotDiagonal, ShapeError)
+from .errors import CertificateError, MembershipRefusal, NotDiagonal, ShapeError
 from .extension import split_extension
 from .fpmod import FpModule
 from .kgroups import (DiagonalStep, FormalClass, RelationChain, SesStep,
@@ -177,11 +176,7 @@ def _pair_complement(N1: BinaryMulticomplex, N2: BinaryMulticomplex) -> BinaryMu
 def _check_input(N: BinaryMulticomplex):
     """Refuse an input the construction cannot take: non-free or invalid."""
     _require_free_objects(N, "complement")
-    report = validate(N, "free")
-    if not report.ok:
-        f = report.first()
-        raise NotAcyclic(f"complement needs a valid multicomplex ({f.kind}, "
-                         f"{f.family} family, axis {f.axis}, {f.coord})")
+    validate(N, "free").require("complement needs a valid multicomplex")
 
 
 def complement(N: BinaryMulticomplex, i: int) -> BinaryMulticomplex:
@@ -204,10 +199,7 @@ def complement(N: BinaryMulticomplex, i: int) -> BinaryMulticomplex:
 
 def _check_complement(N: BinaryMulticomplex, i: int, T: BinaryMulticomplex):
     """Check every promise the construction makes; raise on any failure."""
-    report = validate(T, "free")
-    if not report.ok:
-        f = report.first()
-        raise NotAcyclic(f"constructed complement is invalid ({f.kind} at {f.coord})")
+    validate(T, "free").require("constructed complement is invalid")
     if not T.is_diagonal_in(i):
         raise NotDiagonal(f"constructed complement is not diagonal in direction {i}")
     for j in N.diagonal_directions() - {i}:

@@ -13,9 +13,9 @@ from typing import Optional
 
 from .errors import ShapeError
 from .fpmod import check_ses
-from .multicomplex import (BinaryMulticomplex, MultiMorphism, box_coords,
-                           common_shape, direct_sum_multi, pad_to,
-                           summand_inclusion, summand_projection)
+from .multicomplex import (BinaryMulticomplex, MultiMorphism,
+                           block_identity_morphism, box_coords, common_shape,
+                           direct_sum_multi, pad_to)
 
 
 @dataclass(frozen=True)
@@ -61,11 +61,12 @@ class ExtensionObject:
 def split_extension(sub: BinaryMulticomplex, quot: BinaryMulticomplex) -> ExtensionObject:
     """The direct-sum extension sub >-> sub (+) quot ->> quot."""
     shape = common_shape([sub, quot])
-    sub_p, quot_p = pad_to(sub, shape), pad_to(quot, shape)
+    sub, quot = pad_to(sub, shape), pad_to(quot, shape)
     total = direct_sum_multi([sub, quot])
-    mono = summand_inclusion([sub, quot], 0)
-    epi = summand_projection([sub, quot], 1)
-    return ExtensionObject(sub_p, total, quot_p, mono, epi)
+    atoms = [(0, sub), (1, quot)]
+    mono = block_identity_morphism(atoms[:1], atoms, {(0, 0)}, sub, total)
+    epi = block_identity_morphism(atoms, atoms[1:], {(1, 1)}, total, quot)
+    return ExtensionObject(sub, total, quot, mono, epi)
 
 
 def unpack(ext: ExtensionObject) -> dict:

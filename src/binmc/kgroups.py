@@ -259,10 +259,8 @@ def verify_chain(chain: RelationChain) -> ChainReport:
             return None
         report = validate(M)
         if not report.ok:
-            f = report.first()
             return ChainReport(False, where,
-                               f"referenced multicomplex is invalid ({f.kind}, "
-                               f"{f.family} family, axis {f.axis}, {f.coord})")
+                               f"referenced multicomplex is invalid: {report.first()}")
         seen.add(key)
         return None
 
@@ -350,11 +348,7 @@ def torsion(M: BinaryMulticomplex):
     """
     if M.dim != 1:
         raise ShapeError("torsion is defined for one-dimensional complexes")
-    report = validate(M, "free")
-    if not report.ok:
-        f = report.first()
-        raise NotAcyclic(f"torsion needs a valid complex of free modules "
-                         f"({f.kind}, {f.family} family, {f.coord})")
+    validate(M, "free").require("torsion needs a valid complex of free modules")
     ring = M.ring
     L = M.shape[0]
     if L == 0:

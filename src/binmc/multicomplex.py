@@ -33,8 +33,7 @@ from .complexes import (ChainComplex, acyclicity_witness, describe_homology,
                         free_line_homology)
 from .errors import NotAcyclic, ShapeError
 from .fpmod import (FpModule, FpMorphism, direct_sum_modules,
-                    factor_through_mono, kernel, split_inclusion,
-                    split_projection)
+                    factor_through_mono, kernel)
 from .matrix import Matrix, block_diag, column_space_basis, hstack, vstack
 from .rings import Ring
 
@@ -202,11 +201,18 @@ def diagonality_report(M: BinaryMulticomplex) -> DiagonalityReport:
 
 @dataclass(frozen=True)
 class ValidationFailure:
-    kind: str  # "composite" | "line" | "square"
+    kind: str  # "free" | "composite" | "line" | "square"
     family: str
     axis: int
     coord: tuple
     detail: str = ""
+
+    def __str__(self):
+        """The one wording of a failure, shared by every boundary that reports it."""
+        if self.kind == "free":
+            return f"object at {self.coord} is not free"
+        return (f"{self.kind} failure, {self.family} family, axis {self.axis}, "
+                f"at {self.coord}: {self.detail}")
 
 
 @dataclass(frozen=True)
@@ -216,6 +222,11 @@ class ValidationReport:
 
     def first(self) -> Optional[ValidationFailure]:
         return self.failures[0] if self.failures else None
+
+    def require(self, what: str):
+        """Raise NotAcyclic("what: first failure") unless the report is ok."""
+        if not self.ok:
+            raise NotAcyclic(f"{what}: {self.failures[0]}")
 
 
 def validate(M: BinaryMulticomplex, mode: str = "fp") -> ValidationReport:
@@ -467,35 +478,31 @@ def direct_sum_multi(multis) -> BinaryMulticomplex:
     ring, dim, shape = first.ring, first.dim, first.shape
     objects = {c: direct_sum_modules([m.objects[c] for m in multis]) for c in box_coords(shape)}
     tops, bots = {}, {}
-    for a in range(dim):
-        for c in box_coords(shape):
-            if c[a] < 1:
-                continue
-            tops[(a, c)] = FpMorphism(
-                objects[c], objects[_minus(c, a)],
-                block_diag(ring, [m.tops[(a, c)].mat for m in multis]), _trusted=True)
-            bots[(a, c)] = FpMorphism(
-                objects[c], objects[_minus(c, a)],
-                block_diag(ring, [m.bots[(a, c)].mat for m in multis]), _trusted=True)
+    for out, fams in ((tops, [m.tops for m in multis]), (bots, [m.bots for m in multis])):
+        for a in range(dim):
+            for c in box_coords(shape):
+                if c[a] >= 1:
+                    out[(a, c)] = FpMorphism(
+                        objects[c], objects[_minus(c, a)],
+                        block_diag(ring, [f[(a, c)].mat for f in fams]), _trusted=True)
     return BinaryMulticomplex(ring, dim, shape, objects, tops, bots)
 
 
 def summand_inclusion(multis, k: int) -> MultiMorphism:
-    shape = common_shape(multis)
-    padded = [pad_to(m, shape) for m in multis]
-    total = direct_sum_multi(multis)
-    return MultiMorphism(padded[k], total,
-                         {c: split_inclusion([m.objects[c] for m in padded], k)
-                          for c in box_coords(shape)})
+    atoms, total = _summands(multis)
+    return block_identity_morphism(atoms[k:k + 1], atoms, {(k, k)}, atoms[k][1], total)
 
 
 def summand_projection(multis, k: int) -> MultiMorphism:
+    atoms, total = _summands(multis)
+    return block_identity_morphism(atoms, atoms[k:k + 1], {(k, k)}, total, atoms[k][1])
+
+
+def _summands(multis):
+    """The summands padded to one box and tagged by position, and their direct sum."""
     shape = common_shape(multis)
-    padded = [pad_to(m, shape) for m in multis]
-    total = direct_sum_multi(multis)
-    return MultiMorphism(total, padded[k],
-                         {c: split_projection([m.objects[c] for m in padded], k)
-                          for c in box_coords(shape)})
+    atoms = [(t, pad_to(m, shape)) for t, m in enumerate(multis)]
+    return atoms, direct_sum_multi([m for _, m in atoms])
 
 
 def block_identity_morphism(src_atoms, tgt_atoms, routed, term_src, term_tgt) -> MultiMorphism:
@@ -638,11 +645,7 @@ def diagonal_embed(tw: Tower, axis: int, mode: str = "fp") -> BinaryMulticomplex
     NotAcyclic.
     """
     out = collapse_along(BinaryTower(tw.terms, tw.diffs, tw.diffs), axis)
-    report = validate(out, mode)
-    if not report.ok:
-        f = report.first()
-        raise NotAcyclic(f"diagonal embedding is not valid: {f.kind} failure at "
-                         f"axis {f.axis}, coordinate {f.coord}: {f.detail}")
+    validate(out, mode).require("diagonal embedding is not valid")
     return out
 
 

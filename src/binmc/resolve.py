@@ -41,7 +41,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import NotAcyclic, ShapeError
+from .errors import ShapeError
 from .fpmod import FpModule, FpMorphism, check_ses, free_cover, is_epi, kernel
 from .matrix import Matrix, block_diag, hstack, vstack
 from .multicomplex import (BinaryMulticomplex, BinaryTower, MultiMorphism, _insert,
@@ -351,19 +351,14 @@ def _resolve(M: BinaryMulticomplex, branch=None) -> ResolutionResult:
                             offset=offset, diagonal_axes=claimed, sect=sect, retr=retr)
 
 
-def _checked(M: BinaryMulticomplex):
-    report = validate(M, "fp")
-    if not report.ok:
-        f = report.first()
-        raise NotAcyclic(f"input is not a valid acyclic binary multicomplex: "
-                         f"{f.kind} failure at axis {f.axis}, coordinate {f.coord}")
+_INVALID_INPUT = "input is not a valid acyclic binary multicomplex"
 
 
 def resolve_multi(M: BinaryMulticomplex, check: bool = True) -> ResolutionResult:
     """Resolution in any dimension; staircase along a diagonal axis when one
     exists, doubled covers along the highest axis otherwise."""
     if check:
-        _checked(M)
+        validate(M, "fp").require(_INVALID_INPUT)
     return _resolve(M)
 
 
@@ -372,7 +367,7 @@ def resolve_binary(M: BinaryMulticomplex, check: bool = True) -> ResolutionResul
     if M.dim != 1:
         raise ShapeError("resolve_binary expects a one-dimensional input")
     if check:
-        _checked(M)
+        validate(M, "fp").require(_INVALID_INPUT)
     return _resolve(M, branch="ladder")
 
 

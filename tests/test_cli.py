@@ -5,7 +5,7 @@ from binmc import serialize as ser
 from binmc.cli import main, verdict_bytes
 from binmc.cofinal import MAX_COEFFICIENT_SUM, rel_class
 from binmc.gen import random_multicomplex, random_tn_class
-from binmc.kgroups import FormalClass
+from binmc.kgroups import FormalClass, RelationChain
 from binmc.matrix import Matrix
 from binmc.multicomplex import BinaryMulticomplex, direct_sum_multi
 from binmc.rings import ZZ
@@ -20,8 +20,9 @@ def _load(path):
     return json.loads(path.read_text(encoding="utf-8"))
 
 
-def _unit_complex(ring, u):
-    top = Matrix(ring, 1, 1, [ring.one])
+def _scalar_line(ring, t, u):
+    """R -t-> R in the top family and R -u-> R in the bottom one."""
+    top = Matrix(ring, 1, 1, [t])
     bot = Matrix(ring, 1, 1, [u])
     from binmc.fpmod import FpModule, FpMorphism
     m = FpModule.free(ring, 1)
@@ -125,7 +126,7 @@ def test_represent_diagonal_caps_the_coefficient_sum(tmp_path, capsys):
     # the fold behind the chain grows about as the cube of the coefficient
     # sum, so a class over the cap is an input error naming the entry that
     # crosses it, and a class exactly at the cap is still represented
-    one = _unit_complex(ZZ, ZZ.one)
+    one = _scalar_line(ZZ, ZZ.one, ZZ.one)
     two = direct_sum_multi([one, one])
     at_cap = FormalClass.of(one, MAX_COEFFICIENT_SUM - 5) + FormalClass.of(two, -5)
     cls = _write(tmp_path / "cap.json", ser.class_document(at_cap, [0, 0]))
@@ -161,13 +162,13 @@ def test_snf_reports_invariants(tmp_path):
 
 def test_torsion_pins_the_unit_convention(tmp_path):
     src = _write(tmp_path / "u.json",
-                 ser.multicomplex_to_doc(_unit_complex(ZZ, ZZ.from_int(-1))))
+                 ser.multicomplex_to_doc(_scalar_line(ZZ, ZZ.one, ZZ.from_int(-1))))
     rep = str(tmp_path / "rep.json")
     assert main(["torsion", src, "--report", rep]) == 0
     assert _load(tmp_path / "rep.json")["witnesses"]["torsion"] == "-1"
 
 
-def test_exit_codes(tmp_path):
+def test_exit_codes(tmp_path, capsys):
     good = str(tmp_path / "m.json")
     assert main(["gen", "--seed", "5", "--out", good]) == 0
 
@@ -183,6 +184,11 @@ def test_exit_codes(tmp_path):
 
     assert main(["check", str(tmp_path / "missing.json")]) == 2
     assert main(["gen", "--ring", "F9", "--out", str(tmp_path / "x.json")]) == 2
+    for flag, value in (("--dim", "-1"), ("--max-rank", "0"), ("--max-rank", "-2")):
+        capsys.readouterr()
+        assert main(["gen", flag, value, "--out", str(tmp_path / "x.json")]) == 2
+        assert capsys.readouterr().err.startswith(f"input error: {flag}: ")
+    assert not (tmp_path / "x.json").exists()
     assert main(["verify-chain", good]) == 2  # wrong schema
     assert main(["nonsense"]) == 2
 
@@ -197,6 +203,48 @@ def test_exit_codes(tmp_path):
     assert not all(m.is_free_presentation() for m in M.objects.values())
     fp = _write(tmp_path / "fp.json", ser.multicomplex_to_doc(M))
     assert main(["cofinalize", fp, "--direction", "0"]) == 1
+
+
+def _verdicts(tmp_path, argv):
+    report = tmp_path / "verdicts.json"
+    main(argv + ["--report", str(report)])
+    return [(v["name"], v["ok"], v["detail"]) for v in _load(report)["verdicts"]]
+
+
+def test_recheck_gives_the_producing_commands_verdicts(tmp_path):
+    def agree(doc, made):
+        assert _verdicts(tmp_path, ["recheck", doc]) == made
+        return made
+
+    m = str(tmp_path / "m.json")
+    assert main(["gen", "--seed", "3", "--dim", "2", "--fp", "--out", m]) == 0
+    assert agree(m, _verdicts(tmp_path, ["check", m]))[0][1]
+    two = _scalar_line(ZZ, ZZ.from_int(2), ZZ.from_int(2))
+    two = _write(tmp_path / "two.json", ser.multicomplex_to_doc(two))
+    assert agree(two, _verdicts(tmp_path, ["check", two]))[0] == (
+        "validates", False, "line failure, top family, axis 0, at (0,): "
+                            "homology at degree 0: free rank 0, torsion [2]")
+
+    A = Matrix(ZZ, 2, 2, [ZZ.from_int(v) for v in [2, 4, 6, 8]])
+    mat = _write(tmp_path / "mat.json", ser.matrix_document(A))
+    assert len(agree(mat, _verdicts(tmp_path, ["snf", mat]))) == 2
+
+    res = str(tmp_path / "res.json")
+    assert agree(res, _verdicts(tmp_path, ["resolve-multi", m, "--out", res]))[0][1]
+
+    x, wits = random_tn_class(random.Random(21), ZZ, 2, terms=2, length=2, max_rank=2)
+    cls = _write(tmp_path / "cls.json", ser.class_document(x, wits))
+    chain = str(tmp_path / "chain.json")
+    made = _verdicts(tmp_path, ["represent-diagonal", cls, "--out", chain])
+    assert agree(cls, made[:1])[0][:2] == ("certificate", True)
+    assert agree(chain, _verdicts(tmp_path, ["verify-chain", chain]))[0][1]
+
+    x, _ = random_tn_class(random.Random(22), ZZ, 1, terms=1, length=2, max_rank=1)
+    wrong = _write(tmp_path / "wrong.json",
+                   ser.chain_to_doc(RelationChain(x, [], FormalClass.zero(1))))
+    assert agree(wrong, _verdicts(tmp_path, ["verify-chain", wrong])) == [
+        ("chain-verifies", False,
+         "global: rewriting bookkeeping does not reach the declared end class")]
 
 
 def test_reports_are_byte_identical_on_same_seed(tmp_path):

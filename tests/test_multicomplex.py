@@ -4,11 +4,13 @@ import random
 import pytest
 
 from binmc import matrix
+from binmc.cofinal import complement
 from binmc.complexes import acyclicity_witness
 from binmc.errors import NotAcyclic, ShapeError
 from binmc.fpmod import FpModule, FpMorphism
 from binmc.gen import (conjugate_multicomplex, random_diagonal_multicomplex,
                        random_multicomplex)
+from binmc.kgroups import FormalClass, RelationChain, torsion, verify_chain
 from binmc.matrix import Matrix
 from binmc.multicomplex import (BinaryMulticomplex, BinaryTower, MultiMorphism,
                                 Tower, box_coords, collapse_along,
@@ -18,6 +20,7 @@ from binmc.multicomplex import (BinaryMulticomplex, BinaryTower, MultiMorphism,
                                 rediagonalize, shift, shift_morphism,
                                 summand_inclusion, summand_projection,
                                 validate)
+from binmc.resolve import resolve_multi, verify_resolution
 from binmc.rings import GF, QQ, ZZ, polynomial_ring
 
 F5X = polynomial_ring(GF(5))
@@ -164,6 +167,52 @@ def test_validate_reports_line_failure():
             assert (failure.kind, failure.family, failure.axis) == ("line", family, 0)
             assert failure.coord == coord
             assert failure.detail == detail
+
+
+def _two_line():
+    """Z -2-> Z in both families: free, diagonal, and not exact at degree 0."""
+    free1 = FpModule.free(ZZ, 1)
+    two = FpMorphism(free1, free1, Matrix.from_int_rows(ZZ, [[2]]), _trusted=True)
+    return BinaryMulticomplex.from_binary_chain(ZZ, [free1, free1], [two], [two])
+
+
+def _raised(fn, *args):
+    with pytest.raises(NotAcyclic) as info:
+        fn(*args)
+    return str(info.value)
+
+
+def _embedded_two_tower(M):
+    point = BinaryMulticomplex.of_module(M.objects[(0,)])
+    tower = Tower((point, point), (MultiMorphism(point, point, {(): M.tops[(0, (1,))]}),))
+    return _raised(diagonal_embed, tower, 0), M, "fp"
+
+
+def _kernel_invalid(M):
+    res = resolve_multi(M, check=False)
+    message, = [f for f in verify_resolution(res).failures if f.startswith("kernel invalid: ")]
+    return message, res.Pprime, "free"
+
+
+# each boundary: (message, the multicomplex it validated, the mode it used)
+BOUNDARIES = {
+    "resolve_multi": lambda M: (_raised(resolve_multi, M), M, "fp"),
+    "complement": lambda M: (_raised(complement, M, 0), M, "free"),
+    "torsion": lambda M: (_raised(torsion, M), M, "free"),
+    "diagonal_embed": _embedded_two_tower,
+    "verify_chain": lambda M: (verify_chain(RelationChain(FormalClass.of(M), [],
+                                                          FormalClass.of(M))).reason, M, "fp"),
+    "verify_resolution": _kernel_invalid,
+}
+
+
+@pytest.mark.parametrize("boundary", sorted(BOUNDARIES))
+def test_every_boundary_words_a_validation_failure_alike(boundary):
+    message, checked, mode = BOUNDARIES[boundary](_two_line())
+    failure = str(validate(checked, mode).first())
+    assert failure == ("line failure, top family, axis 0, at (0,): "
+                       "homology at degree 0: free rank 0, torsion [2]")
+    assert message.endswith(": " + failure)
 
 
 def test_validate_reports_composite_failure():
