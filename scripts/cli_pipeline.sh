@@ -4,10 +4,11 @@
 # expected to exit 0, where recheck of the resolution bundle must print the
 # verdict lines of resolve-multi and recheck of the complement those of
 # check; then a non-integer BINMC_SEED, expected to exit 2 with a located
-# input error; gen --max-rank 0, expected to exit 2 naming --max-rank; check
-# of a free line that is not exact (Z -2-> Z), expected to exit 1 and name
-# the homology; and represent-diagonal of a class whose coefficient is over
-# the cap, expected to exit 2.  Run from the root of a checkout:
+# input error; gen --max-rank 0 and gen --length 1, each expected to exit 2
+# naming its option; check and homology of a free line that is not exact
+# (Z -2-> Z), each expected to exit 1 and name the homology at degree 0; and
+# represent-diagonal of a class whose coefficient is over the cap, expected to
+# exit 2.  Run from the root of a checkout:
 #
 #     bash scripts/cli_pipeline.sh
 set -euo pipefail
@@ -48,6 +49,8 @@ expect 2 env BINMC_SEED=abc python -m binmc check m.json
 grep -q "^input error: BINMC_SEED: " err.txt || { cat err.txt >&2; exit 1; }
 expect 2 python -m binmc gen --max-rank 0
 grep -q "^input error: --max-rank: " err.txt || { cat err.txt >&2; exit 1; }
+expect 2 python -m binmc gen --length 1
+grep -q "^input error: --length: " err.txt || { cat err.txt >&2; exit 1; }
 
 # one free object per degree of a dim-1 ZZ line, with the scalar $1 as both
 # differentials
@@ -61,6 +64,8 @@ line() {
 line 2 >two.json
 expect 1 python -m binmc check two.json
 grep -q "homology at degree 0: free rank 0, torsion \[2\]" out.txt || { cat out.txt >&2; exit 1; }
+expect 1 python -m binmc homology two.json
+grep -q "homology at degree 0" out.txt || { cat out.txt >&2; exit 1; }
 echo '{"dim":1,"entries":[{"coeff":17,"multicomplex":'"$(line 1)"'}],'\
 '"schema":"binmc.class/1","witnesses":[0]}' >over.json
 expect 2 python -m binmc represent-diagonal over.json

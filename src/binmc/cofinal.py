@@ -12,7 +12,9 @@ such that every rank of N (+) T is even.  When N is itself diagonal in some
 other direction j, T comes out diagonal in both i and j.  The recursion
 peels one axis off N, complements the image multicomplexes of the peeled
 differential, and reassembles the pieces into a two-layer shift complex
-whose differential is the identity block [[0,1],[0,0]] in both families.
+whose differential is the identity block [[0,1],[0,0]] in both families:
+the identity staircase of multicomplex.staircase_rows, the same one resolve
+covers a diagonal axis with.
 The input is checked once on entry and the output once on return; the
 recursion in between (_complement, _pair_complement) checks nothing.
 
@@ -30,10 +32,9 @@ from .extension import split_extension
 from .fpmod import FpModule
 from .kgroups import (DiagonalStep, FormalClass, RelationChain, SesStep,
                       tn_membership_certificate)
-from .multicomplex import (BinaryMulticomplex, BinaryTower,
-                           block_identity_morphism, collapse_along,
-                           common_shape, direct_sum_multi, expand_along,
-                           image_multicomplex, pad_to, validate)
+from .multicomplex import (BinaryMulticomplex, common_shape, expand_along,
+                           image_multicomplex, layered_sum, pad_to,
+                           staircase_rows, validate)
 from .rings import ZZ, Ring
 
 
@@ -107,35 +108,14 @@ def rel_class(N: BinaryMulticomplex) -> RelClass:
 
 
 def _shift_complex(pieces, axis: int, ring: Ring, dim: int) -> BinaryMulticomplex:
-    """Assemble layer m = pieces[m] (+) pieces[m-1] along a new axis.
-
-    The axis differential sends the second summand of layer m identically
-    onto the first summand of layer m-1 and kills the rest; it is used for
-    both families, so the result is diagonal in the new axis, its square is
-    zero blockwise, and every axis line is exact.  A final layer holding
-    only pieces[-1] in its second slot closes the complex at the top.
-    """
+    """The identity staircase (multicomplex.staircase_rows) on pieces padded
+    to one box: layer m is pieces[m] (+) pieces[m-1], diagonal and exact
+    along the new axis."""
     if not pieces:
         return BinaryMulticomplex.zero(ring, dim)
     rest_shape = common_shape(pieces)
-    padded = [pad_to(p, rest_shape) for p in pieces]
-    blank = pad_to(BinaryMulticomplex.zero(ring, dim - 1), rest_shape)
-    K = len(padded)
-
-    def piece(m):
-        return padded[m] if 0 <= m < K else blank
-
-    layers = list(range(K + 1))
-    terms = [direct_sum_multi([piece(m), piece(m - 1)]) for m in layers]
-    diffs = []
-    for m in range(1, K + 1):
-        src_atoms = [(("head", m), piece(m)), (("tail", m - 1), piece(m - 1))]
-        tgt_atoms = [(("head", m - 1), piece(m - 1)), (("tail", m - 2), piece(m - 2))]
-        routed = {(("head", m - 1), ("tail", m - 1))}
-        diffs.append(block_identity_morphism(src_atoms, tgt_atoms, routed,
-                                             terms[m], terms[m - 1]))
-    tower = BinaryTower(tuple(terms), tuple(diffs), tuple(diffs))
-    return collapse_along(tower, axis)
+    rows, route = staircase_rows([pad_to(p, rest_shape) for p in pieces])
+    return layered_sum(rows, route, route, axis)[0]
 
 
 def _complement(N: BinaryMulticomplex, i: int) -> BinaryMulticomplex:

@@ -21,7 +21,8 @@ shift_morphism and pad_morphism; each checks its arguments and makes one
 call into the core.  The kernel and image multicomplexes of a morphism, and
 the kernels that resolutions build from carried sections, share one
 restriction, _restrict, of both differential families through coordinatewise
-monos.
+monos.  layered_sum stacks direct sums along a new axis, and staircase_rows
+lays out the identity staircase that resolve and cofinal both build on.
 """
 from __future__ import annotations
 
@@ -635,6 +636,34 @@ def collapse_along(tw: BinaryTower, axis: int) -> BinaryMulticomplex:
             tops[(axis, c)] = tw.tops[t - 1].components[r]
             bots[(axis, c)] = tw.bots[t - 1].components[r]
     return BinaryMulticomplex(ring, rest_dim + 1, shape, objects, tops, bots)
+
+
+def layered_sum(rows, route_top, route_bot, axis: int):
+    """(M, terms): terms[j], the direct sum of the (tag, summand) atoms in
+    rows[j], stacked along a new axis of M.  Each family's differential into
+    layer j - 1 is the block_identity_morphism over its route[j], a morphism
+    of its own even where the two routes agree."""
+    terms = [direct_sum_multi([a for _, a in row]) for row in rows]
+    tops, bots = [], []
+    for j in range(1, len(rows)):
+        src, tgt = rows[j], rows[j - 1]
+        tops.append(block_identity_morphism(src, tgt, route_top[j], terms[j], terms[j - 1]))
+        bots.append(block_identity_morphism(src, tgt, route_bot[j], terms[j], terms[j - 1]))
+    tower = BinaryTower(tuple(terms), tuple(tops), tuple(bots))
+    return collapse_along(tower, axis), terms
+
+
+def staircase_rows(pieces):
+    """(rows, route) of the identity staircase on pieces X_0 .. X_{L-1}:
+    layer j holds ("lo", j) = X_j and ("hi", j - 1) = X_{j-1} where they
+    exist, and route[j] wires "hi" in layer j to "lo" in layer j - 1.  Fed to
+    layered_sum in both families, they give the sum of the two-layer
+    identity complexes X_j --1--> X_j, diagonal and exact along the axis."""
+    L = len(pieces)
+    rows = [[(("lo", j), pieces[j])] if j < L else [] for j in range(L + 1)]
+    for j in range(1, L + 1):
+        rows[j].append((("hi", j - 1), pieces[j - 1]))
+    return rows, {j: {(("lo", j - 1), ("hi", j - 1))} for j in range(1, L + 1)}
 
 
 def diagonal_embed(tw: Tower, axis: int, mode: str = "fp") -> BinaryMulticomplex:

@@ -11,10 +11,12 @@ sequence is re-graded to keep boxes nonnegative).
 
 Two constructions are used along the chosen axis.  For an axis where the two
 differentials agree, each cover summand is a two-layer identity complex
-("staircase"), so the cover is diagonal in that axis.  Otherwise each
-summand is a doubled complex whose top and bottom differentials are the
-shift patterns [[0,1],[0,0]] and [[0,0],[1,0]], glued to the target by an
-alternating ladder of composites of the two differentials.  Higher
+("staircase"), so the cover is diagonal in that axis; its layout is
+multicomplex.staircase_rows, the same one cofinal's shift complex uses.
+Otherwise each summand is a doubled complex whose top and bottom
+differentials are the shift patterns [[0,1],[0,0]] and [[0,0],[1,0]], glued
+to the target by an alternating ladder of composites of the two
+differentials.  Both covers are assembled by multicomplex.layered_sum.  Higher
 dimensions recurse: the epimorphism provider for an n-dimensional input is
 the (n-1)-dimensional resolution of its slices, and the base provider for
 modules is the free cover.
@@ -44,10 +46,10 @@ from dataclasses import dataclass
 from .errors import ShapeError
 from .fpmod import FpModule, FpMorphism, check_ses, free_cover, is_epi, kernel
 from .matrix import Matrix, block_diag, hstack, vstack
-from .multicomplex import (BinaryMulticomplex, BinaryTower, MultiMorphism, _insert,
-                           _origins, _rebox, _rebox_morphism, _restrict,
-                           block_identity_morphism, box_coords, collapse_along,
-                           direct_sum_multi, expand_along, pad_to, shift, validate)
+from .multicomplex import (BinaryMulticomplex, MultiMorphism, _insert, _origins,
+                           _rebox, _rebox_morphism, _restrict, box_coords,
+                           expand_along, layered_sum, pad_to, shift,
+                           staircase_rows, validate)
 
 
 class ResolutionResult:
@@ -176,24 +178,12 @@ def _module_resolution(M0: BinaryMulticomplex) -> ResolutionResult:
 
 
 def _staircase_tables(L, eps, big):
-    """Atom lists, projection pieces, and identity routings for the
-    two-layer covers along a diagonal axis (post-shift degrees 0..L)."""
-    n = L - 1
-    atoms, pieces = [], []
-    for j in range(L + 1):
-        row_atoms, row_pieces = [], []
-        if j <= n:
-            row_atoms.append(("lo", j))
-            row_pieces.append(big.tops[j] @ eps[j])
-        if j >= 1:
-            row_atoms.append(("hi", j - 1))
-            row_pieces.append(eps[j - 1])
-        atoms.append(row_atoms)
-        pieces.append(row_pieces)
-    route = {}
+    """Projection pieces onto the staircase_rows cover along a diagonal
+    axis (post-shift degrees 0..L)."""
+    pieces = [[big.tops[j] @ eps[j]] if j < L else [] for j in range(L + 1)]
     for j in range(1, L + 1):
-        route[j] = {(("lo", j - 1), ("hi", j - 1))}
-    return atoms, pieces, route, route
+        pieces[j].append(eps[j - 1])
+    return pieces
 
 
 def _ladder_tables(L, eps, ladder, big):
@@ -317,27 +307,18 @@ def _resolve(M: BinaryMulticomplex, branch=None) -> ResolutionResult:
     Q = [f.source for f in eps]
 
     if branch == "staircase":
-        atoms_tags, pieces, route_top, route_bot = _staircase_tables(L, eps, big)
+        rows, route = staircase_rows(Q)
+        route_top = route_bot = route
+        pieces = _staircase_tables(L, eps, big)
     else:
         ladder = DeltaLadder(eps, list(big.tops), list(big.bots))
-        atoms_tags, pieces, route_top, route_bot = _ladder_tables(L, eps, ladder, big)
-
-    def atom_of(tag):
-        return Q[tag[1]]
-
-    atom_rows = [[(tag, atom_of(tag)) for tag in row] for row in atoms_tags]
-    terms = [direct_sum_multi([a for _, a in row]) for row in atom_rows]
-    tower_tops, tower_bots = [], []
-    for j in range(1, L + 1):
-        tower_tops.append(block_identity_morphism(
-            atom_rows[j], atom_rows[j - 1], route_top[j], terms[j], terms[j - 1]))
-        tower_bots.append(block_identity_morphism(
-            atom_rows[j], atom_rows[j - 1], route_bot[j], terms[j], terms[j - 1]))
-    P = collapse_along(BinaryTower(tuple(terms), tuple(tower_tops), tuple(tower_bots)), axis)
+        tags, pieces, route_top, route_bot = _ladder_tables(L, eps, ladder, big)
+        rows = [[(tag, Q[tag[1]]) for tag in row] for row in tags]
+    P, terms = layered_sum(rows, route_top, route_bot, axis)
 
     zeta_comps, incls, sect, retr = {}, {}, {}, {}
     for j in range(L + 1):
-        layer = _assemble_zeta_component(atom_rows[j], pieces[j], terms[j], big.terms[j])
+        layer = _assemble_zeta_component(rows[j], pieces[j], terms[j], big.terms[j])
         for r, f in layer.items():
             c = _insert(r, axis, j)
             zeta_comps[c] = f

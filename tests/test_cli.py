@@ -4,10 +4,11 @@ import random
 from binmc import serialize as ser
 from binmc.cli import main, verdict_bytes
 from binmc.cofinal import MAX_COEFFICIENT_SUM, rel_class
+from binmc.fpmod import FpModule, FpMorphism
 from binmc.gen import random_multicomplex, random_tn_class
 from binmc.kgroups import FormalClass, RelationChain
 from binmc.matrix import Matrix
-from binmc.multicomplex import BinaryMulticomplex, direct_sum_multi
+from binmc.multicomplex import BinaryMulticomplex, direct_sum_multi, validate
 from binmc.rings import ZZ
 
 
@@ -24,7 +25,6 @@ def _scalar_line(ring, t, u):
     """R -t-> R in the top family and R -u-> R in the bottom one."""
     top = Matrix(ring, 1, 1, [t])
     bot = Matrix(ring, 1, 1, [u])
-    from binmc.fpmod import FpModule, FpMorphism
     m = FpModule.free(ring, 1)
     return BinaryMulticomplex(ring, 1, (2,), {(0,): m, (1,): m},
                               {(0, (1,)): FpMorphism(m, m, top)},
@@ -109,7 +109,6 @@ def test_represent_diagonal_refuses_bad_witnesses(tmp_path):
 
 def test_represent_diagonal_refuses_a_non_acyclic_generator(tmp_path, capsys):
     # Z --0--> Z in both families: diagonal in its witnessed axis, not acyclic
-    from binmc.fpmod import FpModule, FpMorphism
     m = FpModule.free(ZZ, 1)
     zero = {(0, (1,)): FpMorphism.zero(m, m)}
     line = BinaryMulticomplex(ZZ, 1, (2,), {(0,): m, (1,): m}, zero, dict(zero))
@@ -184,7 +183,8 @@ def test_exit_codes(tmp_path, capsys):
 
     assert main(["check", str(tmp_path / "missing.json")]) == 2
     assert main(["gen", "--ring", "F9", "--out", str(tmp_path / "x.json")]) == 2
-    for flag, value in (("--dim", "-1"), ("--max-rank", "0"), ("--max-rank", "-2")):
+    for flag, value in (("--dim", "-1"), ("--max-rank", "0"), ("--max-rank", "-2"),
+                        ("--length", "1"), ("--length", "0"), ("--length", "-2")):
         capsys.readouterr()
         assert main(["gen", flag, value, "--out", str(tmp_path / "x.json")]) == 2
         assert capsys.readouterr().err.startswith(f"input error: {flag}: ")
@@ -203,6 +203,21 @@ def test_exit_codes(tmp_path, capsys):
     assert not all(m.is_free_presentation() for m in M.objects.values())
     fp = _write(tmp_path / "fp.json", ser.multicomplex_to_doc(M))
     assert main(["cofinalize", fp, "--direction", "0"]) == 1
+
+
+def test_homology_reports_the_line_failures_of_validate(tmp_path):
+    # Z -2-> Z, Z -3-> Z is not exact; Z -1-> Z -1-> Z is not a complex
+    m = FpModule.free(ZZ, 1)
+    one = FpMorphism.identity(m)
+    broken = BinaryMulticomplex.from_binary_chain(ZZ, [m, m, m], [one, one], [one, one])
+    for M in (_scalar_line(ZZ, ZZ.from_int(2), ZZ.from_int(3)), broken):
+        src = _write(tmp_path / "line.json", ser.multicomplex_to_doc(M))
+        report = tmp_path / "report.json"
+        assert main(["homology", src, "--report", str(report)]) == 1
+        failures = validate(M).failures
+        assert [(v["name"], v["ok"], v["detail"]) for v in _load(report)["verdicts"]] == [
+            (f"axis-0-{which}", False, str(next(f for f in failures if f.family == which)))
+            for which in ("top", "bottom")]
 
 
 def _verdicts(tmp_path, argv):

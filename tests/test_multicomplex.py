@@ -13,13 +13,13 @@ from binmc.gen import (conjugate_multicomplex, random_diagonal_multicomplex,
 from binmc.kgroups import FormalClass, RelationChain, torsion, verify_chain
 from binmc.matrix import Matrix
 from binmc.multicomplex import (BinaryMulticomplex, BinaryTower, MultiMorphism,
-                                Tower, box_coords, collapse_along,
+                                Tower, box_coords, collapse_along, common_shape,
                                 diagonal_embed, diagonality_report,
                                 direct_sum_multi, expand_along,
-                                image_multicomplex, pad_morphism, pad_to,
-                                rediagonalize, shift, shift_morphism,
-                                summand_inclusion, summand_projection,
-                                validate)
+                                image_multicomplex, layered_sum, pad_morphism,
+                                pad_to, rediagonalize, shift, shift_morphism,
+                                staircase_rows, summand_inclusion,
+                                summand_projection, validate)
 from binmc.resolve import resolve_multi, verify_resolution
 from binmc.rings import GF, QQ, ZZ, polynomial_ring
 
@@ -309,6 +309,30 @@ def test_direct_sum_and_split_maps():
     composed = proj @ incl
     ident = MultiMorphism.identity(pad_to(A, S.shape))
     assert composed.equals(ident)
+
+
+def test_staircase_rows_give_a_diagonal_exact_layered_sum():
+    rng = random.Random(37)
+    z2 = FpModule(ZZ, 1, Matrix.from_int_rows(ZZ, [[2]]))
+    torsion_line = BinaryMulticomplex.from_binary_chain(
+        ZZ, [z2, z2], [FpMorphism.identity(z2)], [FpMorphism.identity(z2)])
+    cases = [[random_multicomplex(rng, ZZ, 1, length=3, max_rank=2, allow_fp=True)],
+             [random_multicomplex(rng, ZZ, 1, length=n, max_rank=2) for n in (2, 3, 2)],
+             [torsion_line],
+             [random_multicomplex(rng, F5X, 1, length=2, max_rank=2, allow_fp=True)]]
+    for pieces in cases:
+        pieces = [pad_to(p, common_shape(pieces)) for p in pieces]
+        rows, route = staircase_rows(pieces)
+        assert len(rows) == len(pieces) + 1
+        for axis in (0, 1):
+            M, terms = layered_sum(rows, route, route, axis)
+            assert validate(M, "fp").ok
+            assert M.is_diagonal_in(axis)
+            assert expand_along(M, axis).terms == tuple(terms)
+            for c in box_coords(M.shape):
+                j, r = c[axis], c[:axis] + c[axis + 1:]
+                assert M.objects[c].gens == sum(pieces[k].objects[r].gens
+                                                for k in (j, j - 1) if 0 <= k < len(pieces))
 
 
 def test_top_slice_and_diagonal_embed():
