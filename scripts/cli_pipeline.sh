@@ -3,10 +3,14 @@
 # gen --fp, check, resolve-multi, recheck, cofinalize, check, recheck, each
 # expected to exit 0, where recheck of the resolution bundle must print the
 # verdict lines of resolve-multi and recheck of the complement those of
-# check; then a non-integer BINMC_SEED, expected to exit 2 with a located
-# input error; gen --max-rank 0 and gen --length 1, each expected to exit 2
-# naming its option; check and homology of a free line that is not exact
-# (Z -2-> Z), each expected to exit 1 and name the homology at degree 0; and
+# check; gen --dim 1, then torsion, expected to exit 0 and print unit-torsion;
+# resolve --out (the doubled-cover ladder) and recheck, expected to exit 0
+# and print the same verdict lines; then a non-integer BINMC_SEED, expected
+# to exit 2 with a located input error; gen --max-rank 0 and gen --length 1,
+# each expected to exit 2 naming its option; check and homology of a free
+# line that is not exact (Z -2-> Z), each expected to exit 1 and name the
+# homology at degree 0; represent-diagonal --out of a class with coefficient
+# -3 and verify-chain of the chain it writes, each expected to exit 0; and
 # represent-diagonal of a class whose coefficient is over the cap, expected to
 # exit 2.  Run from the root of a checkout:
 #
@@ -45,6 +49,13 @@ expect 0 python -m binmc check T.json
 cp out.txt made.txt
 expect 0 python -m binmc recheck T.json
 same_verdicts made.txt
+expect 0 python -m binmc gen --seed 0 --dim 1 --out line.json
+expect 0 python -m binmc torsion line.json
+grep -q "unit-torsion" out.txt || { cat out.txt >&2; exit 1; }
+expect 0 python -m binmc resolve line.json --out res1.json
+cp out.txt made.txt
+expect 0 python -m binmc recheck res1.json
+same_verdicts made.txt
 expect 2 env BINMC_SEED=abc python -m binmc check m.json
 grep -q "^input error: BINMC_SEED: " err.txt || { cat err.txt >&2; exit 1; }
 expect 2 python -m binmc gen --max-rank 0
@@ -66,6 +77,10 @@ expect 1 python -m binmc check two.json
 grep -q "homology at degree 0: free rank 0, torsion \[2\]" out.txt || { cat out.txt >&2; exit 1; }
 expect 1 python -m binmc homology two.json
 grep -q "homology at degree 0" out.txt || { cat out.txt >&2; exit 1; }
+echo '{"dim":1,"entries":[{"coeff":-3,"multicomplex":'"$(line 1)"'}],'\
+'"schema":"binmc.class/1","witnesses":[0]}' >neg.json
+expect 0 python -m binmc represent-diagonal neg.json --out chain.json
+expect 0 python -m binmc verify-chain chain.json
 echo '{"dim":1,"entries":[{"coeff":17,"multicomplex":'"$(line 1)"'}],'\
 '"schema":"binmc.class/1","witnesses":[0]}' >over.json
 expect 2 python -m binmc represent-diagonal over.json

@@ -12,9 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import IllDefinedMorphism, ShapeError
-from .matrix import (Matrix, _smith_ext, _solve_prepared, block_diag,
+from .matrix import (Matrix, _smith_ext, _solve_prepared, block_diag, block_matrix,
                      column_space_basis, hstack, invariant_factors, kernel_basis,
-                     rank, solve, vstack)
+                     rank, solve)
 from .rings import Ring
 
 
@@ -303,26 +303,14 @@ def check_ses(i: FpMorphism, p: FpMorphism) -> SesVerdict:
 def split_inclusion(parts, k: int) -> FpMorphism:
     """parts[k] -> direct sum of parts."""
     parts = list(parts)
-    ring = parts[0].ring
-    total = direct_sum_modules(parts)
-    blocks = []
-    for t, m in enumerate(parts):
-        if t == k:
-            blocks.append(Matrix.identity(ring, m.gens))
-        else:
-            blocks.append(Matrix.zeros(ring, m.gens, parts[k].gens))
-    return FpMorphism(parts[k], total, vstack(blocks), _trusted=True)
+    ring, g = parts[0].ring, parts[k].gens
+    mat = block_matrix(ring, [m.gens for m in parts], [g], {(k, 0): Matrix.identity(ring, g)})
+    return FpMorphism(parts[k], direct_sum_modules(parts), mat, _trusted=True)
 
 
 def split_projection(parts, k: int) -> FpMorphism:
     """direct sum of parts -> parts[k]."""
     parts = list(parts)
-    ring = parts[0].ring
-    total = direct_sum_modules(parts)
-    blocks = []
-    for t, m in enumerate(parts):
-        if t == k:
-            blocks.append(Matrix.identity(ring, m.gens))
-        else:
-            blocks.append(Matrix.zeros(ring, parts[k].gens, m.gens))
-    return FpMorphism(total, parts[k], hstack(blocks), _trusted=True)
+    ring, g = parts[0].ring, parts[k].gens
+    mat = block_matrix(ring, [g], [m.gens for m in parts], {(0, k): Matrix.identity(ring, g)})
+    return FpMorphism(direct_sum_modules(parts), parts[k], mat, _trusted=True)

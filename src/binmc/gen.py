@@ -64,10 +64,9 @@ def random_fp_module(rng: random.Random, ring: Ring, max_gens: int = 3,
         if d is not None:
             rels[i][c] = d
             c += 1
-    rels_mat = Matrix.from_rows(ring, rels) if g else Matrix.zeros(ring, 0, 0)
     # scramble the presentation without changing the module
     U = random_unimodular(rng, ring, g, steps=4)
-    return FpModule(ring, g, U @ rels_mat)
+    return FpModule(ring, g, U @ Matrix.from_rows(ring, rels))
 
 
 def random_automorphism(rng: random.Random, mod: FpModule, steps: int = 4):
@@ -117,54 +116,36 @@ def complex_direct_sum(complexes) -> ChainComplex:
     complexes = list(complexes)
     ring = complexes[0].ring
     L = max(c.length for c in complexes)
-    padded = []
-    for c in complexes:
-        mods = list(c.objects) + [FpModule.zero(ring)] * (L - c.length)
-        diffs = list(c.diffs)
-        while len(diffs) < L - 1:
-            diffs.append(FpMorphism.zero(mods[len(diffs) + 1], mods[len(diffs)]))
-        padded.append((mods, diffs))
-    mods = [direct_sum_modules([p[0][k] for p in padded]) for k in range(L)]
-    diffs = []
-    for k in range(L - 1):
-        mat = block_diag(ring, [p[1][k].mat for p in padded])
-        diffs.append(FpMorphism(mods[k + 1], mods[k], mat, _trusted=True))
+    padded = [_window(ring, L, 0, c.objects, c.diffs) for c in complexes]
+    mods = [direct_sum_modules([p.objects[k] for p in padded]) for k in range(L)]
+    diffs = [FpMorphism(mods[k + 1], mods[k], block_diag(ring, [p.diffs[k].mat for p in padded]),
+                        _trusted=True) for k in range(L - 1)]
     return ChainComplex(ring, mods, diffs)
+
+
+def _window(ring, length, at, mods, maps) -> ChainComplex:
+    """The complex of the given length holding mods[i] in degree at + i and
+    maps[i] : mods[i + 1] -> mods[i], zero outside that window; unchecked,
+    since complex_direct_sum checks the sum of the pieces."""
+    zero = FpModule.zero(ring)
+    objects = [zero] * at + list(mods) + [zero] * (length - at - len(mods))
+    diffs = [FpMorphism.zero(objects[k + 1], objects[k]) for k in range(length - 1)]
+    diffs[at:at + len(maps)] = maps
+    return ChainComplex(ring, objects, diffs, check=False)
 
 
 def _piece_identity(ring, mod: FpModule, at: int, length: int) -> ChainComplex:
-    mods = [FpModule.zero(ring)] * length
-    mods[at] = mod
-    mods[at + 1] = mod
-    diffs = []
-    for k in range(length - 1):
-        if k == at:
-            diffs.append(FpMorphism.identity(mod))
-        else:
-            diffs.append(FpMorphism.zero(mods[k + 1], mods[k]))
-    return ChainComplex(ring, mods, diffs)
+    return _window(ring, length, at, [mod, mod], [FpMorphism.identity(mod)])
 
 
 def _piece_lone(ring, mod: FpModule, at: int, length: int) -> ChainComplex:
-    mods = [FpModule.zero(ring)] * length
-    mods[at] = mod
-    diffs = [FpMorphism.zero(mods[k + 1], mods[k]) for k in range(length - 1)]
-    return ChainComplex(ring, mods, diffs)
+    return _window(ring, length, at, [mod], [])
 
 
 def _piece_scale(ring, m: int, at: int, length: int) -> ChainComplex:
     free1 = FpModule.free(ring, 1)
-    mods = [FpModule.zero(ring)] * length
-    mods[at] = free1
-    mods[at + 1] = free1
-    diffs = []
-    for k in range(length - 1):
-        if k == at:
-            diffs.append(FpMorphism(free1, free1,
-                                    Matrix.from_rows(ring, [[ring.from_int(m)]]), _trusted=True))
-        else:
-            diffs.append(FpMorphism.zero(mods[k + 1], mods[k]))
-    return ChainComplex(ring, mods, diffs)
+    scale = FpMorphism(free1, free1, Matrix.from_rows(ring, [[ring.from_int(m)]]), _trusted=True)
+    return _window(ring, length, at, [free1, free1], [scale])
 
 
 def _piece_free_resolution(rng, ring, at: int, length: int, max_rank: int) -> ChainComplex:
@@ -176,19 +157,9 @@ def _piece_free_resolution(rng, ring, at: int, length: int, max_rank: int) -> Ch
             break
     free_a = FpModule.free(ring, a)
     cok = FpModule(ring, a, A)
-    mods = [FpModule.zero(ring)] * length
-    mods[at] = cok
-    mods[at + 1] = free_a
-    mods[at + 2] = free_a
-    diffs = []
-    for k in range(length - 1):
-        if k == at:
-            diffs.append(FpMorphism(free_a, cok, Matrix.identity(ring, a), _trusted=True))
-        elif k == at + 1:
-            diffs.append(FpMorphism(free_a, free_a, A, _trusted=True))
-        else:
-            diffs.append(FpMorphism.zero(mods[k + 1], mods[k]))
-    return ChainComplex(ring, mods, diffs)
+    return _window(ring, length, at, [cok, free_a, free_a],
+                   [FpMorphism(free_a, cok, Matrix.identity(ring, a), _trusted=True),
+                    FpMorphism(free_a, free_a, A, _trusted=True)])
 
 
 def conjugate_complex(rng: random.Random, C: ChainComplex) -> ChainComplex:

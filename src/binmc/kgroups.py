@@ -31,7 +31,7 @@ from typing import Optional
 
 from .errors import NotAcyclic, ShapeError
 from .extension import ExtensionObject
-from .matrix import Matrix, det, hstack, solve, vstack
+from .matrix import Matrix, block_matrix, det, solve
 from .multicomplex import BinaryMulticomplex, MultiMorphism, validate
 
 
@@ -314,27 +314,19 @@ def _chain_contraction(ring, dims, diffs):
 
 
 def _torsion_determinant(ring, dims, diffs):
-    """det(d + s: N_odd -> N_even), blocks in ascending degree order."""
+    """det(d + s: N_odd -> N_even), blocks in ascending degree order: N_o is
+    block column o // 2, and N_{o-1} and N_{o+1} are block rows o // 2 and
+    o // 2 + 1."""
     L = len(dims)
-    odd = [k for k in range(L) if k % 2 == 1]
-    even = [k for k in range(L) if k % 2 == 0]
-    if sum(dims[k] for k in odd) != sum(dims[k] for k in even):
+    if sum(dims[1::2]) != sum(dims[0::2]):
         raise NotAcyclic("odd and even ranks differ; the complex cannot be acyclic")
     contraction = _chain_contraction(ring, dims, diffs)
-    rows = []
-    for e in even:
-        row = []
-        for o in odd:
-            if e == o - 1:
-                row.append(diffs[e])  # d_o : N_o -> N_{o-1}
-            elif e == o + 1:
-                row.append(contraction[o])  # s_o : N_o -> N_{o+1}
-            else:
-                row.append(Matrix.zeros(ring, dims[e], dims[o]))
-        rows.append(hstack(row) if row else Matrix(ring, dims[e], 0, []))
-    total_odd = sum(dims[k] for k in odd)
-    block = vstack(rows) if rows else Matrix(ring, 0, total_odd, [])
-    return det(block)
+    blocks = {}
+    for o in range(1, L, 2):
+        blocks[(o // 2, o // 2)] = diffs[o - 1]  # d_o : N_o -> N_{o-1}
+        if o + 1 < L:
+            blocks[(o // 2 + 1, o // 2)] = contraction[o]  # s_o : N_o -> N_{o+1}
+    return det(block_matrix(ring, dims[0::2], dims[1::2], blocks))
 
 
 def torsion(M: BinaryMulticomplex):

@@ -5,9 +5,11 @@ row's nonzero entries only, as (column, entry, column, entry, ...) with the
 columns ascending.  Products, solves and eliminations therefore walk nonzeros
 only; ``entries``, ``row_list`` and ``get`` give the dense view, and
 ``from_row_pairs`` and ``row_pairs`` the sparse one to other modules.  Rows are
-shared freely between matrices.  A ring element is zero exactly when it is
-falsy (0, Fraction(0) and the empty polynomial ()), given that GF(p) entries
-are reduced, which the public constructors do.
+shared freely between matrices.  A block matrix comes from ``block_matrix``,
+which holds only its nonzero blocks and writes their rows side by side.  A ring
+element is zero exactly when it is falsy (0, Fraction(0) and the empty
+polynomial ()), given that GF(p) entries are reduced, which the public
+constructors do.
 
 The decomposition routines are deterministic: pivot selection always takes the
 nonzero entry of smallest Euclidean size, ties broken by lowest row then column
@@ -21,7 +23,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, compress
+from itertools import accumulate, chain, compress
 
 from .errors import ShapeError
 from .rings import Ring, ZZ
@@ -311,6 +313,20 @@ def block_diag(ring: Ring, mats) -> Matrix:
         out.extend(_shifted(row, c0) for row in m._nz)
         c0 += m.cols
     return Matrix._of(ring, len(out), c0, out)
+
+
+def block_matrix(ring: Ring, heights, widths, blocks) -> Matrix:
+    """The matrix cut into heights[r] x widths[s] blocks that holds
+    blocks[(r, s)] where one is given and zero everywhere else."""
+    starts = [0, *accumulate(widths)]
+    bands = [[()] * h for h in heights]
+    for (r, s), B in sorted(blocks.items()):
+        if B.ring != ring or B.rows != heights[r] or B.cols != widths[s]:
+            raise ShapeError(f"block ({r}, {s}) is {B.rows}x{B.cols} over {B.ring.kind}, "
+                             f"not {heights[r]}x{widths[s]} over {ring.kind}")
+        bands[r] = [row + _shifted(part, starts[s]) for row, part in zip(bands[r], B._nz)]
+    out = list(chain.from_iterable(bands))
+    return Matrix._of(ring, len(out), starts[-1], out)
 
 
 @dataclass(frozen=True)

@@ -21,8 +21,9 @@ shift_morphism and pad_morphism; each checks its arguments and makes one
 call into the core.  The kernel and image multicomplexes of a morphism, and
 the kernels that resolutions build from carried sections, share one
 restriction, _restrict, of both differential families through coordinatewise
-monos.  layered_sum stacks direct sums along a new axis, and staircase_rows
-lays out the identity staircase that resolve and cofinal both build on.
+monos.  layered_sum stacks direct sums along a new axis, with one morphism
+for both families where their routes agree, and staircase_rows lays out the
+identity staircase that resolve and cofinal both build on.
 """
 from __future__ import annotations
 
@@ -35,7 +36,7 @@ from .complexes import (ChainComplex, acyclicity_witness, describe_homology,
 from .errors import NotAcyclic, ShapeError
 from .fpmod import (FpModule, FpMorphism, direct_sum_modules,
                     factor_through_mono, kernel)
-from .matrix import Matrix, block_diag, column_space_basis, hstack, vstack
+from .matrix import Matrix, block_diag, block_matrix, column_space_basis
 from .rings import Ring
 
 
@@ -515,20 +516,15 @@ def block_identity_morphism(src_atoms, tgt_atoms, routed, term_src, term_tgt) ->
     the identity.  Every unrouted block is zero.
     """
     ring = term_src.ring
+    pairs = [(r, s) for r, (tag_t, _) in enumerate(tgt_atoms)
+             for s, (tag_s, _) in enumerate(src_atoms) if (tag_t, tag_s) in routed]
     comps = {}
     for c in box_coords(term_src.shape):
-        rows = []
-        for tag_t, at in tgt_atoms:
-            row = []
-            for tag_s, As in src_atoms:
-                r, s = at.objects[c].gens, As.objects[c].gens
-                if (tag_t, tag_s) in routed:
-                    row.append(Matrix.identity(ring, r))
-                else:
-                    row.append(Matrix.zeros(ring, r, s))
-            rows.append(hstack(row) if row else Matrix.zeros(ring, at.objects[c].gens, 0))
-        mat = vstack(rows) if rows else Matrix.zeros(ring, 0, term_src.objects[c].gens)
-        comps[c] = FpMorphism(term_src.objects[c], term_tgt.objects[c], mat, _trusted=True)
+        heights = [A.objects[c].gens for _, A in tgt_atoms]
+        widths = [A.objects[c].gens for _, A in src_atoms]
+        blocks = {(r, s): Matrix.identity(ring, heights[r]) for r, s in pairs}
+        comps[c] = FpMorphism(term_src.objects[c], term_tgt.objects[c],
+                              block_matrix(ring, heights, widths, blocks), _trusted=True)
     return MultiMorphism(term_src, term_tgt, comps)
 
 
@@ -641,14 +637,15 @@ def collapse_along(tw: BinaryTower, axis: int) -> BinaryMulticomplex:
 def layered_sum(rows, route_top, route_bot, axis: int):
     """(M, terms): terms[j], the direct sum of the (tag, summand) atoms in
     rows[j], stacked along a new axis of M.  Each family's differential into
-    layer j - 1 is the block_identity_morphism over its route[j], a morphism
-    of its own even where the two routes agree."""
+    layer j - 1 is the block_identity_morphism over its route[j]; where the
+    routes agree, both families hold one morphism and share its cached factors."""
     terms = [direct_sum_multi([a for _, a in row]) for row in rows]
     tops, bots = [], []
     for j in range(1, len(rows)):
         src, tgt = rows[j], rows[j - 1]
         tops.append(block_identity_morphism(src, tgt, route_top[j], terms[j], terms[j - 1]))
-        bots.append(block_identity_morphism(src, tgt, route_bot[j], terms[j], terms[j - 1]))
+        bots.append(tops[-1] if route_bot[j] == route_top[j] else
+                    block_identity_morphism(src, tgt, route_bot[j], terms[j], terms[j - 1]))
     tower = BinaryTower(tuple(terms), tuple(tops), tuple(bots))
     return collapse_along(tower, axis), terms
 

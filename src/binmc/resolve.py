@@ -45,7 +45,7 @@ from dataclasses import dataclass
 
 from .errors import ShapeError
 from .fpmod import FpModule, FpMorphism, check_ses, free_cover, is_epi, kernel
-from .matrix import Matrix, block_diag, hstack, vstack
+from .matrix import Matrix, block_diag, block_matrix
 from .multicomplex import (BinaryMulticomplex, MultiMorphism, _insert, _origins,
                            _rebox, _rebox_morphism, _restrict, box_coords,
                            expand_along, layered_sum, pad_to, shift,
@@ -229,13 +229,10 @@ def _assemble_zeta_component(atom_list, piece_list, term, big_term):
     ring = term.ring
     comps = {}
     for c in box_coords(term.shape):
-        mats = []
-        for (tag, A), piece in zip(atom_list, piece_list):
-            if piece is None:
-                mats.append(Matrix.zeros(ring, big_term.objects[c].gens, A.objects[c].gens))
-            else:
-                mats.append(piece.components[c].mat)
-        mat = hstack(mats) if mats else Matrix.zeros(ring, big_term.objects[c].gens, 0)
+        blocks = {(0, s): piece.components[c].mat
+                  for s, piece in enumerate(piece_list) if piece is not None}
+        mat = block_matrix(ring, [big_term.objects[c].gens],
+                           [A.objects[c].gens for _, A in atom_list], blocks)
         comps[c] = FpMorphism(term.objects[c], big_term.objects[c], mat, _trusted=True)
     return comps
 
@@ -266,8 +263,9 @@ def _kernel_from_section(Z: Matrix, lower):
     a = n - s.rows
     sA = s @ Z.submatrix(0, Z.rows, 0, a)
     ident = Matrix.identity(ring, a)
-    incl = vstack([hstack([ident, Matrix.zeros(ring, a, K.cols)]), hstack([-sA, K])])
-    sect = vstack([Matrix.zeros(ring, a, Z.rows), s])
+    heights = [a, s.rows]
+    incl = block_matrix(ring, heights, [a, K.cols], {(0, 0): ident, (1, 0): -sA, (1, 1): K})
+    sect = block_matrix(ring, heights, [Z.rows], {(1, 0): s})
     if rho is not None:
         # [[1, 0], [rho_E s A, rho_E]], where rho_E s = 0 (see the module notes)
         rho = block_diag(ring, [ident, rho])

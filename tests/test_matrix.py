@@ -5,8 +5,9 @@ from fractions import Fraction
 import pytest
 
 from binmc import matrix
-from binmc.matrix import (Matrix, block_diag, column_space_basis, det, hstack,
-                          invariant_factors, kernel_basis, kron, rank,
+from binmc.errors import ShapeError
+from binmc.matrix import (Matrix, block_diag, block_matrix, column_space_basis, det,
+                          hstack, invariant_factors, kernel_basis, kron, rank,
                           rank_over_fractions, smith, solve, vstack)
 from binmc.rings import GF, QQ, ZZ, polynomial_ring
 
@@ -469,6 +470,58 @@ def test_sparse_storage_matches_dense_reference(ring, density):
         basis = column_space_basis(A)
         assert basis.rows == n and basis.cols == rank(A) == rank(basis)
         assert solve(A, basis) is not None and solve(basis, A) is not None
+
+
+GRIDS = [([2, 0, 3], [0, 1, 3, 2]), ([0], [4]), ([3], [0]), ([], []), ([1, 2], []),
+         ([], [2, 1]), ([2, 1], [1, 3])]
+
+
+@pytest.mark.parametrize("ring", [ZZ, GF(5), F5X], ids=["ZZ", "GF5", "F5X"])
+def test_block_matrix_matches_a_zero_filled_dense_assembly(ring):
+    rng = random.Random(f"blocks:{ring.kind}")
+    for heights, widths in GRIDS:
+        blocks = {(r, s): _random_sparse(rng, ring, h, w, 0.6)
+                  for r, h in enumerate(heights) for s, w in enumerate(widths)
+                  if rng.random() < 0.6}
+        dense = []
+        for r, h in enumerate(heights):
+            for i in range(h):
+                row = []
+                for s, w in enumerate(widths):
+                    row += blocks[(r, s)].row_list()[i] if (r, s) in blocks else [ring.zero] * w
+                dense.append(row)
+        want = Matrix.from_rows(ring, dense) if dense else Matrix.zeros(ring, 0, sum(widths))
+        got = block_matrix(ring, heights, widths, blocks)
+        assert (got.rows, got.cols) == (sum(heights), sum(widths))
+        assert got == want and hash(got) == hash(want)
+        assert block_matrix(ring, heights, widths, dict(reversed(blocks.items()))) == want
+        # every block given: the grid is the stacks of its rows
+        full = {(r, s): _random_sparse(rng, ring, h, w, 0.6)
+                for r, h in enumerate(heights) for s, w in enumerate(widths)}
+        if heights and widths:
+            assert block_matrix(ring, heights, widths, full) == vstack(
+                [hstack([full[(r, s)] for s in range(len(widths))]) for r in range(len(heights))])
+        # a diagonal grid is block_diag, one row of blocks hstack, one column vstack
+        mats = [_random_sparse(rng, ring, h, w, 0.6) for h, w in zip(heights, widths)]
+        if mats:
+            diagonal = {(t, t): m for t, m in enumerate(mats)}
+            assert block_matrix(ring, [m.rows for m in mats], [m.cols for m in mats],
+                                diagonal) == block_diag(ring, mats)
+            row = [_random_sparse(rng, ring, 2, w, 0.6) for w in widths]
+            assert block_matrix(ring, [2], widths,
+                                {(0, s): m for s, m in enumerate(row)}) == hstack(row)
+            col = [_random_sparse(rng, ring, h, 2, 0.6) for h in heights]
+            assert block_matrix(ring, heights, [2],
+                                {(r, 0): m for r, m in enumerate(col)}) == vstack(col)
+
+
+def test_block_matrix_names_a_block_of_the_wrong_size():
+    with pytest.raises(ShapeError, match=r"block \(1, 0\) is 2x2 over integers, not 1x2"):
+        block_matrix(ZZ, [2, 1], [2], {(0, 0): M([[1, 0], [0, 1]]), (1, 0): M([[1, 2], [3, 4]])})
+    with pytest.raises(ShapeError, match=r"block \(0, 1\) is 1x1 over integers, not 1x0"):
+        block_matrix(ZZ, [1], [1, 0], {(0, 1): M([[1]])})
+    with pytest.raises(ShapeError, match=r"block \(0, 0\) is 1x1 over prime-field"):
+        block_matrix(ZZ, [1], [1], {(0, 0): M([[1]], GF(5))})
 
 
 # -- invariant factors without U and V -------------------------------------------

@@ -335,6 +335,29 @@ def test_staircase_rows_give_a_diagonal_exact_layered_sum():
                                                 for k in (j, j - 1) if 0 <= k < len(pieces))
 
 
+def test_layered_sum_shares_one_morphism_only_where_the_routes_agree():
+    rng = random.Random(41)
+    pieces = [random_multicomplex(rng, ZZ, 1, length=n, max_rank=2) for n in (2, 3)]
+    pieces = [pad_to(p, common_shape(pieces)) for p in pieces]
+    X = pieces[0]
+    swap_rows = [[("x", X), ("y", X)], [("x", X), ("y", X)]]
+    straight = {1: {("x", "x"), ("y", "y")}}
+    crossed = {1: {("x", "y"), ("y", "x")}}
+    rows, route = staircase_rows(pieces)
+    for axis in (0, 1):
+        # equal routes, though not one object: one morphism for both families
+        M, _ = layered_sum(rows, route, {j: set(r) for j, r in route.items()}, axis)
+        along = [k for k in M.tops if k[0] == axis]
+        assert along and all(M.tops[k] is M.bots[k] for k in along)
+        # the identity on X (+) X on top and the swap at the bottom
+        N, _ = layered_sum(swap_rows, straight, crossed, axis)
+        assert validate(N, "fp").ok
+        along = [k for k in N.tops if k[0] == axis]
+        assert along and all(N.tops[k] is not N.bots[k] and N.tops[k].mat is not N.bots[k].mat
+                             for k in along)
+        assert not N.is_diagonal_in(axis)
+
+
 def test_top_slice_and_diagonal_embed():
     rng = random.Random(31)
     D = random_multicomplex(rng, ZZ, 2, length=3, diagonal_axes=(0,), bricks=1)
