@@ -5,7 +5,10 @@
 # verdict lines of resolve-multi and recheck of the complement those of
 # check; gen --dim 1, then torsion, expected to exit 0 and print unit-torsion;
 # resolve --out (the doubled-cover ladder) and recheck, expected to exit 0
-# and print the same verdict lines; then a non-integer BINMC_SEED, expected
+# and print the same verdict lines; gen --seed 4 --dim 2 --fp, whose document
+# holds objects with relations, then resolve-multi --out and recheck, so that
+# verification falls back to check_ses and validates the kernel, expected to
+# exit 0 and print the same verdict lines; then a non-integer BINMC_SEED, expected
 # to exit 2 with a located input error; gen --max-rank 0 and gen --length 1,
 # each expected to exit 2 naming its option; check and homology of a free
 # line that is not exact (Z -2-> Z), each expected to exit 1 and name the
@@ -55,6 +58,11 @@ grep -q "unit-torsion" out.txt || { cat out.txt >&2; exit 1; }
 expect 0 python -m binmc resolve line.json --out res1.json
 cp out.txt made.txt
 expect 0 python -m binmc recheck res1.json
+same_verdicts made.txt
+expect 0 python -m binmc gen --seed 4 --dim 2 --fp --out t.json
+expect 0 python -m binmc resolve-multi t.json --out rt.json
+cp out.txt made.txt
+expect 0 python -m binmc recheck rt.json
 same_verdicts made.txt
 expect 2 env BINMC_SEED=abc python -m binmc check m.json
 grep -q "^input error: BINMC_SEED: " err.txt || { cat err.txt >&2; exit 1; }

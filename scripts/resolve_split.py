@@ -10,9 +10,11 @@ Usage, from the root of a checkout:
 ``gen.random_multicomplex(Random(S), ZZ, dim, length=2, max_rank=1, bricks=1)``
 with S = 1 for the cliff.  Prints one JSON line: CPU seconds of
 ``resolve_multi(M, check=False)`` and of ``verify_resolution``, the latter
-split into ``validate`` of P and of P', ``commutes`` and the ``check_ses``
-loop; the peak RSS of this process; the generators of P and P'; and the
-largest entry, in bits, of the inclusion and of the differentials of P'.
+split into ``validate`` of P, of the target and of P' (each absent when it
+did not run), ``commutes``, the carried splittings (``_splits``) and the
+``check_ses`` fallback; the peak RSS of this process; the generators of P
+and P'; and the largest entry, in bits, of the inclusion and of the
+differentials of P'.
 Run each input in a fresh process: Smith forms cached by one step would
 make a later one look cheap.
 """
@@ -55,8 +57,10 @@ def main(argv) -> int:
     construct = time.process_time() - t0
     parts = {}
     real_validate = resolve.validate
-    resolve.validate = lambda part, mode: timed(
-        parts, "validate_P" if part is res.P else "validate_Pprime", real_validate)(part, mode)
+    labels = {id(res.P): "validate_P", id(res.target): "validate_target",
+              id(res.Pprime): "validate_Pprime"}
+    resolve.validate = lambda part, mode: timed(parts, labels[id(part)], real_validate)(part, mode)
+    resolve._splits = timed(parts, "_splits", resolve._splits)
     resolve.check_ses = timed(parts, "check_ses", resolve.check_ses)
     MultiMorphism.commutes = timed(parts, "commutes", MultiMorphism.commutes)
     t0 = time.process_time()

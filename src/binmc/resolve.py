@@ -37,7 +37,8 @@ everything.  The kernel's differentials are rho d incl.  A module has the
 section 1 of its free cover, and a free module the zero kernel and the empty
 retraction; only a module with relations computes its kernel, and the
 coordinates above a torsion target have no retraction, so the edges into
-them are lifted by a solve.
+them are lifted by a solve.  verify_resolution checks s and rho as a
+splitting certificate rather than trusting them, and infers P′ from it.
 """
 from __future__ import annotations
 
@@ -60,9 +61,8 @@ class ResolutionResult:
     doubled-cover branch was forced on a diagonal input).
 
     sect and retr hold, per coordinate, a section of zeta and a retraction
-    of incl (or None), which the next level of the construction builds its
-    kernel from; they serve the recursion only, so they are neither
-    serialized nor read by verify_resolution.
+    of incl (or None).  The next level builds its kernel from them, and
+    verify_resolution checks them as a splitting; they are not serialized.
     """
 
     __slots__ = ("P", "Pprime", "zeta", "incl", "source", "target", "offset",
@@ -95,9 +95,30 @@ class ResolutionReport:
         return self.failures[0] if self.failures else None
 
 
+def _splits(res: ResolutionResult, c) -> bool:
+    """Do the carried s and r split the sequence at c?  Between free objects,
+    zeta incl = 0, r incl = 1, zeta s = 1 and incl r + s zeta = 1 prove it."""
+    i, z = res.incl.components[c], res.zeta.components[c]
+    s, r = (res.sect or {}).get(c), (res.retr or {}).get(c)
+    if s is None or r is None or not all(
+            m.is_free_presentation() for m in (i.source, z.source, z.target)):
+        return False
+    I, Z, ring = i.mat, z.mat, res.P.ring
+    try:
+        return ((Z @ I).is_zero() and r @ I == Matrix.identity(ring, I.cols)
+                and Z @ s == Matrix.identity(ring, Z.rows)
+                and I @ r + s @ Z == Matrix.identity(ring, Z.cols))
+    except ShapeError:
+        return False
+
+
 def verify_resolution(res: ResolutionResult) -> ResolutionReport:
-    """Re-check every claim a ResolutionResult makes, from scratch."""
-    failures = []
+    """Re-check every claim a ResolutionResult makes.  A coordinate's sequence
+    is exact by _splits, or else by check_ses.  P′ is validated unless two out
+    of three settle it: incl is a mono chain map, and each line of P′ sits in
+    a short exact sequence whose other lines (of P and of a target that
+    validates in free mode) are acyclic."""
+    failures, sequence = [], []
     rep_p = validate(res.P, "free")
     if not rep_p.ok:
         failures.append(f"cover invalid: {rep_p.first()}")
@@ -109,9 +130,6 @@ def verify_resolution(res: ResolutionResult) -> ResolutionReport:
         incl_fault = "inclusion does not commute with the differentials"
     else:
         incl_fault = None
-        rep_k = validate(res.Pprime, "free")
-        if not rep_k.ok:
-            failures.append(f"kernel invalid: {rep_k.first()}")
     expected = pad_to(shift(res.source, res.offset), res.target.shape)
     if expected != res.target:
         failures.append("target is not the offset translate of the source")
@@ -123,10 +141,21 @@ def verify_resolution(res: ResolutionResult) -> ResolutionReport:
         failures.append(incl_fault)
     if not failures:
         for c in sorted(box_coords(res.P.shape)):
-            verdict = check_ses(res.incl.components[c], res.zeta.components[c])
-            if not verdict.ok:
-                failures.append(f"sequence at {c} is not exact: {verdict.reason}")
-                break
+            if not _splits(res, c):
+                verdict = check_ses(res.incl.components[c], res.zeta.components[c])
+                if not verdict.ok:
+                    sequence.append(f"sequence at {c} is not exact: {verdict.reason}")
+                    break
+    if incl_fault is None and (
+            failures or sequence
+            or not all(m.is_free_presentation() for m in res.Pprime.objects.values())
+            or not validate(res.target, "free").ok):
+        rep_k = validate(res.Pprime, "free")
+        if not rep_k.ok:
+            # reported as if validated first, which leaves the sequence unchecked
+            failures.insert(0 if rep_p.ok else 1, f"kernel invalid: {rep_k.first()}")
+            sequence = []
+    failures += sequence
     for a in sorted(res.diagonal_axes):
         if not res.P.is_diagonal_in(a) or not res.Pprime.is_diagonal_in(a):
             failures.append(f"diagonality in axis {a} was not preserved")

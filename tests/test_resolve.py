@@ -240,7 +240,7 @@ def test_canonical_key_golden_digests():
 
 
 # eliminations without U and V per seed: validate(P), validate(P'), and verify_resolution
-RESOLUTION_ELIMINATIONS = {2: ((108, 108), 306), 7: ((90, 108), 288)}
+RESOLUTION_ELIMINATIONS = {2: ((108, 108), 150), 7: ((90, 108), 132)}
 
 
 @pytest.mark.parametrize("seed", [2, 7])
@@ -274,16 +274,25 @@ def test_validate_of_a_resolution_needs_no_full_smith_form(monkeypatch, seed):
         counts.update({True: 0, False: 0})
         assert validate(part, "free").ok
         assert counts == {True: 0, False: pinned, "kernel": 0}
-    # the whole re-check: check_ses at every coordinate reads the invariant
-    # factors of presentations and stacked maps, never a kernel, so it too
-    # needs no full decomposition (only eliminations without U and V, one of
-    # them per coordinate for is_mono of the inclusion)
+    # the whole re-check: every coordinate is split by its carried section and
+    # retraction, which takes products only, so check_ses never runs; the
+    # free target validates, so P' follows from P and the target by two out of
+    # three, and the only eliminations are those of validate(P) and
+    # validate(target), without U and V
     monkeypatch.setattr(matrix, "_eliminate", eliminate)
     fresh = resolve_multi(M)
     counts.update({True: 0, False: 0})
+    ses_calls = [0]
+
+    def counted_ses(i, p):
+        ses_calls[0] += 1
+        return fpmod.check_ses(i, p)
+
     monkeypatch.setattr(matrix, "_eliminate", counted)
+    monkeypatch.setattr(resolve, "check_ses", counted_ses)
     assert verify_resolution(fresh).ok
     assert counts == {True: 0, False: in_all, "kernel": 0}
+    assert ses_calls[0] == 0
 
 
 F5X = polynomial_ring(GF(5))
@@ -422,3 +431,156 @@ def test_a_failing_inclusion_spares_the_kernel_validation(monkeypatch):
     assert count[0] == of_cover > 0
     assert rep.failures == ("projection does not commute with the differentials",
                             "inclusion does not commute with the differentials")
+
+
+def _verify_by_elimination(res):
+    """verify_resolution without certificates: validate(P′) whenever incl is a
+    chain map, and check_ses at every coordinate."""
+    failures = []
+    rep_p = validate(res.P, "free")
+    if not rep_p.ok:
+        failures.append(f"cover invalid: {rep_p.first()}")
+    if res.incl.source != res.Pprime or res.incl.target != res.P:
+        incl_fault = "inclusion endpoints are wrong"
+    elif not res.incl.commutes():
+        incl_fault = "inclusion does not commute with the differentials"
+    else:
+        incl_fault = None
+        rep_k = validate(res.Pprime, "free")
+        if not rep_k.ok:
+            failures.append(f"kernel invalid: {rep_k.first()}")
+    expected = multicomplex.pad_to(multicomplex.shift(res.source, res.offset), res.target.shape)
+    if expected != res.target:
+        failures.append("target is not the offset translate of the source")
+    if res.zeta.source != res.P or res.zeta.target != res.target:
+        failures.append("projection endpoints are wrong")
+    elif not res.zeta.commutes():
+        failures.append("projection does not commute with the differentials")
+    if incl_fault:
+        failures.append(incl_fault)
+    if not failures:
+        for c in sorted(multicomplex.box_coords(res.P.shape)):
+            verdict = fpmod.check_ses(res.incl.components[c], res.zeta.components[c])
+            if not verdict.ok:
+                failures.append(f"sequence at {c} is not exact: {verdict.reason}")
+                break
+    for a in sorted(res.diagonal_axes):
+        if not res.P.is_diagonal_in(a) or not res.Pprime.is_diagonal_in(a):
+            failures.append(f"diagonality in axis {a} was not preserved")
+    return tuple(failures)
+
+
+def _replaced(res, **fields):
+    kept = {name: getattr(res, name) for name in resolve.ResolutionResult.__slots__}
+    return resolve.ResolutionResult(**{**kept, **fields})
+
+
+def _with_component(mor, c, f):
+    return MultiMorphism(mor.source, mor.target, {**mor.components, c: f})
+
+
+def _first_nonzero(mor):
+    return next(c for c in sorted(mor.components) if not mor.components[c].mat.is_zero())
+
+
+def _differential_cases():
+    """(label, resolution) pairs: passing ones over ZZ, GF(7) and F5[x],
+    unchecked resolutions of broken inputs, and hand-broken results."""
+    rng = random.Random(227)
+    passing = [random_multicomplex(rng, ring, dim, length=3 if dim == 1 else 2,
+                                   max_rank=2 if dim == 1 else 1, bricks=1 if dim == 3 else None,
+                                   allow_fp=fp)
+               for ring in (ZZ, GF(7)) for dim in (1, 2, 3) for fp in (False, True)]
+    passing += _hand_built(F5X, [(0, 1), (1, 1)], F5X.poly([2]), F5X.poly([3]))[:3]
+    for M in passing:
+        yield "pass", resolve_multi(M)
+    for M in _broken_inputs():
+        yield "broken input", resolve_multi(M, check=False)
+    for M in passing[:6]:
+        res = resolve_multi(M)
+        two = res.P.ring.from_int(2)
+        # still a mono chain map, but its image is not ker zeta
+        yield "incl scaled", _replaced(res, incl=MultiMorphism(
+            res.Pprime, res.P, {c: f.scale(two) for c, f in res.incl.components.items()}))
+        c = _first_nonzero(res.incl)
+        f = res.incl.components[c]
+        yield "incl zeroed", _replaced(res, incl=_with_component(
+            res.incl, c, FpMorphism.zero(f.source, f.target)))
+        c = _first_nonzero(res.zeta)
+        f = res.zeta.components[c]
+        yield "zeta zeroed", _replaced(res, zeta=_with_component(
+            res.zeta, c, FpMorphism.zero(f.source, f.target)))
+        c = next(c for c in sorted(res.sect) if not res.sect[c].is_zero())
+        yield "section doubled", _replaced(res, sect={**res.sect, c: res.sect[c].scale(two)})
+        c, r = next((c, r) for c, r in sorted(res.retr.items()) if r is not None)
+        yield "retraction misshapen", _replaced(
+            res, retr={**res.retr, c: Matrix.zeros(res.P.ring, r.rows, r.cols + 1)})
+        yield "no splitting", _replaced(res, sect=None, retr=None)
+    # dimension 0 by hand: a zero inclusion, with r incl = 0; a projection
+    # from the zero module, with zeta s = 0; and Z^2 ->> Z with nothing in
+    # its kernel, where incl r + s zeta = diag(1, 0); the other equations
+    # hold in all three
+    point, nothing, plane = (BinaryMulticomplex.of_module(FpModule.free(ZZ, g))
+                             for g in (1, 0, 2))
+    yield "incl not mono", resolve.ResolutionResult(
+        point, point, MultiMorphism.identity(point), MultiMorphism.zero(point, point),
+        source=point, target=point, offset=(),
+        sect={(): Matrix.identity(ZZ, 1)}, retr={(): Matrix.zeros(ZZ, 1, 1)})
+    yield "zeta not epi", resolve.ResolutionResult(
+        nothing, nothing, MultiMorphism.zero(nothing, point), MultiMorphism.identity(nothing),
+        source=point, target=point, offset=(),
+        sect={(): Matrix.zeros(ZZ, 0, 1)}, retr={(): Matrix.zeros(ZZ, 0, 0)})
+    first = FpMorphism(plane.obj(()), point.obj(()), Matrix.from_int_rows(ZZ, [[1, 0]]))
+    yield "middle not exact", resolve.ResolutionResult(
+        plane, nothing, MultiMorphism(plane, point, {(): first}),
+        MultiMorphism.zero(nothing, plane), source=point, target=point, offset=(),
+        sect={(): Matrix.from_int_rows(ZZ, [[1], [0]])}, retr={(): Matrix.zeros(ZZ, 0, 2)})
+    # a kernel Z presented on two generators with a relation, so not free:
+    # with incl = [0, 1] the sequence Z >-> Z ->> 0 is exact, with [0, 2]
+    # it is not, and either way the kernel is invalid in free mode
+    presented = BinaryMulticomplex.of_module(FpModule(ZZ, 2, Matrix.from_int_rows(ZZ, [[1], [0]])))
+    for label, k in (("kernel presented", 1), ("kernel presented, incl doubled", 2)):
+        into = FpMorphism(presented.obj(()), point.obj(()), Matrix.from_int_rows(ZZ, [[0, k]]))
+        yield label, resolve.ResolutionResult(
+            point, presented, MultiMorphism.zero(point, nothing),
+            MultiMorphism(presented, point, {(): into}), source=nothing, target=nothing,
+            offset=(), sect={(): Matrix.zeros(ZZ, 1, 0)}, retr={(): None})
+    m6 = FpModule(ZZ, 1, Matrix(ZZ, 1, 1, [6]))
+    torsion = BinaryMulticomplex.from_binary_chain(
+        ZZ, [m6, m6], [FpMorphism.identity(m6)], [FpMorphism.identity(m6)])
+    yield "torsion target", resolve_multi(torsion)
+
+
+def test_verify_resolution_agrees_with_elimination(monkeypatch):
+    # splittings and two out of three must give the reports of validating P′
+    # and running check_ses everywhere, failures and their order included
+    ses_calls = [0]
+
+    def counted_ses(i, p):
+        ses_calls[0] += 1
+        return fpmod.check_ses(i, p)
+
+    monkeypatch.setattr(resolve, "check_ses", counted_ses)
+    seen = {}
+    for label, res in _differential_cases():
+        want = _verify_by_elimination(res)
+        ses_calls[0] = 0
+        got = verify_resolution(res)
+        assert got.failures == want, label
+        outcome = ("PASS" if got.ok else "sequence" if want[0].startswith("sequence at")
+                   else "kernel" if want[0].startswith("kernel invalid") else "FAIL")
+        seen.setdefault(label, set()).add(outcome)
+        free = all(m.is_free_presentation() for m in res.target.objects.values())
+        if label in ("section doubled", "retraction misshapen", "no splitting",
+                     "torsion target"):
+            # a splitting that fails its equations, or none, falls back
+            assert got.ok and ses_calls[0] > 0, label
+        if free and label in ("pass", "section doubled", "retraction misshapen"):
+            # only the coordinate whose splitting was broken falls back
+            assert ses_calls[0] == (label != "pass"), label
+    assert seen["pass"] == {"PASS"}
+    assert "kernel" in seen["broken input"]
+    assert seen["kernel presented"] == seen["kernel presented, incl doubled"] == {"kernel"}
+    for label in ("incl scaled", "incl not mono", "zeta not epi", "middle not exact"):
+        assert seen[label] == {"sequence"}, label
+    assert seen["incl zeroed"] == seen["zeta zeroed"] == {"FAIL"}
