@@ -4,17 +4,19 @@ Usage, from the root of a checkout:
 
     python3 scripts/resolve_split.py cliff
     python3 scripts/resolve_split.py dim4-1
+    python3 scripts/resolve_split.py dim5-2
 
 ``cliff`` is the dim-3 capped input of perfbench's resolve-large workload;
-``dim4-S`` is the same generator at dimension 4 with seed S.  Both are
+``dim4-S`` and ``dim5-S`` are the same generator at dimensions 4 and 5 with
+seed S.  All are
 ``gen.random_multicomplex(Random(S), ZZ, dim, length=2, max_rank=1, bricks=1)``
 with S = 1 for the cliff.  Prints one JSON line: CPU seconds of
 ``resolve_multi(M, check=False)`` and of ``verify_resolution``, the latter
-split into ``validate`` of P, of the target and of P' (each absent when it
-did not run), ``commutes``, the carried splittings (``_splits``) and the
-``check_ses`` fallback; the peak RSS of this process; the generators of P
-and P'; and the largest entry, in bits, of the inclusion and of the
-differentials of P'.
+split into ``validate`` of P, of the source, of the target and of P' (each
+absent when it did not run), ``commutes``, the carried splittings
+(``_splits``) and the ``check_ses`` fallback; the peak RSS of this process;
+the generators of P and P'; and the largest entry, in bits, of the
+inclusion and of the differentials of P'.
 Run each input in a fresh process: Smith forms cached by one step would
 make a later one look cheap.
 """
@@ -50,15 +52,15 @@ def max_bits(mats):
 
 def main(argv) -> int:
     name = argv[1]
-    dim, seed = (3, 1) if name == "cliff" else (4, int(name.split("-")[1]))
+    dim, seed = (3, 1) if name == "cliff" else map(int, name[3:].split("-"))
     M = gen.random_multicomplex(random.Random(seed), ZZ, dim, length=2, max_rank=1, bricks=1)
     t0 = time.process_time()
     res = resolve.resolve_multi(M, check=False)
     construct = time.process_time() - t0
     parts = {}
     real_validate = resolve.validate
-    labels = {id(res.P): "validate_P", id(res.target): "validate_target",
-              id(res.Pprime): "validate_Pprime"}
+    labels = {id(res.P): "validate_P", id(res.source): "validate_source",
+              id(res.target): "validate_target", id(res.Pprime): "validate_Pprime"}
     resolve.validate = lambda part, mode: timed(parts, labels[id(part)], real_validate)(part, mode)
     resolve._splits = timed(parts, "_splits", resolve._splits)
     resolve.check_ses = timed(parts, "check_ses", resolve.check_ses)

@@ -69,8 +69,8 @@ class FpModule:
         return self.ring == other.ring and self.canonical() == other.canonical()
 
     def __eq__(self, other):
-        return (isinstance(other, FpModule) and other.ring == self.ring
-                and other.gens == self.gens and other.rels == self.rels)
+        return other is self or (isinstance(other, FpModule) and other.ring == self.ring
+                                 and other.gens == self.gens and other.rels == self.rels)
 
     def __hash__(self):
         return hash((self.gens, self.rels))

@@ -14,35 +14,37 @@ from .errors import IllDefinedMorphism
 from .extension import ExtensionObject, split_extension
 from .fpmod import FpModule, FpMorphism, direct_sum_modules
 from .kgroups import FormalClass
-from .matrix import Matrix, block_diag, det, kron, smith, solve
+from .matrix import Matrix, block_diag, det, kron, smith
 from .multicomplex import (BinaryMulticomplex, MultiMorphism, box_coords,
                            direct_sum_multi)
 from .rings import Ring, ZZ
 
 
-def random_unimodular(rng: random.Random, ring: Ring, n: int, steps: int = 8) -> Matrix:
-    """Product of elementary matrices; determinant is always a unit."""
+def random_unimodular(rng: random.Random, ring: Ring, n: int, steps: int = 8):
+    """(U, U inverse): U is a product of elementary matrices, built by row
+    operations on the identity, and each one's inverse acts on the columns
+    of the inverse."""
     rows = [[ring.one if i == j else ring.zero for j in range(n)] for i in range(n)]
+    inv = [r[:] for r in rows]
     for _ in range(steps if n > 1 else 0):
         op = rng.randrange(3)
         i, j = rng.sample(range(n), 2)
         if op == 0:
             c = ring.from_int(rng.choice([-2, -1, 1, 2]))
             rows[i] = [ring.add(a, ring.mul(c, b)) for a, b in zip(rows[i], rows[j])]
+            for r in inv:
+                r[j] = ring.sub(r[j], ring.mul(c, r[i]))
         elif op == 1:
             rows[i], rows[j] = rows[j], rows[i]
+            for r in inv:
+                r[i], r[j] = r[j], r[i]
         else:
             rows[i] = [ring.neg(a) for a in rows[i]]
+            for r in inv:
+                r[i] = ring.neg(r[i])
     if n == 1 and rng.random() < 0.5:
-        rows[0][0] = ring.neg(rows[0][0])
-    return Matrix.from_rows(ring, rows) if n else Matrix(ring, 0, 0, [])
-
-
-def invert_unimodular(U: Matrix) -> Matrix:
-    X = solve(U, Matrix.identity(U.ring, U.rows))
-    if X is None:
-        raise ValueError("matrix is not invertible over the ring")
-    return X
+        rows[0][0] = inv[0][0] = ring.neg(rows[0][0])
+    return Matrix.from_rows(ring, rows), Matrix.from_rows(ring, inv)
 
 
 def random_fp_module(rng: random.Random, ring: Ring, max_gens: int = 3,
@@ -65,7 +67,7 @@ def random_fp_module(rng: random.Random, ring: Ring, max_gens: int = 3,
             rels[i][c] = d
             c += 1
     # scramble the presentation without changing the module
-    U = random_unimodular(rng, ring, g, steps=4)
+    U, _ = random_unimodular(rng, ring, g, steps=4)
     return FpModule(ring, g, U @ Matrix.from_rows(ring, rels))
 
 
@@ -74,9 +76,9 @@ def random_automorphism(rng: random.Random, mod: FpModule, steps: int = 4):
     ring = mod.ring
     n = mod.gens
     if n == 0 or mod.is_free_presentation():
-        U = random_unimodular(rng, ring, n)
+        U, U_inv = random_unimodular(rng, ring, n)
         return (FpMorphism(mod, mod, U, _trusted=True),
-                FpMorphism(mod, mod, invert_unimodular(U), _trusted=True))
+                FpMorphism(mod, mod, U_inv, _trusted=True))
     f = FpMorphism.identity(mod)
     finv = FpMorphism.identity(mod)
     for _ in range(steps):
@@ -255,12 +257,11 @@ def random_binary_base(rng: random.Random, ring: Ring, length: int,
     tops = [d.mat for d in C.diffs]
     if diagonal:
         return ranks, tops, list(tops)
-    gs = [random_unimodular(rng, ring, r) for r in ranks]
-    ginvs = [invert_unimodular(g) for g in gs]
+    pairs = [random_unimodular(rng, ring, r) for r in ranks]
     bots = []
     for k, d in enumerate(tops):
         tw = d.scale(_random_unit(rng, ring)) if rng.random() < 0.6 else d
-        bots.append(gs[k] @ tw @ ginvs[k + 1])
+        bots.append(pairs[k][0] @ tw @ pairs[k + 1][1])
     return ranks, tops, bots
 
 

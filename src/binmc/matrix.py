@@ -148,9 +148,9 @@ class Matrix:
         return tuple(chain.from_iterable(self.row_list()))
 
     def __eq__(self, other):
-        return (isinstance(other, Matrix) and other.ring == self.ring
-                and other.rows == self.rows and other.cols == self.cols
-                and other._nz == self._nz)
+        return other is self or (isinstance(other, Matrix) and other.ring == self.ring
+                                 and other.rows == self.rows and other.cols == self.cols
+                                 and other._nz == self._nz)
 
     def __hash__(self):
         return hash((self.rows, self.cols, tuple(self._nz)))
@@ -272,6 +272,8 @@ def _shifted(row: tuple, c0: int) -> tuple:
     """row with every column moved c0 to the right."""
     if not c0 or not row:
         return row
+    if len(row) == 2:
+        return (row[0] + c0, row[1])
     out = list(row)
     out[::2] = [j + c0 for j in row[::2]]
     return tuple(out)
@@ -435,9 +437,16 @@ def _peel(A: Matrix):
     without its row and column; S is unique, so the rest may be eliminated
     apart.  Dropping a row and a column can leave new lone entries, found
     through a column index, so the pass costs O(nonzeros).  rest keeps the
-    other nonzero rows and columns, renumbered.
+    other nonzero rows and columns, renumbered.  A signed partial permutation
+    (each row at most one unit, no column used twice) peels whole, so it is
+    settled in one pass with no index and an empty rest.
     """
     nz = A._nz
+    if all(len(row) <= 2 for row in nz):
+        lone = [row for row in nz if row]
+        if len({row[0] for row in lone}) == len(lone) and all(
+                A.ring.is_unit(row[1]) for row in lone):
+            return len(lone), Matrix.zeros(A.ring, 0, 0)
     col_count = Counter(chain.from_iterable(row[::2] for row in nz))
     if not any(len(row) == 2 for row in nz) and 1 not in col_count.values():
         return 0, A

@@ -38,7 +38,9 @@ section 1 of its free cover, and a free module the zero kernel and the empty
 retraction; only a module with relations computes its kernel, and the
 coordinates above a torsion target have no retraction, so the edges into
 them are lifted by a solve.  verify_resolution checks s and rho as a
-splitting certificate rather than trusting them, and infers P′ from it.
+splitting certificate rather than trusting them: zeta incl = 0, rho incl = 1,
+zeta s = 1 and rho s = 0 with the ranks adding up, which makes [rho; zeta]
+the inverse of [incl | s].  It infers P′ from the splitting, P and the source.
 """
 from __future__ import annotations
 
@@ -97,7 +99,9 @@ class ResolutionReport:
 
 def _splits(res: ResolutionResult, c) -> bool:
     """Do the carried s and r split the sequence at c?  Between free objects,
-    zeta incl = 0, r incl = 1, zeta s = 1 and incl r + s zeta = 1 prove it."""
+    zeta incl = 0, r incl = 1, zeta s = 1 and r s = 0 say [r; zeta] is a left
+    inverse of [incl | s]; when that is square (the ranks of the ends add up
+    to the middle's), it is a two-sided inverse, so incl r + s zeta = 1 too."""
     i, z = res.incl.components[c], res.zeta.components[c]
     s, r = (res.sect or {}).get(c), (res.retr or {}).get(c)
     if s is None or r is None or not all(
@@ -105,9 +109,9 @@ def _splits(res: ResolutionResult, c) -> bool:
         return False
     I, Z, ring = i.mat, z.mat, res.P.ring
     try:
-        return ((Z @ I).is_zero() and r @ I == Matrix.identity(ring, I.cols)
-                and Z @ s == Matrix.identity(ring, Z.rows)
-                and I @ r + s @ Z == Matrix.identity(ring, Z.cols))
+        return (I.cols + Z.rows == Z.cols and (Z @ I).is_zero() and (r @ s).is_zero()
+                and r @ I == Matrix.identity(ring, I.cols)
+                and Z @ s == Matrix.identity(ring, Z.rows))
     except ShapeError:
         return False
 
@@ -116,8 +120,9 @@ def verify_resolution(res: ResolutionResult) -> ResolutionReport:
     """Re-check every claim a ResolutionResult makes.  A coordinate's sequence
     is exact by _splits, or else by check_ses.  P′ is validated unless two out
     of three settle it: incl is a mono chain map, and each line of P′ sits in
-    a short exact sequence whose other lines (of P and of a target that
-    validates in free mode) are acyclic."""
+    a short exact sequence whose other lines (of P and of the target) are
+    acyclic.  The target is then the source translated and padded with zero
+    objects, which keeps validity, so the smaller source is what validates."""
     failures, sequence = [], []
     rep_p = validate(res.P, "free")
     if not rep_p.ok:
@@ -149,7 +154,7 @@ def verify_resolution(res: ResolutionResult) -> ResolutionReport:
     if incl_fault is None and (
             failures or sequence
             or not all(m.is_free_presentation() for m in res.Pprime.objects.values())
-            or not validate(res.target, "free").ok):
+            or not validate(res.source, "free").ok):
         rep_k = validate(res.Pprime, "free")
         if not rep_k.ok:
             # reported as if validated first, which leaves the sequence unchecked

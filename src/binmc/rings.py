@@ -145,7 +145,7 @@ class IntegerRing(Ring):
         return {"kind": "integers"}
 
     def __eq__(self, other):
-        return isinstance(other, IntegerRing)
+        return other is self or isinstance(other, IntegerRing)
 
     def __hash__(self):
         return hash("integers")
@@ -205,7 +205,7 @@ class RationalRing(Ring):
         return {"kind": "rationals"}
 
     def __eq__(self, other):
-        return isinstance(other, RationalRing)
+        return other is self or isinstance(other, RationalRing)
 
     def __hash__(self):
         return hash("rationals")
@@ -297,7 +297,7 @@ class PrimeField(Ring):
         return {"kind": "prime-field", "p": str(self.p)}
 
     def __eq__(self, other):
-        return isinstance(other, PrimeField) and other.p == self.p
+        return other is self or isinstance(other, PrimeField) and other.p == self.p
 
     def __hash__(self):
         return hash(("prime-field", self.p))
@@ -413,7 +413,7 @@ class PolynomialRing(Ring):
         return {"kind": "polynomials-over", "coefficients": self.base.descriptor()}
 
     def __eq__(self, other):
-        return isinstance(other, PolynomialRing) and other.base == self.base
+        return other is self or isinstance(other, PolynomialRing) and other.base == self.base
 
     def __hash__(self):
         return hash(("polynomials-over", self.base))

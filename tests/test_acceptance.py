@@ -179,7 +179,7 @@ def _criterion_6():
 def _random_cover(rng, M):
     g = M.gens
     extra = rng.randint(0, 2)
-    U = random_unimodular(rng, ZZ, g)
+    U, _ = random_unimodular(rng, ZZ, g)
     if extra:
         R = Matrix(ZZ, g, extra,
                    [ZZ.from_int(rng.randint(-2, 2)) for _ in range(g * extra)])

@@ -6,6 +6,7 @@ import pytest
 
 from binmc import matrix
 from binmc.errors import ShapeError
+from binmc.gen import random_unimodular
 from binmc.matrix import (Matrix, block_diag, block_matrix, column_space_basis, det,
                           hstack, invariant_factors, kernel_basis, kron, rank,
                           rank_over_fractions, smith, solve, vstack)
@@ -627,3 +628,48 @@ def test_invariant_factors_match_smith_diagonal(ring, monkeypatch):
         B = Matrix(ring, A.rows, A.cols, A.entries)
         smith(B)
         assert invariant_factors(B) == expected
+
+
+@pytest.mark.parametrize("ring", [ZZ, GF(7), QQ, F5X], ids=["ZZ", "GF7", "QQ", "F5X"])
+def test_signed_partial_permutations_peel_in_one_pass(ring, monkeypatch):
+    # each row at most one unit and no column used twice: every nonzero peels
+    # with no column index; a unit sharing its column, or a non-unit, goes
+    # through the index; either way the factors are the Smith diagonal
+    rng = random.Random(f"permutations:{ring.kind}")
+    zero, unit = ring.zero, lambda: rng.choice(UNITS[ring.kind])
+    one_pass = [Matrix.zeros(ring, n, m) for n, m in [(0, 4), (4, 0), (0, 0), (3, 3)]]
+    for n, m in [(1, 1), (5, 5), (3, 7), (7, 3)]:
+        one_pass += [_partial_permutation(rng, ring, n, m) for _ in range(3)]
+    perm = rng.sample(range(6), 6)
+    one_pass.append(Matrix.from_rows(ring, [[unit() if j == perm[i] else zero for j in range(6)]
+                                            for i in range(6)]))
+    misses = [Matrix.from_rows(ring, [[unit(), zero], [zero, zero], [unit(), zero],
+                                      [zero, unit()]])]
+    misses += [Matrix.from_rows(ring, [[zero, x, zero], [zero, zero, zero], [unit(), zero, zero]])
+               for x in NON_UNITS[ring.kind]]
+
+    def no_index(*args):
+        raise AssertionError("column index built")
+
+    monkeypatch.setattr(matrix, "Counter", no_index)
+    for A in one_pass:
+        peeled, rest = matrix._peel(A)
+        assert (rest.rows, rest.cols) == (0, 0)
+        assert invariant_factors(A) == (ring.one,) * peeled
+    for A in misses:
+        with pytest.raises(AssertionError, match="column index"):
+            matrix._peel(A)
+    monkeypatch.undo()
+    for A in one_pass + misses:
+        expected = _nonzero_diagonal(ring, smith(Matrix(ring, A.rows, A.cols, A.entries)))
+        assert invariant_factors(A) == expected
+
+
+@pytest.mark.parametrize("ring", [ZZ, GF(7), QQ, F5X], ids=["ZZ", "GF7", "QQ", "F5X"])
+def test_random_unimodular_carries_its_inverse(ring):
+    rng = random.Random(f"unimodular:{ring.kind}")
+    for n in range(7):
+        for _ in range(4):
+            U, U_inv = random_unimodular(rng, ring, n)
+            assert U_inv == solve(U, Matrix.identity(ring, n))
+            assert U @ U_inv == Matrix.identity(ring, n)

@@ -240,7 +240,7 @@ def test_canonical_key_golden_digests():
 
 
 # eliminations without U and V per seed: validate(P), validate(P'), and verify_resolution
-RESOLUTION_ELIMINATIONS = {2: ((108, 108), 150), 7: ((90, 108), 132)}
+RESOLUTION_ELIMINATIONS = {2: ((108, 108), 108), 7: ((90, 108), 90)}
 
 
 @pytest.mark.parametrize("seed", [2, 7])
@@ -276,9 +276,10 @@ def test_validate_of_a_resolution_needs_no_full_smith_form(monkeypatch, seed):
         assert counts == {True: 0, False: pinned, "kernel": 0}
     # the whole re-check: every coordinate is split by its carried section and
     # retraction, which takes products only, so check_ses never runs; the
-    # free target validates, so P' follows from P and the target by two out of
-    # three, and the only eliminations are those of validate(P) and
-    # validate(target), without U and V
+    # free source validates, so P' follows from P and the source by two out of
+    # three, and the only eliminations are those of validate(P), without U and
+    # V: resolve_multi validated the source on entry, and its differentials
+    # keep their invariant factors
     monkeypatch.setattr(matrix, "_eliminate", eliminate)
     fresh = resolve_multi(M)
     counts.update({True: 0, False: 0})
@@ -516,10 +517,19 @@ def _differential_cases():
         yield "retraction misshapen", _replaced(
             res, retr={**res.retr, c: Matrix.zeros(res.P.ring, r.rows, r.cols + 1)})
         yield "no splitting", _replaced(res, sect=None, retr=None)
+        # a retraction and a section that still split, but with r s != 0
+        c = next((c for c, r in sorted(res.retr.items())
+                  if r is not None and r.rows and res.zeta.components[c].mat.rows), None)
+        if c is None:  # every coordinate with both ends nonzero lies over torsion
+            continue
+        I, Z = res.incl.components[c].mat, res.zeta.components[c].mat
+        X = Matrix(res.P.ring, I.cols, Z.rows, [res.P.ring.one] * (I.cols * Z.rows))
+        yield "retraction plus X zeta", _replaced(res, retr={**res.retr, c: res.retr[c] + X @ Z})
+        yield "section plus incl Y", _replaced(res, sect={**res.sect, c: res.sect[c] + I @ X})
     # dimension 0 by hand: a zero inclusion, with r incl = 0; a projection
     # from the zero module, with zeta s = 0; and Z^2 ->> Z with nothing in
-    # its kernel, where incl r + s zeta = diag(1, 0); the other equations
-    # hold in all three
+    # its kernel, where 0 + 1 generators miss the 2 of Z^2 (and
+    # incl r + s zeta = diag(1, 0)); the other equations hold in all three
     point, nothing, plane = (BinaryMulticomplex.of_module(FpModule.free(ZZ, g))
                              for g in (1, 0, 2))
     yield "incl not mono", resolve.ResolutionResult(
@@ -535,6 +545,14 @@ def _differential_cases():
         plane, nothing, MultiMorphism(plane, point, {(): first}),
         MultiMorphism.zero(nothing, plane), source=point, target=point, offset=(),
         sect={(): Matrix.from_int_rows(ZZ, [[1], [0]])}, retr={(): Matrix.zeros(ZZ, 0, 2)})
+    # incl = e1 + e2 into Z^2 ->> Z by e2^T: every equation but zeta incl = 0 holds
+    diagonal = FpMorphism(point.obj(()), plane.obj(()), Matrix.from_int_rows(ZZ, [[1], [1]]))
+    second = FpMorphism(plane.obj(()), point.obj(()), Matrix.from_int_rows(ZZ, [[0, 1]]))
+    yield "incl not in the kernel", resolve.ResolutionResult(
+        plane, point, MultiMorphism(plane, point, {(): second}),
+        MultiMorphism(point, plane, {(): diagonal}), source=point, target=point, offset=(),
+        sect={(): Matrix.from_int_rows(ZZ, [[0], [1]])},
+        retr={(): Matrix.from_int_rows(ZZ, [[1, 0]])})
     # a kernel Z presented on two generators with a relation, so not free:
     # with incl = [0, 1] the sequence Z >-> Z ->> 0 is exact, with [0, 2]
     # it is not, and either way the kernel is invalid in free mode
@@ -572,15 +590,38 @@ def test_verify_resolution_agrees_with_elimination(monkeypatch):
         seen.setdefault(label, set()).add(outcome)
         free = all(m.is_free_presentation() for m in res.target.objects.values())
         if label in ("section doubled", "retraction misshapen", "no splitting",
-                     "torsion target"):
+                     "torsion target", "retraction plus X zeta", "section plus incl Y"):
             # a splitting that fails its equations, or none, falls back
             assert got.ok and ses_calls[0] > 0, label
-        if free and label in ("pass", "section doubled", "retraction misshapen"):
+        if free and label in ("pass", "section doubled", "retraction misshapen",
+                              "retraction plus X zeta", "section plus incl Y"):
             # only the coordinate whose splitting was broken falls back
             assert ses_calls[0] == (label != "pass"), label
     assert seen["pass"] == {"PASS"}
     assert "kernel" in seen["broken input"]
     assert seen["kernel presented"] == seen["kernel presented, incl doubled"] == {"kernel"}
-    for label in ("incl scaled", "incl not mono", "zeta not epi", "middle not exact"):
+    for label in ("incl scaled", "incl not mono", "zeta not epi", "middle not exact",
+                  "incl not in the kernel"):
         assert seen[label] == {"sequence"}, label
     assert seen["incl zeroed"] == seen["zeta zeroed"] == {"FAIL"}
+
+
+def test_a_splitting_that_misses_a_rank_is_refused():
+    # Z^3 with incl = e1, s = e2, r = e1^T and zeta = e2^T: zeta incl = 0,
+    # r incl = 1, zeta s = 1 and r s = 0 all hold, but [incl | s] is not
+    # square, and e3 lies in ker zeta outside the image of incl
+    space, point = (BinaryMulticomplex.of_module(FpModule.free(ZZ, g)) for g in (3, 1))
+    incl = Matrix.from_int_rows(ZZ, [[1], [0], [0]])
+    zeta = Matrix.from_int_rows(ZZ, [[0, 1, 0]])
+    s, r = Matrix.from_int_rows(ZZ, [[0], [1], [0]]), Matrix.from_int_rows(ZZ, [[1, 0, 0]])
+    res = resolve.ResolutionResult(
+        space, point,
+        MultiMorphism(space, point, {(): FpMorphism(space.obj(()), point.obj(()), zeta)}),
+        MultiMorphism(point, space, {(): FpMorphism(point.obj(()), space.obj(()), incl)}),
+        source=point, target=point, offset=(), sect={(): s}, retr={(): r})
+    one = Matrix.identity(ZZ, 1)
+    assert (zeta @ incl).is_zero() and (r @ s).is_zero()
+    assert r @ incl == one and zeta @ s == one
+    assert not resolve._splits(res, ())
+    rep = verify_resolution(res)
+    assert len(rep.failures) == 1 and rep.first().startswith("sequence at () is not exact")
