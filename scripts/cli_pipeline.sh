@@ -13,9 +13,12 @@
 # each expected to exit 2 naming its option; check and homology of a free
 # line that is not exact (Z -2-> Z), each expected to exit 1 and name the
 # homology at degree 0; represent-diagonal --out of a class with coefficient
-# -3 and verify-chain of the chain it writes, each expected to exit 0; and
-# represent-diagonal of a class whose coefficient is over the cap, expected to
-# exit 2.  Run from the root of a checkout:
+# -3 and verify-chain of the chain it writes, each expected to exit 0 and to
+# print the same chain-verifies line, which the first reaches through the
+# splittings its split extensions carry in memory and the second through
+# check_ses, since a chain document carries none; and represent-diagonal of a
+# class whose coefficient is over the cap, expected to exit 2.  Run from the
+# root of a checkout:
 #
 #     bash scripts/cli_pipeline.sh
 set -euo pipefail
@@ -88,7 +91,10 @@ grep -q "homology at degree 0" out.txt || { cat out.txt >&2; exit 1; }
 echo '{"dim":1,"entries":[{"coeff":-3,"multicomplex":'"$(line 1)"'}],'\
 '"schema":"binmc.class/1","witnesses":[0]}' >neg.json
 expect 0 python -m binmc represent-diagonal neg.json --out chain.json
+grep "chain-verifies" out.txt >made.txt || { cat out.txt >&2; exit 1; }
 expect 0 python -m binmc verify-chain chain.json
+grep "chain-verifies" out.txt | cmp -s made.txt - \
+    || { echo "chain-verifies lines differ:" >&2; cat made.txt out.txt >&2; exit 1; }
 echo '{"dim":1,"entries":[{"coeff":17,"multicomplex":'"$(line 1)"'}],'\
 '"schema":"binmc.class/1","witnesses":[0]}' >over.json
 expect 2 python -m binmc represent-diagonal over.json

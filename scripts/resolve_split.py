@@ -14,7 +14,8 @@ with S = 1 for the cliff.  Prints one JSON line: CPU seconds of
 ``resolve_multi(M, check=False)`` and of ``verify_resolution``, the latter
 split into ``validate`` of P, of the source, of the target and of P' (each
 absent when it did not run), ``commutes``, the carried splittings
-(``_splits``) and the ``check_ses`` fallback; the peak RSS of this process;
+(``extension._splits``) and the ``extension.check_ses`` fallback, both reached
+through the extension check; the peak RSS of this process;
 the generators of P and P'; and the largest entry, in bits, of the
 inclusion and of the differentials of P'.
 Run each input in a fresh process: Smith forms cached by one step would
@@ -29,7 +30,7 @@ import time
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
 
-from binmc import gen, resolve  # noqa: E402
+from binmc import extension, gen, resolve  # noqa: E402
 from binmc.multicomplex import MultiMorphism  # noqa: E402
 from binmc.rings import ZZ  # noqa: E402
 
@@ -62,8 +63,8 @@ def main(argv) -> int:
     labels = {id(res.P): "validate_P", id(res.source): "validate_source",
               id(res.target): "validate_target", id(res.Pprime): "validate_Pprime"}
     resolve.validate = lambda part, mode: timed(parts, labels[id(part)], real_validate)(part, mode)
-    resolve._splits = timed(parts, "_splits", resolve._splits)
-    resolve.check_ses = timed(parts, "check_ses", resolve.check_ses)
+    extension._splits = timed(parts, "_splits", extension._splits)
+    extension.check_ses = timed(parts, "check_ses", extension.check_ses)
     MultiMorphism.commutes = timed(parts, "commutes", MultiMorphism.commutes)
     t0 = time.process_time()
     ok = resolve.verify_resolution(res).ok

@@ -37,17 +37,18 @@ everything.  The kernel's differentials are rho d incl.  A module has the
 section 1 of its free cover, and a free module the zero kernel and the empty
 retraction; only a module with relations computes its kernel, and the
 coordinates above a torsion target have no retraction, so the edges into
-them are lifted by a solve.  verify_resolution checks s and rho as a
-splitting certificate rather than trusting them: zeta incl = 0, rho incl = 1,
-zeta s = 1 and rho s = 0 with the ranks adding up, which makes [rho; zeta]
-the inverse of [incl | s].  It infers P′ from the splitting, P and the source.
+them are lifted by a solve.  verify_resolution hands s and rho to the
+extension P′ >-> P ->> target, whose check (extension._splits) tests them as a
+splitting certificate rather than trusting them, and it infers P′ from the
+splitting, P and the source.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 from .errors import ShapeError
-from .fpmod import FpModule, FpMorphism, check_ses, free_cover, is_epi, kernel
+from .extension import ExtensionObject
+from .fpmod import FpModule, FpMorphism, free_cover, is_epi, kernel
 from .matrix import Matrix, block_diag, block_matrix
 from .multicomplex import (BinaryMulticomplex, MultiMorphism, _insert, _origins,
                            _rebox, _rebox_morphism, _restrict, box_coords,
@@ -63,8 +64,9 @@ class ResolutionResult:
     doubled-cover branch was forced on a diagonal input).
 
     sect and retr hold, per coordinate, a section of zeta and a retraction
-    of incl (or None).  The next level builds its kernel from them, and
-    verify_resolution checks them as a splitting; they are not serialized.
+    of incl (or None), in the format of ExtensionObject's.  The next level
+    builds its kernel from them, and verify_resolution passes them to the
+    extension check as a splitting; they are not serialized.
     """
 
     __slots__ = ("P", "Pprime", "zeta", "incl", "source", "target", "offset",
@@ -97,33 +99,15 @@ class ResolutionReport:
         return self.failures[0] if self.failures else None
 
 
-def _splits(res: ResolutionResult, c) -> bool:
-    """Do the carried s and r split the sequence at c?  Between free objects,
-    zeta incl = 0, r incl = 1, zeta s = 1 and r s = 0 say [r; zeta] is a left
-    inverse of [incl | s]; when that is square (the ranks of the ends add up
-    to the middle's), it is a two-sided inverse, so incl r + s zeta = 1 too."""
-    i, z = res.incl.components[c], res.zeta.components[c]
-    s, r = (res.sect or {}).get(c), (res.retr or {}).get(c)
-    if s is None or r is None or not all(
-            m.is_free_presentation() for m in (i.source, z.source, z.target)):
-        return False
-    I, Z, ring = i.mat, z.mat, res.P.ring
-    try:
-        return (I.cols + Z.rows == Z.cols and (Z @ I).is_zero() and (r @ s).is_zero()
-                and r @ I == Matrix.identity(ring, I.cols)
-                and Z @ s == Matrix.identity(ring, Z.rows))
-    except ShapeError:
-        return False
-
-
 def verify_resolution(res: ResolutionResult) -> ResolutionReport:
-    """Re-check every claim a ResolutionResult makes.  A coordinate's sequence
-    is exact by _splits, or else by check_ses.  P′ is validated unless two out
+    """Re-check every claim a ResolutionResult makes.  The sequence at each
+    coordinate is decided by ExtensionObject.first_inexact, which tries the
+    carried splitting before check_ses.  P′ is validated unless two out
     of three settle it: incl is a mono chain map, and each line of P′ sits in
     a short exact sequence whose other lines (of P and of the target) are
     acyclic.  The target is then the source translated and padded with zero
     objects, which keeps validity, so the smaller source is what validates."""
-    failures, sequence = [], []
+    failures = []
     rep_p = validate(res.P, "free")
     if not rep_p.ok:
         failures.append(f"cover invalid: {rep_p.first()}")
@@ -144,23 +128,19 @@ def verify_resolution(res: ResolutionResult) -> ResolutionReport:
         failures.append("projection does not commute with the differentials")
     if incl_fault:
         failures.append(incl_fault)
-    if not failures:
-        for c in sorted(box_coords(res.P.shape)):
-            if not _splits(res, c):
-                verdict = check_ses(res.incl.components[c], res.zeta.components[c])
-                if not verdict.ok:
-                    sequence.append(f"sequence at {c} is not exact: {verdict.reason}")
-                    break
+    inexact = None if failures else ExtensionObject(
+        res.Pprime, res.P, res.target, res.incl, res.zeta, res.sect, res.retr).first_inexact()
     if incl_fault is None and (
-            failures or sequence
+            failures or inexact
             or not all(m.is_free_presentation() for m in res.Pprime.objects.values())
             or not validate(res.source, "free").ok):
         rep_k = validate(res.Pprime, "free")
         if not rep_k.ok:
             # reported as if validated first, which leaves the sequence unchecked
             failures.insert(0 if rep_p.ok else 1, f"kernel invalid: {rep_k.first()}")
-            sequence = []
-    failures += sequence
+            inexact = None
+    if inexact:
+        failures.append("sequence at {} is not exact: {}".format(*inexact))
     for a in sorted(res.diagonal_axes):
         if not res.P.is_diagonal_in(a) or not res.Pprime.is_diagonal_in(a):
             failures.append(f"diagonality in axis {a} was not preserved")

@@ -5,7 +5,7 @@ from itertools import islice
 
 import pytest
 
-from binmc import fpmod, matrix, multicomplex, resolve
+from binmc import extension, fpmod, matrix, multicomplex, resolve
 from binmc.errors import NotAcyclic, ShapeError
 from binmc.fpmod import FpModule, FpMorphism, factor_through_mono, free_cover, hsum, is_epi
 from binmc.gen import (random_diagonal_multicomplex, random_fp_module,
@@ -290,7 +290,7 @@ def test_validate_of_a_resolution_needs_no_full_smith_form(monkeypatch, seed):
         return fpmod.check_ses(i, p)
 
     monkeypatch.setattr(matrix, "_eliminate", counted)
-    monkeypatch.setattr(resolve, "check_ses", counted_ses)
+    monkeypatch.setattr(extension, "check_ses", counted_ses)
     assert verify_resolution(fresh).ok
     assert counts == {True: 0, False: in_all, "kernel": 0}
     assert ses_calls[0] == 0
@@ -578,7 +578,7 @@ def test_verify_resolution_agrees_with_elimination(monkeypatch):
         ses_calls[0] += 1
         return fpmod.check_ses(i, p)
 
-    monkeypatch.setattr(resolve, "check_ses", counted_ses)
+    monkeypatch.setattr(extension, "check_ses", counted_ses)
     seen = {}
     for label, res in _differential_cases():
         want = _verify_by_elimination(res)
@@ -622,6 +622,6 @@ def test_a_splitting_that_misses_a_rank_is_refused():
     one = Matrix.identity(ZZ, 1)
     assert (zeta @ incl).is_zero() and (r @ s).is_zero()
     assert r @ incl == one and zeta @ s == one
-    assert not resolve._splits(res, ())
+    assert not extension._splits(res.incl.components[()], res.zeta.components[()], s, r)
     rep = verify_resolution(res)
     assert len(rep.failures) == 1 and rep.first().startswith("sequence at () is not exact")
