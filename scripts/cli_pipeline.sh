@@ -16,9 +16,12 @@
 # -3 and verify-chain of the chain it writes, each expected to exit 0 and to
 # print the same chain-verifies line, which the first reaches through the
 # splittings its split extensions carry in memory and the second through
-# check_ses, since a chain document carries none; and represent-diagonal of a
-# class whose coefficient is over the cap, expected to exit 2.  Run from the
-# root of a checkout:
+# check_ses, since a chain document carries none; represent-diagonal of a
+# class whose coefficient is over the cap, expected to exit 2; verify-chain of
+# a stepless chain from Z -1-> Z over Z to the same line over F7, expected to
+# exit 1 and name the rings; and verify-chain of a chain between two empty
+# classes of dimension -3, expected to exit 2 with a located message.  Run
+# from the root of a checkout:
 #
 #     bash scripts/cli_pipeline.sh
 set -euo pipefail
@@ -74,13 +77,14 @@ grep -q "^input error: --max-rank: " err.txt || { cat err.txt >&2; exit 1; }
 expect 2 python -m binmc gen --length 1
 grep -q "^input error: --length: " err.txt || { cat err.txt >&2; exit 1; }
 
-# one free object per degree of a dim-1 ZZ line, with the scalar $1 as both
-# differentials
+# one free object per degree of a dim-1 line over the ring document $2 (ZZ
+# by default), with the scalar $1 as both differentials
 line() {
     local d='{"cols":1,"entries":[["'"$1"'"]],"rows":1}'
+    local ring=${2:-'{"kind":"integers"}'}
     local z='"gens":1,"rels":{"cols":0,"entries":[[]],"rows":1}'
     echo '{"differentials":[{"at":[1],"axis":0,"bottom":'"$d"',"top":'"$d"'}],"dim":1,'\
-'"objects":[{"at":[0],'"$z"'},{"at":[1],'"$z"'}],"ring":{"kind":"integers"},'\
+'"objects":[{"at":[0],'"$z"'},{"at":[1],'"$z"'}],"ring":'"$ring"','\
 '"schema":"binmc.multicomplex/1","shape":[2]}'
 }
 line 2 >two.json
@@ -99,3 +103,17 @@ echo '{"dim":1,"entries":[{"coeff":17,"multicomplex":'"$(line 1)"'}],'\
 '"schema":"binmc.class/1","witnesses":[0]}' >over.json
 expect 2 python -m binmc represent-diagonal over.json
 grep -q "^input error: class entry 0 (coefficient 17)" err.txt || { cat err.txt >&2; exit 1; }
+
+# the two lines share one canonical key, so only their rings tell them apart
+formal_class() { echo '{"dim":'"$1"',"entries":'"$2"'}'; }
+f7='{"kind":"prime-field","p":"7"}'
+echo '{"end":'"$(formal_class 1 '[{"coeff":1,"multicomplex":'"$(line 1 "$f7")"'}]')"','\
+'"schema":"binmc.chain/1","start":'"$(formal_class 1 '[{"coeff":1,"multicomplex":'"$(line 1)"'}]')"','\
+'"steps":[]}' >rings.json
+expect 1 python -m binmc verify-chain rings.json
+grep -q "start and end classes have different rings" out.txt || { cat out.txt >&2; exit 1; }
+echo '{"end":'"$(formal_class -3 '[]')"',"schema":"binmc.chain/1","start":'"$(formal_class -3 '[]')"','\
+'"steps":[]}' >negative.json
+expect 2 python -m binmc verify-chain negative.json
+grep -q "^input error: chain.start: dimension must be nonnegative" err.txt \
+    || { cat err.txt >&2; exit 1; }

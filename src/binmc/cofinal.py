@@ -1,10 +1,13 @@
 """Even-rank complements: making multicomplex ranks even with diagonal padding.
 
 The guiding instance is the inclusion of even-rank free modules into all free
-modules over a fixed ring (the integers by default).  The subcategory is
-closed under direct sums and extensions, and every free module is a summand
-of an even-rank one (add at most one rank), so it is cofinal.  The
-obstruction to membership is the rank-parity grid, computed by rel_class.
+modules over one ring.  The subcategory is closed under direct sums and
+extensions, and every free module is a summand of an even-rank one (add at
+most one rank), so it is cofinal.  The obstruction to membership is the
+rank-parity grid, computed by rel_class: a multicomplex with free objects
+lies in the subcategory exactly when rel_class(N).is_zero(), and a module's
+complement is the free module of rank gens % 2 (the dimension-0 case of
+pair_complement).
 
 The central construction is complement(N, i): for a valid multicomplex N
 with free objects it produces a multicomplex T, diagonal in direction i,
@@ -36,40 +39,6 @@ from .multicomplex import (BinaryMulticomplex, common_shape, expand_along,
                            image_multicomplex, layered_sum, pad_to,
                            staircase_rows, validate)
 from .rings import ZZ, Ring
-
-
-class CofinalInstance:
-    """Even-rank free modules inside all free modules over one ring.
-
-    The subcategory predicate (every rank even) is closed under direct sums
-    and extensions, and each ambient object reaches it after adding at most
-    one rank, so the inclusion is cofinal without being dense: the parity of
-    the rank survives as an obstruction.
-    """
-
-    __slots__ = ("ring",)
-
-    def __init__(self, ring: Ring = ZZ):
-        self.ring = ring
-
-    def module_in_ambient(self, mod: FpModule) -> bool:
-        return mod.ring == self.ring and mod.is_free_presentation()
-
-    def module_in_sub(self, mod: FpModule) -> bool:
-        return self.module_in_ambient(mod) and mod.gens % 2 == 0
-
-    def module_complement(self, mod: FpModule) -> FpModule:
-        """The smallest free module whose sum with mod has even rank."""
-        if not self.module_in_ambient(mod):
-            raise MembershipRefusal("module complement needs a free module over the instance ring")
-        return FpModule.free(self.ring, mod.gens % 2)
-
-    def in_ambient(self, M: BinaryMulticomplex) -> bool:
-        return M.ring == self.ring and all(m.is_free_presentation()
-                                           for m in M.objects.values())
-
-    def in_sub(self, M: BinaryMulticomplex) -> bool:
-        return self.in_ambient(M) and all(m.gens % 2 == 0 for m in M.objects.values())
 
 
 @dataclass(frozen=True)

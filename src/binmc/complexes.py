@@ -3,8 +3,8 @@
 Degrees run 0..length-1 and differentials lower degree by one.  Exactness is
 decided on two paths, and both name the lowest degree k with H_k != 0 and
 that homology.  A complex of free modules is read off the invariant factors
-of its differentials (free_line_homology; free_line_exact is its yes/no
-view).  Any complex has the acyclicity witness: every differential factored
+of its differentials (free_line_homology; exact when it returns None).
+Any complex has the acyclicity witness: every differential factored
 as epi then mono through its image, with each induced short sequence
 verified exact.  describe_homology writes either path's failure.
 """
@@ -134,11 +134,6 @@ def free_line_homology(C: ChainComplex):
             return k, free, torsion
         rank_out = len(factors)
     return None
-
-
-def free_line_exact(C: ChainComplex) -> bool:
-    """Exactness of a complex of free modules: free_line_homology finds nothing."""
-    return free_line_homology(C) is None
 
 
 def describe_homology(k: int, free: int, torsion) -> str:

@@ -47,8 +47,7 @@ def random_unimodular(rng: random.Random, ring: Ring, n: int, steps: int = 8):
     return Matrix.from_rows(ring, rows), Matrix.from_rows(ring, inv)
 
 
-def random_fp_module(rng: random.Random, ring: Ring, max_gens: int = 3,
-                     torsion_pool=(2, 3, 4, 6)) -> FpModule:
+def random_fp_module(rng: random.Random, ring: Ring, max_gens: int = 3) -> FpModule:
     g = rng.randint(0, max_gens)
     if g == 0:
         return FpModule.zero(ring)
@@ -58,7 +57,7 @@ def random_fp_module(rng: random.Random, ring: Ring, max_gens: int = 3,
         if roll < 0.45:
             diag.append(None)  # free generator
         else:
-            diag.append(ring.from_int(rng.choice(torsion_pool)))
+            diag.append(ring.from_int(rng.choice((2, 3, 4, 6))))
     cols = [c for c in diag if c is not None]
     rels = [[ring.zero] * len(cols) for _ in range(g)]
     c = 0
@@ -71,7 +70,7 @@ def random_fp_module(rng: random.Random, ring: Ring, max_gens: int = 3,
     return FpModule(ring, g, U @ Matrix.from_rows(ring, rels))
 
 
-def random_automorphism(rng: random.Random, mod: FpModule, steps: int = 4):
+def random_automorphism(rng: random.Random, mod: FpModule):
     """(f, f_inverse), both verified well-defined; falls back to the identity."""
     ring = mod.ring
     n = mod.gens
@@ -81,7 +80,7 @@ def random_automorphism(rng: random.Random, mod: FpModule, steps: int = 4):
                 FpMorphism(mod, mod, U_inv, _trusted=True))
     f = FpMorphism.identity(mod)
     finv = FpMorphism.identity(mod)
-    for _ in range(steps):
+    for _ in range(4):
         accepted = None
         for _ in range(6):
             if n > 1 and rng.random() < 0.7:
@@ -379,13 +378,6 @@ def random_multicomplex(rng: random.Random, ring: Ring, dim: int,
     M = direct_sum_multi(parts) if len(parts) > 1 else parts[0]
     Mp, _, _ = conjugate_multicomplex(rng, M)
     return Mp
-
-
-def random_diagonal_multicomplex(rng: random.Random, ring: Ring, dim: int,
-                                 length: int = 3, max_rank: int = 2,
-                                 allow_fp: bool = False) -> BinaryMulticomplex:
-    return random_multicomplex(rng, ring, dim, length, max_rank,
-                               diagonal_axes=range(dim), allow_fp=allow_fp)
 
 
 def random_multi_extension(rng: random.Random, sub: BinaryMulticomplex,

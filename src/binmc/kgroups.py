@@ -83,6 +83,8 @@ class FormalClass:
     def __add__(self, other: "FormalClass") -> "FormalClass":
         if other.dim != self.dim:
             raise ShapeError("formal class mixes dimensions")
+        if None not in (self.ring, other.ring) and other.ring != self.ring:
+            raise ShapeError("formal class mixes coefficient rings")
         merged = dict(self._entries)
         for key, (M, c) in other._entries.items():
             if key in merged:
@@ -101,8 +103,10 @@ class FormalClass:
         return not self._entries
 
     def __eq__(self, other):
+        # an empty class keeps the ring of entries that cancelled, or none
         return (isinstance(other, FormalClass) and other.dim == self.dim
                 and set(other._entries) == set(self._entries)
+                and (not self._entries or other.ring == self.ring)
                 and all(other._entries[k][1] == self._entries[k][1]
                         for k in self._entries))
 
@@ -243,13 +247,16 @@ def verify_chain(chain: RelationChain) -> ChainReport:
     """Replay a relation chain with every object and witness re-checked.
 
     The check is deliberately redundant: every distinct multicomplex that the
-    chain touches (in the endpoints or inside a step payload) is validated as
-    an acyclic binary multicomplex, every step payload is re-verified from
-    scratch, and the running formal sum is recomputed and compared against
-    the declared end class.
+    chain touches (in the endpoints or inside a step payload) must share one
+    dimension and ring and is validated, every step payload is re-verified
+    from scratch, and the running formal sum is recomputed and compared
+    against the declared end class.
     """
     if chain.end.dim != chain.start.dim:
         return ChainReport(False, None, "start and end classes have different dimensions")
+    ring = chain.start.ring if chain.start.ring is not None else chain.end.ring
+    if chain.end.ring not in (None, ring):
+        return ChainReport(False, None, "start and end classes have different rings")
 
     seen = set()
 
@@ -274,6 +281,9 @@ def verify_chain(chain: RelationChain) -> ChainReport:
         for M in step.referenced():
             if M.dim != chain.start.dim:
                 return ChainReport(False, i, "step references the wrong dimension")
+            ring = M.ring if ring is None else ring  # set here if both end classes are empty
+            if M.ring != ring:
+                return ChainReport(False, i, "step references the wrong ring")
             bad = check_member(M, i)
             if bad:
                 return bad

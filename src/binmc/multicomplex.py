@@ -24,12 +24,14 @@ restriction, _restrict, of both differential families through coordinatewise
 monos.  layered_sum stacks direct sums along a new axis, with one morphism
 for both families where their routes agree, and staircase_rows lays out the
 identity staircase that resolve and cofinal both build on.
+expand_along and collapse_along convert along one axis to and from a
+BinaryTower, a complex of (dim-1)-multicomplexes; diagonal_embed collapses
+one family of differentials into both, the paper's diagonal embedding.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Optional
 
 from .complexes import (ChainComplex, acyclicity_witness, describe_homology,
                         free_line_homology)
@@ -219,10 +221,12 @@ class ValidationFailure:
 
 @dataclass(frozen=True)
 class ValidationReport:
+    """ok, and the failures in order: validate's records or verify_resolution's messages."""
+
     ok: bool
     failures: tuple
 
-    def first(self) -> Optional[ValidationFailure]:
+    def first(self):
         return self.failures[0] if self.failures else None
 
     def require(self, what: str):
@@ -529,25 +533,6 @@ def block_identity_morphism(src_atoms, tgt_atoms, routed, term_src, term_tgt) ->
 
 
 @dataclass(frozen=True)
-class Tower:
-    """Single-differential bounded complex of (dim-1)-multicomplexes."""
-
-    terms: tuple
-    diffs: tuple  # diffs[k] : terms[k+1] -> terms[k]
-
-    def __post_init__(self):
-        if self.terms and len(self.diffs) != len(self.terms) - 1:
-            raise ShapeError("tower needs one differential per adjacent pair")
-        for k, d in enumerate(self.diffs):
-            if d.source != self.terms[k + 1] or d.target != self.terms[k]:
-                raise ShapeError(f"tower differential {k} has wrong endpoints")
-
-    @property
-    def length(self):
-        return len(self.terms)
-
-
-@dataclass(frozen=True)
 class BinaryTower:
     """Two-differential bounded complex of (dim-1)-multicomplexes."""
 
@@ -663,15 +648,14 @@ def staircase_rows(pieces):
     return rows, {j: {(("lo", j - 1), ("hi", j - 1))} for j in range(1, L + 1)}
 
 
-def diagonal_embed(tw: Tower, axis: int, mode: str = "fp") -> BinaryMulticomplex:
-    """Double the tower differential into both families along a new axis.
-
-    The tower must be acyclic (as a complex of multicomplexes with valid
-    terms); the flattened result is fully validated and a failure raises
-    NotAcyclic.
+def diagonal_embed(terms, diffs, axis: int) -> BinaryMulticomplex:
+    """The diagonal embedding: a complex of (dim-1)-multicomplexes, with
+    diffs[k] : terms[k+1] -> terms[k], doubled into both families along a
+    new axis.  BinaryTower checks the endpoints; the flattened result is
+    fully validated and a failure raises NotAcyclic.
     """
-    out = collapse_along(BinaryTower(tw.terms, tw.diffs, tw.diffs), axis)
-    validate(out, mode).require("diagonal embedding is not valid")
+    out = collapse_along(BinaryTower(tuple(terms), tuple(diffs), tuple(diffs)), axis)
+    validate(out, "fp").require("diagonal embedding is not valid")
     return out
 
 

@@ -19,7 +19,8 @@ to the target by an alternating ladder of composites of the two
 differentials.  Both covers are assembled by multicomplex.layered_sum.  Higher
 dimensions recurse: the epimorphism provider for an n-dimensional input is
 the (n-1)-dimensional resolution of its slices, and the base provider for
-modules is the free cover.
+modules is the free cover.  The slice covers are re-wrapped onto the
+translated input's slices without a comparison; verify_resolution checks the target.
 
 Kernels are assembled by products, not eliminated.  Each resolution
 carries, per coordinate, a section s of its projection (zeta s = 1 modulo
@@ -44,15 +45,13 @@ splitting, P and the source.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import ShapeError
 from .extension import ExtensionObject
 from .fpmod import FpModule, FpMorphism, free_cover, is_epi, kernel
 from .matrix import Matrix, block_diag, block_matrix
-from .multicomplex import (BinaryMulticomplex, MultiMorphism, _insert, _origins,
-                           _rebox, _rebox_morphism, _restrict, box_coords,
-                           expand_along, layered_sum, pad_to, shift,
+from .multicomplex import (BinaryMulticomplex, MultiMorphism, ValidationReport,
+                           _insert, _origins, _rebox, _rebox_morphism, _restrict,
+                           box_coords, expand_along, layered_sum, pad_to, shift,
                            staircase_rows, validate)
 
 
@@ -90,16 +89,7 @@ class ResolutionResult:
                 f"offset={self.offset})")
 
 
-@dataclass(frozen=True)
-class ResolutionReport:
-    ok: bool
-    failures: tuple
-
-    def first(self):
-        return self.failures[0] if self.failures else None
-
-
-def verify_resolution(res: ResolutionResult) -> ResolutionReport:
+def verify_resolution(res: ResolutionResult) -> ValidationReport:
     """Re-check every claim a ResolutionResult makes.  The sequence at each
     coordinate is decided by ExtensionObject.first_inexact, which tries the
     carried splitting before check_ses.  P′ is validated unless two out
@@ -144,7 +134,7 @@ def verify_resolution(res: ResolutionResult) -> ResolutionReport:
     for a in sorted(res.diagonal_axes):
         if not res.P.is_diagonal_in(a) or not res.Pprime.is_diagonal_in(a):
             failures.append(f"diagonality in axis {a} was not preserved")
-    return ResolutionReport(not failures, tuple(failures))
+    return ValidationReport(not failures, tuple(failures))
 
 
 class DeltaLadder:
@@ -312,10 +302,7 @@ def _resolve(M: BinaryMulticomplex, branch=None) -> ResolutionResult:
     final_shape = r_star[:axis] + (L + 1,) + r_star[axis:]
     target = _rebox(M, offset, final_shape)
     big = expand_along(target, axis)
-    for t in range(L):
-        if big.terms[t + 1] != eps[t].target:
-            raise ShapeError("aligned covers disagree with the translated input")
-        eps[t] = MultiMorphism(eps[t].source, big.terms[t + 1], eps[t].components)
+    eps = [MultiMorphism(e.source, big.terms[t + 1], e.components) for t, e in enumerate(eps)]
     Q = [f.source for f in eps]
 
     if branch == "staircase":

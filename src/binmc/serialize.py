@@ -329,6 +329,8 @@ def formal_class_to_doc(x: FormalClass) -> dict:
 
 def formal_class_from_doc(doc, where="class") -> FormalClass:
     dim = _need(doc, "dim", int, where)
+    if dim < 0:
+        raise ParseError("dimension must be nonnegative", where)
     x = FormalClass.zero(dim)
     for k, rec in enumerate(_need(doc, "entries", list, where)):
         spot = f"{where}.entries[{k}]"

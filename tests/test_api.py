@@ -1,4 +1,5 @@
 """The public surface: exported names and the functions the benchmark tracer wraps."""
+import ast
 import importlib
 import importlib.util
 import os
@@ -30,3 +31,22 @@ def test_traced_names_resolve():
         elif not hasattr(owner, attr):
             missing.append((layer, attr))
     assert not missing
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    src = os.path.dirname(binmc.__file__)
+    unused = []
+    for fname in sorted(f for f in os.listdir(src) if f.endswith(".py")):
+        with open(os.path.join(src, fname), encoding="utf-8") as f:
+            tree = ast.parse(f.read())
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        # a package re-exports what it imports: its __all__ entries count as uses
+        used |= {elt.value for node in ast.walk(tree) if isinstance(node, ast.Assign)
+                 and any(getattr(t, "id", None) == "__all__" for t in node.targets)
+                 for elt in node.value.elts}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import) or (isinstance(node, ast.ImportFrom)
+                                                and node.module != "__future__"):
+                unused += [f"{fname}:{node.lineno} {alias.name}" for alias in node.names
+                           if (alias.asname or alias.name).split(".")[0] not in used]
+    assert not unused

@@ -3,8 +3,8 @@ import random
 import pytest
 
 from binmc import cofinal, kgroups
-from binmc.cofinal import (CofinalInstance, RelClass, complement,
-                           diagonal_represent, pair_complement, rel_class)
+from binmc.cofinal import (RelClass, complement, diagonal_represent,
+                           pair_complement, rel_class)
 from binmc.errors import (CertificateError, MembershipRefusal, NotAcyclic,
                           ShapeError)
 from binmc.fpmod import FpModule, FpMorphism
@@ -14,7 +14,7 @@ from binmc.kgroups import FormalClass, class_torsion, torsion, verify_chain
 from binmc.matrix import Matrix
 from binmc.multicomplex import (BinaryMulticomplex, direct_sum_multi,
                                 rediagonalize, validate)
-from binmc.rings import QQ, ZZ
+from binmc.rings import ZZ
 from binmc.serialize import chain_to_doc, digest, multicomplex_to_doc
 
 
@@ -25,19 +25,19 @@ def unit_complex(ring, u):
 
 
 def test_instance_predicates():
-    inst = CofinalInstance(ZZ)
-    assert inst.module_in_ambient(FpModule.free(ZZ, 3))
-    assert not inst.module_in_sub(FpModule.free(ZZ, 3))
-    assert inst.module_in_sub(FpModule.free(ZZ, 4))
-    torsion_mod = FpModule(ZZ, 1, Matrix.from_int_rows(ZZ, [[6]]))
-    assert not inst.module_in_ambient(torsion_mod)
-    assert not CofinalInstance(QQ).module_in_ambient(FpModule.free(ZZ, 2))
-    # cofinality: the complement has rank at most one and evens the sum
-    for r in range(5):
-        comp = inst.module_complement(FpModule.free(ZZ, r))
+    # the even-rank subcategory is where rel_class vanishes, on free objects
+    points = [BinaryMulticomplex.of_module(FpModule.free(ZZ, r)) for r in range(5)]
+    for r, point in enumerate(points):
+        assert rel_class(point).is_zero() == (r % 2 == 0)
+        # cofinality: the complement has rank at most one and evens the sum
+        comp = pair_complement(point, point).objects[()]
         assert comp.gens <= 1 and (r + comp.gens) % 2 == 0
-    # closure of the predicate under direct sums
-    assert (4 + 2) % 2 == 0 and inst.module_in_sub(FpModule.free(ZZ, 6))
+    torsion_point = BinaryMulticomplex.of_module(FpModule(ZZ, 1, Matrix.from_int_rows(ZZ, [[6]])))
+    for refused in (rel_class, lambda N: pair_complement(N, N)):
+        with pytest.raises(MembershipRefusal):
+            refused(torsion_point)
+    # closure of the subcategory under direct sums
+    assert rel_class(direct_sum_multi([points[4], points[2]])).is_zero()
 
 
 def test_rel_class_is_additive_and_exact():
@@ -48,7 +48,6 @@ def test_rel_class_is_additive_and_exact():
         assert rel_class(direct_sum_multi([N1, N2])) == rel_class(N1) + rel_class(N2)
         doubled = direct_sum_multi([N1, N1])
         assert rel_class(doubled).is_zero()
-        assert CofinalInstance(ZZ).in_sub(doubled)
     U = unit_complex(ZZ, 1)
     assert rel_class(U) == RelClass(1, frozenset({(0,), (1,)}))
     assert not rel_class(U).is_zero()
@@ -60,7 +59,7 @@ def test_complement_unit_complexes():
         T = complement(U, 0)
         assert T.is_diagonal_in(0)
         assert all(m.gens == 1 for m in T.objects.values())
-        assert CofinalInstance(ZZ).in_sub(direct_sum_multi([U, T]))
+        assert rel_class(direct_sum_multi([U, T])).is_zero()
 
 
 def test_complement_of_even_input_is_zero():
@@ -78,12 +77,12 @@ def test_complement_preserves_other_diagonal_directions():
         N = random_multicomplex(rng, ZZ, 2, length=3, max_rank=2, diagonal_axes=(1,))
         T = complement(N, 0)
         assert T.is_diagonal_in(0) and T.is_diagonal_in(1)
-        assert CofinalInstance(ZZ).in_sub(direct_sum_multi([N, T]))
+        assert rel_class(direct_sum_multi([N, T])).is_zero()
     N = random_multicomplex(rng, ZZ, 3, length=2, max_rank=2,
                             diagonal_axes=(2,), bricks=1)
     T = complement(N, 0)
     assert T.is_diagonal_in(0) and T.is_diagonal_in(2)
-    assert CofinalInstance(ZZ).in_sub(direct_sum_multi([N, T]))
+    assert rel_class(direct_sum_multi([N, T])).is_zero()
 
 
 def test_complement_general_branch():
@@ -93,7 +92,7 @@ def test_complement_general_branch():
         for i in range(2):
             T = complement(N, i)
             assert T.is_diagonal_in(i)
-            assert CofinalInstance(ZZ).in_sub(direct_sum_multi([N, T]))
+            assert rel_class(direct_sum_multi([N, T])).is_zero()
             assert validate(T, "free").ok
 
 
@@ -102,7 +101,7 @@ def test_complement_dimension_three():
     N = random_multicomplex(rng, ZZ, 3, length=2, max_rank=2, bricks=1)
     T = complement(N, 1)
     assert T.is_diagonal_in(1)
-    assert CofinalInstance(ZZ).in_sub(direct_sum_multi([N, T]))
+    assert rel_class(direct_sum_multi([N, T])).is_zero()
 
 
 def test_complement_rejections():
@@ -140,8 +139,8 @@ def test_pair_complement_multicomplexes():
         N1 = random_multicomplex(rng, ZZ, 2, length=2, max_rank=2)
         N2, _, _ = conjugate_multicomplex(rng, N1)  # same rank grid
         P = pair_complement(N1, N2)
-        assert CofinalInstance(ZZ).in_sub(direct_sum_multi([N1, P]))
-        assert CofinalInstance(ZZ).in_sub(direct_sum_multi([N2, P]))
+        assert rel_class(direct_sum_multi([N1, P])).is_zero()
+        assert rel_class(direct_sum_multi([N2, P])).is_zero()
     odd = unit_complex(ZZ, 1)
     even = direct_sum_multi([odd, odd])
     with pytest.raises(MembershipRefusal):
@@ -245,7 +244,7 @@ def test_complement_checks_once_per_public_call(monkeypatch):
     assert counts["_complement"] > 1  # the input really recurses
     assert counts["complement"] == 1  # ... without re-entering the public entry
     assert counts["validate"] == 2  # input once, output once
-    assert CofinalInstance(ZZ).in_sub(direct_sum_multi([N, T]))
+    assert rel_class(direct_sum_multi([N, T])).is_zero()
 
 
 def test_diagonal_represent_leaves_chain_checking_to_verify_chain(monkeypatch):

@@ -4,8 +4,7 @@ import random
 import pytest
 
 from binmc.complexes import (ChainComplex, acyclicity_witness, describe_homology,
-                             free_line_exact, free_line_homology, homology,
-                             homology_by_ranks)
+                             free_line_homology, homology, homology_by_ranks)
 from binmc.errors import RingError, ShapeError
 from binmc.fpmod import FpModule, FpMorphism
 from binmc.gen import (complex_direct_sum, conjugate_complex, random_acyclic_complex,
@@ -107,13 +106,12 @@ def test_two_homology_algorithms_agree():
 def _certificate_matches_witness(C):
     """free_line_homology locates what the witness locates, with the same homology.
 
-    Also checks free_line_exact against it, and both against the homology of
-    every degree by an independent route (the module machinery over F_p[x],
-    where fraction-field ranks are not available).
+    Also checks it against the homology of every degree by an independent
+    route (the module machinery over F_p[x], where fraction-field ranks are
+    not available).
     """
     found = free_line_homology(C)
-    exact = free_line_exact(C)
-    assert exact == (found is None)
+    exact = found is None
     out = acyclicity_witness(C)
     assert exact == out.ok
     if C.ring.kind == "polynomials-over":
@@ -252,7 +250,7 @@ def test_rank_certificate_without_u_and_v_matches_witness():
                     broken.append(mats[k].scale(2))
                 lines += [(_with_diffs(C, mats[:k] + [b] + mats[k + 1:]), C) for b in broken]
             for L, origin in lines:
-                exact = free_line_exact(L)
+                exact = free_line_homology(L) is None
                 assert all(d.mat._snf is None for d in L.diffs)  # no U or V was built
                 ok = acyclicity_witness(L).ok
                 assert exact == ok
@@ -260,7 +258,7 @@ def test_rank_certificate_without_u_and_v_matches_witness():
                     assert not ok
                 for d in L.diffs:
                     smith(d.mat)
-                assert free_line_exact(L) == ok  # now read from the full decompositions
+                assert (free_line_homology(L) is None) == ok  # read from the full decompositions
                 verdicts[ok] += 1
     assert min(verdicts.values()) > 20
 
@@ -268,4 +266,4 @@ def test_rank_certificate_without_u_and_v_matches_witness():
 def test_rank_certificate_needs_free_objects():
     C = ChainComplex(ZZ, [FpModule(ZZ, 1, mat([[2]]))], [])
     with pytest.raises(RingError):
-        free_line_exact(C)
+        free_line_homology(C)

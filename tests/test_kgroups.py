@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -6,8 +7,8 @@ import pytest
 from binmc.errors import NotAcyclic, ShapeError
 from binmc.extension import ExtensionObject, split_extension
 from binmc.fpmod import FpModule, FpMorphism
-from binmc.gen import (conjugate_multicomplex, random_diagonal_multicomplex,
-                       random_multi_extension, random_multicomplex)
+from binmc.gen import (conjugate_multicomplex, random_multi_extension,
+                       random_multicomplex)
 from binmc.kgroups import (ChainReport, DiagonalStep, FormalClass, IsoStep,
                            MembershipCertificate, RelationChain, SesStep,
                            class_torsion, tn_membership_certificate, torsion,
@@ -58,6 +59,33 @@ def test_formal_class_rejects_mixtures():
         FormalClass.of(A) + FormalClass.of(C)
 
 
+def test_chains_do_not_mix_rings():
+    # unit_complex(R, 1) has one canonical key over every ring, so only the
+    # ring tells the classes apart
+    rings = (ZZ, QQ, PrimeField(7))
+    units = {R: unit_complex(R, 1) for R in rings}
+    zero = FormalClass.zero(1)
+    for R, S in itertools.product(rings, repeat=2):
+        x, y = FormalClass.of(units[R]), FormalClass.of(units[S])
+        plus_minus = [DiagonalStep(units[R], 0, 1), DiagonalStep(units[S], 0, -1)]
+        if R == S:
+            assert x == y and verify_chain(RelationChain(zero, plus_minus, zero)).ok
+            continue
+        assert x != y
+        with pytest.raises(ShapeError):
+            x + y
+        report = verify_chain(RelationChain(x, [], y))
+        assert (report.ok, report.step) == (False, None)
+        assert report.reason == "start and end classes have different rings"
+        # the ring comes from the start, else the end, else the first step
+        for chain in (RelationChain(x, [DiagonalStep(units[S], 0, 1)], x),
+                      RelationChain(zero, [DiagonalStep(units[S], 0, 1)], x),
+                      RelationChain(zero, plus_minus, zero)):
+            report = verify_chain(chain)
+            assert (report.ok, report.step) == (False, len(chain.steps) - 1)
+            assert report.reason == "step references the wrong ring"
+
+
 def test_split_ses_chain():
     rng = random.Random(3)
     A = random_multicomplex(rng, ZZ, 1, length=3, max_rank=2)
@@ -72,7 +100,7 @@ def test_split_ses_chain():
 
 def test_diagonal_step_chain():
     rng = random.Random(4)
-    D = random_diagonal_multicomplex(rng, ZZ, 1, length=3, max_rank=2)
+    D = random_multicomplex(rng, ZZ, 1, length=3, max_rank=2, diagonal_axes=(0,))
     chain = RelationChain(FormalClass.of(D),
                           [DiagonalStep(D, 0, -1)],
                           FormalClass.zero(1))
@@ -85,7 +113,8 @@ def test_chain_reports_corrupted_ses_at_its_step():
     U = unit_complex(ZZ, 1)
     ident = MultiMorphism.identity(U)
     bad = ExtensionObject(U, U, U, ident, ident)
-    D = random_diagonal_multicomplex(random.Random(5), ZZ, 1, length=3, max_rank=2)
+    D = random_multicomplex(random.Random(5), ZZ, 1, length=3, max_rank=2,
+                            diagonal_axes=(0,))
     chain = RelationChain(FormalClass.of(D),
                           [DiagonalStep(D, 0, -1), SesStep(bad, 1)],
                           FormalClass.of(U))
@@ -147,7 +176,7 @@ def test_iso_step_rejects_non_inverse_pair():
 def test_chain_rejects_wrong_end_class():
     rng = random.Random(7)
     A = random_multicomplex(rng, ZZ, 1, length=3, max_rank=2)
-    D = random_diagonal_multicomplex(rng, ZZ, 1, length=3, max_rank=2)
+    D = random_multicomplex(rng, ZZ, 1, length=3, max_rank=2, diagonal_axes=(0,))
     chain = RelationChain(FormalClass.of(A),
                           [DiagonalStep(D, 0, 1)],
                           FormalClass.of(A))
@@ -187,7 +216,7 @@ def test_torsion_diagonal_is_one():
     rng = random.Random(9)
     for ring in (ZZ, QQ, PrimeField(7)):
         for _ in range(6):
-            D = random_diagonal_multicomplex(rng, ring, 1, length=4, max_rank=2)
+            D = random_multicomplex(rng, ring, 1, length=4, max_rank=2, diagonal_axes=(0,))
             assert torsion(D) == ring.one
 
 
@@ -238,7 +267,7 @@ def test_class_torsion_constant_along_chains():
         chain = RelationChain(start, [SesStep(ext, -1)], end)
         assert verify_chain(chain).ok
         assert class_torsion(start) == class_torsion(end)
-    D = random_diagonal_multicomplex(rng, QQ, 1, length=3, max_rank=2)
+    D = random_multicomplex(rng, QQ, 1, length=3, max_rank=2, diagonal_axes=(0,))
     assert class_torsion(FormalClass.of(D)) == Fraction(1)
     assert class_torsion(FormalClass.zero(1), ring=QQ) == Fraction(1)
     assert class_torsion(FormalClass.of(unit_complex(QQ, Fraction(3)), -1)) == Fraction(3)
@@ -246,8 +275,8 @@ def test_class_torsion_constant_along_chains():
 
 def test_membership_certificate():
     rng = random.Random(14)
-    D1 = random_diagonal_multicomplex(rng, ZZ, 2, length=2, max_rank=2)
-    D2 = random_diagonal_multicomplex(rng, ZZ, 2, length=2, max_rank=2)
+    D1 = random_multicomplex(rng, ZZ, 2, length=2, max_rank=2, diagonal_axes=(0, 1))
+    D2 = random_multicomplex(rng, ZZ, 2, length=2, max_rank=2, diagonal_axes=(0, 1))
     x = FormalClass.of(D1) - FormalClass.of(D2)
     axes = [0] * len(x.entries())
     cert = tn_membership_certificate(x, axes)

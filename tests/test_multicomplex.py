@@ -8,12 +8,11 @@ from binmc.cofinal import complement
 from binmc.complexes import acyclicity_witness
 from binmc.errors import NotAcyclic, ShapeError
 from binmc.fpmod import FpModule, FpMorphism
-from binmc.gen import (conjugate_multicomplex, random_diagonal_multicomplex,
-                       random_multicomplex)
+from binmc.gen import conjugate_multicomplex, random_multicomplex
 from binmc.kgroups import FormalClass, RelationChain, torsion, verify_chain
 from binmc.matrix import Matrix
 from binmc.multicomplex import (BinaryMulticomplex, BinaryTower, MultiMorphism,
-                                Tower, box_coords, collapse_along, common_shape,
+                                box_coords, collapse_along, common_shape,
                                 diagonal_embed, diagonality_report,
                                 direct_sum_multi, expand_along,
                                 image_multicomplex, layered_sum, pad_morphism,
@@ -184,8 +183,8 @@ def _raised(fn, *args):
 
 def _embedded_two_tower(M):
     point = BinaryMulticomplex.of_module(M.objects[(0,)])
-    tower = Tower((point, point), (MultiMorphism(point, point, {(): M.tops[(0, (1,))]}),))
-    return _raised(diagonal_embed, tower, 0), M, "fp"
+    diff = MultiMorphism(point, point, {(): M.tops[(0, (1,))]})
+    return _raised(diagonal_embed, (point, point), (diff,), 0), M, "fp"
 
 
 def _kernel_invalid(M):
@@ -239,7 +238,7 @@ def test_diagonality_report():
     D = random_multicomplex(rng, ZZ, 2, length=3, diagonal_axes=(1,), bricks=1)
     report = diagonality_report(D)
     assert 1 in report.directions
-    full = random_diagonal_multicomplex(rng, GF(5), 2, length=2)
+    full = random_multicomplex(rng, GF(5), 2, length=2, diagonal_axes=(0, 1))
     assert diagonality_report(full).directions == frozenset({0, 1})
 
 
@@ -362,8 +361,7 @@ def test_top_slice_and_diagonal_embed():
     rng = random.Random(31)
     D = random_multicomplex(rng, ZZ, 2, length=3, diagonal_axes=(0,), bricks=1)
     bt = expand_along(D, 0)
-    tower = Tower(bt.terms, bt.tops)
-    E = diagonal_embed(tower, 0, mode="fp")
+    E = diagonal_embed(bt.terms, bt.tops, 0)
     assert E == rediagonalize(D, 0)
     assert 0 in diagonality_report(E).directions
     assert validate(E, "fp").ok
@@ -381,9 +379,12 @@ def test_diagonal_embed_rejects_nonacyclic():
     free1 = FpModule.free(ZZ, 1)
     t0 = BinaryMulticomplex.of_module(free1)
     t1 = BinaryMulticomplex.of_module(free1)
-    broken = Tower((t0, t1), (MultiMorphism.zero(t1, t0),))
     with pytest.raises(NotAcyclic):
-        diagonal_embed(broken, 0)
+        diagonal_embed((t0, t1), (MultiMorphism.zero(t1, t0),), 0)
+    # endpoints are checked before anything is flattened
+    t2 = BinaryMulticomplex.of_module(FpModule.free(ZZ, 2))
+    with pytest.raises(ShapeError):
+        diagonal_embed((t0, t2), (MultiMorphism.zero(t1, t0),), 0)
 
 
 def test_image_of_isomorphism_is_everything():

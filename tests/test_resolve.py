@@ -8,8 +8,7 @@ import pytest
 from binmc import extension, fpmod, matrix, multicomplex, resolve
 from binmc.errors import NotAcyclic, ShapeError
 from binmc.fpmod import FpModule, FpMorphism, factor_through_mono, free_cover, hsum, is_epi
-from binmc.gen import (random_diagonal_multicomplex, random_fp_module,
-                       random_multicomplex)
+from binmc.gen import random_fp_module, random_multicomplex
 from binmc.matrix import Matrix
 from binmc.multicomplex import (BinaryMulticomplex, BinaryTower, MultiMorphism,
                                 collapse_along, kernel_multicomplex, validate)
@@ -160,7 +159,7 @@ def test_resolve_preserves_diagonality():
     for trial in range(6):
         ring = [ZZ, GF(3)][trial % 2]
         dim = 1 + trial % 2
-        M = random_diagonal_multicomplex(rng, ring, dim, length=3, max_rank=2)
+        M = random_multicomplex(rng, ring, dim, length=3, max_rank=2, diagonal_axes=range(dim))
         dirs = M.diagonal_directions()
         assert dirs
         res = resolve_multi(M)

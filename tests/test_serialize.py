@@ -217,6 +217,20 @@ def test_witness_and_sign_validation():
     assert "sign" in str(e.value)
 
 
+def test_negative_dimensions_are_refused_with_location():
+    # the chain between two empty classes of dimension -3 once verified
+    empty = {"dim": -3, "entries": []}
+    docs = {"chain.start": {"schema": ser.CHAIN_SCHEMA, "start": empty, "end": empty,
+                            "steps": []},
+            "class document": {"schema": ser.CLASS_SCHEMA, **empty, "witnesses": []},
+            "multicomplex": {"schema": ser.MULTICOMPLEX_SCHEMA, "ring": {"kind": "integers"},
+                             **empty, "shape": [], "objects": [], "differentials": []}}
+    for where, doc in docs.items():
+        with pytest.raises(ParseError) as e:
+            ser.parse_any(doc)
+        assert str(e.value) == f"{where}: dimension must be nonnegative"
+
+
 def test_non_canonical_entry_is_rejected_with_location():
     # "1_000" is no integer literal; "7" and "-1" are integers not reduced modulo 7
     for ring, literal in ((ZZ, "1_000"), (PrimeField(7), "7"), (PrimeField(7), "-1")):
