@@ -17,11 +17,14 @@
 # print the same chain-verifies line, which the first reaches through the
 # splittings its split extensions carry in memory and the second through
 # check_ses, since a chain document carries none; represent-diagonal of a
-# class whose coefficient is over the cap, expected to exit 2; verify-chain of
-# a stepless chain from Z -1-> Z over Z to the same line over F7, expected to
-# exit 1 and name the rings; and verify-chain of a chain between two empty
-# classes of dimension -3, expected to exit 2 with a located message.  Run
-# from the root of a checkout:
+# class whose coefficient is over the cap, expected to exit 2;
+# represent-diagonal --ring F7 --report of a class whose two entries cancel,
+# expected to exit 0 with a representative over F7, not over the integers of
+# the dropped entries, and verify-chain of the chain it writes, expected to
+# exit 0; verify-chain of a stepless chain from Z -1-> Z over Z to the same
+# line over F7, expected to exit 1 and name the rings; and verify-chain of a
+# chain between two empty classes of dimension -3, expected to exit 2 with a
+# located message.  Run from the root of a checkout:
 #
 #     bash scripts/cli_pipeline.sh
 set -euo pipefail
@@ -103,6 +106,15 @@ echo '{"dim":1,"entries":[{"coeff":17,"multicomplex":'"$(line 1)"'}],'\
 '"schema":"binmc.class/1","witnesses":[0]}' >over.json
 expect 2 python -m binmc represent-diagonal over.json
 grep -q "^input error: class entry 0 (coefficient 17)" err.txt || { cat err.txt >&2; exit 1; }
+# Z -1-> Z entered with coefficients 1 and -1 cancels to an empty class, whose
+# representative must take the ring --ring names
+echo '{"dim":1,"entries":[{"coeff":1,"multicomplex":'"$(line 1)"'},'\
+'{"coeff":-1,"multicomplex":'"$(line 1)"'}],"schema":"binmc.class/1","witnesses":[]}' >cancelled.json
+expect 0 python -m binmc represent-diagonal cancelled.json --ring F7 --report r.json --out cchain.json
+python -c 'import json, sys
+ring = json.load(open("r.json"))["witnesses"]["representative"]["ring"]
+sys.exit(ring != {"kind": "prime-field", "p": "7"} and f"representative is over {ring}")'
+expect 0 python -m binmc verify-chain cchain.json
 
 # the two lines share one canonical key, so only their rings tell them apart
 formal_class() { echo '{"dim":'"$1"',"entries":'"$2"'}'; }

@@ -44,7 +44,7 @@ from .kgroups import tn_membership_certificate, torsion, verify_chain
 from .matrix import smith
 from .multicomplex import diagonality_report, validate
 from .resolve import resolve_binary, resolve_multi, verify_resolution
-from .rings import PolynomialRing, PrimeField, QQ, ZZ, _int_literal
+from .rings import GF, PolynomialRing, QQ, ZZ, _int_literal
 from .serialize import (CHAIN_SCHEMA, CLASS_SCHEMA, MATRIX_SCHEMA,
                         MULTICOMPLEX_SCHEMA, REPORT_SCHEMA, RESOLUTION_SCHEMA,
                         canonical_dumps, chain_from_doc, chain_to_doc,
@@ -64,7 +64,7 @@ def ring_from_name(name: str):
     m = re.fullmatch(r"F(\d+)(\[x\])?", name)
     if m:
         try:
-            base = PrimeField(_int_literal(m.group(1)))
+            base = GF(_int_literal(m.group(1)))
         except ValueError as e:
             raise ParseError(f"bad prime literal: {e}", "--ring")
         except RingError as e:

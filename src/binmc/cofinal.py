@@ -7,19 +7,20 @@ most one rank), so it is cofinal.  The obstruction to membership is the
 rank-parity grid, computed by rel_class: a multicomplex with free objects
 lies in the subcategory exactly when rel_class(N).is_zero(), and a module's
 complement is the free module of rank gens % 2 (the dimension-0 case of
-pair_complement).
+the complement recursion).
 
 The central construction is complement(N, i): for a valid multicomplex N
 with free objects it produces a multicomplex T, diagonal in direction i,
 such that every rank of N (+) T is even.  When N is itself diagonal in some
 other direction j, T comes out diagonal in both i and j.  The recursion
 peels one axis off N, complements the image multicomplexes of the peeled
-differential, and reassembles the pieces into a two-layer shift complex
-whose differential is the identity block [[0,1],[0,0]] in both families:
-the identity staircase of multicomplex.staircase_rows, the same one resolve
-covers a diagonal axis with.
+top differentials (the bottom family's images have the same rank grid), and
+reassembles the pieces into a two-layer shift complex whose differential is
+the identity block [[0,1],[0,0]] in both families: the identity staircase of
+multicomplex.staircase_rows, the same one resolve covers a diagonal axis with.
 The input is checked once on entry and the output once on return; the
-recursion in between (_complement, _pair_complement) checks nothing.
+recursion in between (_complement) checks nothing, not even the parities
+pair_complement compares at its own boundary.
 
 diagonal_represent turns a certified sum of diagonal classes into one single
 diagonal class, emitting a relation chain (kgroups module) that proves the
@@ -89,37 +90,18 @@ def _shift_complex(pieces, axis: int, ring: Ring, dim: int) -> BinaryMulticomple
 
 def _complement(N: BinaryMulticomplex, i: int) -> BinaryMulticomplex:
     """complement(N, i) without its checks: N must be valid and free."""
+    if N.dim == 0:
+        return BinaryMulticomplex.of_module(FpModule.free(N.ring, N.objects[()].gens % 2))
     if any(s == 0 for s in N.shape):
         return BinaryMulticomplex.zero(N.ring, N.dim)
-    other_diagonals = sorted(N.diagonal_directions() - {i})
-    if other_diagonals:
-        # peel a diagonal axis j: the two differential families agree there,
-        # so one image family describes both, and the recursive complements
-        # can carry direction i down to the slices
-        j = other_diagonals[0]
-        images = [image_multicomplex(d)[0] for d in expand_along(N, j).tops]
-        i_rest = i if i < j else i - 1
-        pieces = [_complement(C, i_rest) for C in images]
-        return _shift_complex(pieces, j, N.ring, N.dim)
-    # general branch: peel axis i itself; the two families give two image
-    # multicomplexes with identical rank grids (each rank is the same
-    # alternating sum of the line's ranks), so one complement serves both
-    tower = expand_along(N, i)
-    images_top = [image_multicomplex(d)[0] for d in tower.tops]
-    images_bot = [image_multicomplex(d)[0] for d in tower.bots]
-    pieces = [_pair_complement(C, Cb)
-              for C, Cb in zip(images_top, images_bot)]
-    return _shift_complex(pieces, i, N.ring, N.dim)
-
-
-def _pair_complement(N1: BinaryMulticomplex, N2: BinaryMulticomplex) -> BinaryMulticomplex:
-    """The pair construction: refuse unequal classes, else complement N1."""
-    if rel_class(N1) != rel_class(N2):
-        raise MembershipRefusal("pair complement needs equal relative classes")
-    if N1.dim == 0:
-        return BinaryMulticomplex.of_module(
-            FpModule.free(N1.ring, N1.objects[()].gens % 2))
-    return _complement(N1, 0)
+    # peel a diagonal axis j != i where there is one, so that the slices'
+    # complements carry direction i down; else peel i itself.  The bottom
+    # family's images have the same rank grid as the top's (each rank is the
+    # same alternating sum of the line's ranks), so one complement serves both
+    j = min(N.diagonal_directions() - {i}, default=i)
+    i_rest = 0 if j == i else (i if i < j else i - 1)
+    pieces = [_complement(image_multicomplex(d)[0], i_rest) for d in expand_along(N, j)[1]]
+    return _shift_complex(pieces, j, N.ring, N.dim)
 
 
 def _check_input(N: BinaryMulticomplex):
@@ -167,11 +149,13 @@ def pair_complement(N1: BinaryMulticomplex, N2: BinaryMulticomplex) -> BinaryMul
     first input alone already works for the second, so no correction terms
     are needed.  N1 and the output are checked as in complement.
     """
-    if N1.dim == 0:
-        return _pair_complement(N1, N2)
-    _check_input(N1)
-    P = _pair_complement(N1, N2)
-    _check_complement(N1, 0, P)
+    if N1.dim:
+        _check_input(N1)
+    if rel_class(N1) != rel_class(N2):
+        raise MembershipRefusal("pair complement needs equal relative classes")
+    P = _complement(N1, 0)
+    if N1.dim:
+        _check_complement(N1, 0, P)
     return P
 
 

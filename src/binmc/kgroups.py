@@ -42,7 +42,7 @@ class FormalClass:
     representatives that differ only by a translation of the support box (or
     by trailing zero padding) merge into a single term.  Coefficients are
     integers; zero coefficients are dropped.  All members share one ring and
-    one dimension.
+    one dimension; ring is that of the members, None for an empty class.
     """
 
     __slots__ = ("dim", "ring", "_entries")
@@ -54,12 +54,13 @@ class FormalClass:
         for key, (M, c) in (entries or {}).items():
             if M.dim != dim:
                 raise ShapeError("formal class mixes dimensions")
+            if c == 0:
+                continue
             if self.ring is None:
                 self.ring = M.ring
             elif M.ring != self.ring:
                 raise ShapeError("formal class mixes coefficient rings")
-            if c != 0:
-                self._entries[key] = (M, c)
+            self._entries[key] = (M, c)
 
     @staticmethod
     def of(M: BinaryMulticomplex, coeff: int = 1) -> "FormalClass":
@@ -103,10 +104,8 @@ class FormalClass:
         return not self._entries
 
     def __eq__(self, other):
-        # an empty class keeps the ring of entries that cancelled, or none
         return (isinstance(other, FormalClass) and other.dim == self.dim
-                and set(other._entries) == set(self._entries)
-                and (not self._entries or other.ring == self.ring)
+                and set(other._entries) == set(self._entries) and other.ring == self.ring
                 and all(other._entries[k][1] == self._entries[k][1]
                         for k in self._entries))
 

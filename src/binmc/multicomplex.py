@@ -24,9 +24,10 @@ restriction, _restrict, of both differential families through coordinatewise
 monos.  layered_sum stacks direct sums along a new axis, with one morphism
 for both families where their routes agree, and staircase_rows lays out the
 identity staircase that resolve and cofinal both build on.
-expand_along and collapse_along convert along one axis to and from a
-BinaryTower, a complex of (dim-1)-multicomplexes; diagonal_embed collapses
-one family of differentials into both, the paper's diagonal embedding.
+expand_along and collapse_along convert along one axis to and from a binary
+complex of (dim-1)-multicomplexes, held as the tuples (terms, tops, bots);
+diagonal_embed collapses one family of differentials into both, the paper's
+diagonal embedding.
 """
 from __future__ import annotations
 
@@ -127,11 +128,12 @@ class BinaryMulticomplex:
         return all(m.is_zero_module() for m in self.objects.values())
 
     def __eq__(self, other):
-        return (isinstance(other, BinaryMulticomplex) and other.ring == self.ring
-                and other.dim == self.dim and other.shape == self.shape
-                and other.objects == self.objects
-                and {k: f.mat for k, f in other.tops.items()} == {k: f.mat for k, f in self.tops.items()}
-                and {k: f.mat for k, f in other.bots.items()} == {k: f.mat for k, f in self.bots.items()})
+        return other is self or (
+            isinstance(other, BinaryMulticomplex) and other.ring == self.ring
+            and other.dim == self.dim and other.shape == self.shape
+            and other.objects == self.objects
+            and {k: f.mat for k, f in other.tops.items()} == {k: f.mat for k, f in self.tops.items()}
+            and {k: f.mat for k, f in other.bots.items()} == {k: f.mat for k, f in self.bots.items()})
 
     def __repr__(self):
         total = sum(m.gens for m in self.objects.values())
@@ -325,7 +327,7 @@ class MultiMorphism:
                               for c in box_coords(source.shape)})
 
     def __matmul__(self, other: "MultiMorphism") -> "MultiMorphism":
-        if other.target is not self.source and other.target != self.source:
+        if other.target != self.source:
             raise ShapeError("composition endpoint mismatch")
         return MultiMorphism(other.source, self.target,
                              {c: self.components[c] @ other.components[c]
@@ -532,34 +534,14 @@ def block_identity_morphism(src_atoms, tgt_atoms, routed, term_src, term_tgt) ->
     return MultiMorphism(term_src, term_tgt, comps)
 
 
-@dataclass(frozen=True)
-class BinaryTower:
-    """Two-differential bounded complex of (dim-1)-multicomplexes."""
-
-    terms: tuple
-    tops: tuple
-    bots: tuple
-
-    def __post_init__(self):
-        if self.terms and (len(self.tops) != len(self.terms) - 1 or len(self.bots) != len(self.terms) - 1):
-            raise ShapeError("binary tower needs one differential pair per adjacent pair")
-        for fam in (self.tops, self.bots):
-            for k, d in enumerate(fam):
-                if d.source != self.terms[k + 1] or d.target != self.terms[k]:
-                    raise ShapeError(f"tower differential {k} has wrong endpoints")
-
-    @property
-    def length(self):
-        return len(self.terms)
-
-
 def _check_axis(axis: int, dim: int):
     if not 0 <= axis < dim:
         raise ShapeError(f"axis {axis} out of range for dimension {dim}")
 
 
-def expand_along(M: BinaryMulticomplex, axis: int) -> BinaryTower:
-    """View M as a binary complex of (dim-1)-multicomplexes along the axis."""
+def expand_along(M: BinaryMulticomplex, axis: int):
+    """(terms, tops, bots): M as a binary complex of (dim-1)-multicomplexes
+    along the axis, with tops[k], bots[k] : terms[k+1] -> terms[k]."""
     _check_axis(axis, M.dim)
     rest_shape = _drop(M.shape, axis)
     rest_dim = M.dim - 1
@@ -582,24 +564,27 @@ def expand_along(M: BinaryMulticomplex, axis: int) -> BinaryTower:
         comp_b = {r: M.bots[(axis, _insert(r, axis, t))] for r in box_coords(rest_shape)}
         tower_tops.append(MultiMorphism(terms[t], terms[t - 1], comp_t))
         tower_bots.append(MultiMorphism(terms[t], terms[t - 1], comp_b))
-    return BinaryTower(tuple(terms), tuple(tower_tops), tuple(tower_bots))
+    return tuple(terms), tuple(tower_tops), tuple(tower_bots)
 
 
-def collapse_along(tw: BinaryTower, axis: int) -> BinaryMulticomplex:
-    """Inverse of expand_along: reinsert the axis at the given position."""
-    if tw.length == 0:
+def collapse_along(terms, tops, bots, axis: int) -> BinaryMulticomplex:
+    """Inverse of expand_along: reinsert the axis at the given position.  The
+    differentials' endpoints are checked by the flattened multicomplex."""
+    if not terms:
         raise ShapeError("cannot collapse an empty tower")
-    first = tw.terms[0]
+    if len(tops) != len(terms) - 1 or len(bots) != len(terms) - 1:
+        raise ShapeError("binary tower needs one differential pair per adjacent pair")
+    first = terms[0]
     ring, rest_dim = first.ring, first.dim
     _check_axis(axis, rest_dim + 1)
     rest_shape = first.shape
-    for term in tw.terms:
+    for term in terms:
         if term.shape != rest_shape or term.dim != rest_dim:
             raise ShapeError("tower terms must share one shape; pad them first")
-    shape = _insert(rest_shape, axis, tw.length)
+    shape = _insert(rest_shape, axis, len(terms))
     objects = {}
-    tops, bots = {}, {}
-    for t, term in enumerate(tw.terms):
+    flat_tops, flat_bots = {}, {}
+    for t, term in enumerate(terms):
         for r in box_coords(rest_shape):
             c = _insert(r, axis, t)
             objects[c] = term.objects[r]
@@ -609,14 +594,14 @@ def collapse_along(tw: BinaryTower, axis: int) -> BinaryMulticomplex:
                 if r[a] < 1:
                     continue
                 c = _insert(r, axis, t)
-                tops[(orig_a, c)] = term.tops[(a, r)]
-                bots[(orig_a, c)] = term.bots[(a, r)]
-    for t in range(1, tw.length):
+                flat_tops[(orig_a, c)] = term.tops[(a, r)]
+                flat_bots[(orig_a, c)] = term.bots[(a, r)]
+    for t in range(1, len(terms)):
         for r in box_coords(rest_shape):
             c = _insert(r, axis, t)
-            tops[(axis, c)] = tw.tops[t - 1].components[r]
-            bots[(axis, c)] = tw.bots[t - 1].components[r]
-    return BinaryMulticomplex(ring, rest_dim + 1, shape, objects, tops, bots)
+            flat_tops[(axis, c)] = tops[t - 1].components[r]
+            flat_bots[(axis, c)] = bots[t - 1].components[r]
+    return BinaryMulticomplex(ring, rest_dim + 1, shape, objects, flat_tops, flat_bots)
 
 
 def layered_sum(rows, route_top, route_bot, axis: int):
@@ -631,8 +616,7 @@ def layered_sum(rows, route_top, route_bot, axis: int):
         tops.append(block_identity_morphism(src, tgt, route_top[j], terms[j], terms[j - 1]))
         bots.append(tops[-1] if route_bot[j] == route_top[j] else
                     block_identity_morphism(src, tgt, route_bot[j], terms[j], terms[j - 1]))
-    tower = BinaryTower(tuple(terms), tuple(tops), tuple(bots))
-    return collapse_along(tower, axis), terms
+    return collapse_along(terms, tops, bots, axis), terms
 
 
 def staircase_rows(pieces):
@@ -651,10 +635,10 @@ def staircase_rows(pieces):
 def diagonal_embed(terms, diffs, axis: int) -> BinaryMulticomplex:
     """The diagonal embedding: a complex of (dim-1)-multicomplexes, with
     diffs[k] : terms[k+1] -> terms[k], doubled into both families along a
-    new axis.  BinaryTower checks the endpoints; the flattened result is
-    fully validated and a failure raises NotAcyclic.
+    new axis.  The flattened result checks the endpoints (a ShapeError) and
+    is then fully validated; a failure raises NotAcyclic.
     """
-    out = collapse_along(BinaryTower(tuple(terms), tuple(diffs), tuple(diffs)), axis)
+    out = collapse_along(terms, diffs, diffs, axis)
     validate(out, "fp").require("diagonal embedding is not valid")
     return out
 

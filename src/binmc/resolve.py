@@ -137,27 +137,20 @@ def verify_resolution(res: ResolutionResult) -> ValidationReport:
     return ValidationReport(not failures, tuple(failures))
 
 
-class DeltaLadder:
-    """Alternating composites delta[(k, l)] : Q_k -> term_{k+1-l}.
-
-    delta(k,1) = top o eps_k, delta'(k,1) = bottom o eps_k, and each further
-    lag prepends the other family's differential:
+def _ladder_composites(eps, tops, bots):
+    """(delta, delta_prime): the alternating composites Q_k -> term_{k+1-l}
+    at (k, l).  delta(k,1) = top o eps_k, delta'(k,1) = bottom o eps_k, and
+    each further lag prepends the other family's differential:
     delta(k,l+1) = top o delta'(k,l), delta'(k,l+1) = bottom o delta(k,l).
     """
-
-    def __init__(self, eps, tops, bots):
-        self.eps = list(eps)
-        self.tops = list(tops)
-        self.bots = list(bots)
-        self.delta = {}
-        self.delta_prime = {}
-        for k in range(len(self.eps)):
-            if k >= 1:
-                self.delta[(k, 1)] = self.tops[k] @ self.eps[k]
-                self.delta_prime[(k, 1)] = self.bots[k] @ self.eps[k]
-            for l in range(1, k):
-                self.delta[(k, l + 1)] = self.tops[k - l] @ self.delta_prime[(k, l)]
-                self.delta_prime[(k, l + 1)] = self.bots[k - l] @ self.delta[(k, l)]
+    delta, delta_prime = {}, {}
+    for k in range(1, len(eps)):
+        delta[(k, 1)] = tops[k] @ eps[k]
+        delta_prime[(k, 1)] = bots[k] @ eps[k]
+        for l in range(1, k):
+            delta[(k, l + 1)] = tops[k - l] @ delta_prime[(k, l)]
+            delta_prime[(k, l + 1)] = bots[k - l] @ delta[(k, l)]
+    return delta, delta_prime
 
 
 def _module_resolution(M0: BinaryMulticomplex) -> ResolutionResult:
@@ -181,16 +174,16 @@ def _module_resolution(M0: BinaryMulticomplex) -> ResolutionResult:
         sect={(): Matrix.identity(ring, g)}, retr={(): retr})
 
 
-def _staircase_tables(L, eps, big):
+def _staircase_tables(L, eps, big_tops):
     """Projection pieces onto the staircase_rows cover along a diagonal
     axis (post-shift degrees 0..L)."""
-    pieces = [[big.tops[j] @ eps[j]] if j < L else [] for j in range(L + 1)]
+    pieces = [[big_tops[j] @ eps[j]] if j < L else [] for j in range(L + 1)]
     for j in range(1, L + 1):
         pieces[j].append(eps[j - 1])
     return pieces
 
 
-def _ladder_tables(L, eps, ladder, big):
+def _ladder_tables(L, eps, delta, delta_prime):
     """Atom lists, ladder projection pieces, and the two shift routings for
     the doubled covers along a non-diagonal axis."""
     n = L - 1
@@ -201,9 +194,9 @@ def _ladder_tables(L, eps, ladder, big):
         row_atoms, row_pieces = [], []
         for k in range(n, j - 1, -1):
             row_atoms.append(("a", k))
-            row_pieces.append(ladder.delta[(k, k - j + 1)])
+            row_pieces.append(delta[(k, k - j + 1)])
             row_atoms.append(("b", k))
-            row_pieces.append(ladder.delta_prime[(k, k - j + 1)])
+            row_pieces.append(delta_prime[(k, k - j + 1)])
         row_atoms.append(("top", j - 1))
         row_pieces.append(eps[j - 1])
         atoms.append(row_atoms)
@@ -288,9 +281,8 @@ def _resolve(M: BinaryMulticomplex, branch=None) -> ResolutionResult:
     if branch is None:
         branch = "staircase" if diag else "ladder"
     axis = min(diag) if branch == "staircase" else M.dim - 1
-    tower = expand_along(M, axis)
-    L = tower.length
-    covers = [_resolve(term) for term in tower.terms]
+    covers = [_resolve(term) for term in expand_along(M, axis)[0]]
+    L = len(covers)
     rest_dim = M.dim - 1
     W = tuple(max(c.offset[a] for c in covers) for a in range(rest_dim))
     moves = [tuple(w - o for w, o in zip(W, c.offset)) for c in covers]
@@ -301,23 +293,23 @@ def _resolve(M: BinaryMulticomplex, branch=None) -> ResolutionResult:
     offset = W[:axis] + (1,) + W[axis:]
     final_shape = r_star[:axis] + (L + 1,) + r_star[axis:]
     target = _rebox(M, offset, final_shape)
-    big = expand_along(target, axis)
-    eps = [MultiMorphism(e.source, big.terms[t + 1], e.components) for t, e in enumerate(eps)]
+    big_terms, big_tops, big_bots = expand_along(target, axis)
+    eps = [MultiMorphism(e.source, big_terms[t + 1], e.components) for t, e in enumerate(eps)]
     Q = [f.source for f in eps]
 
     if branch == "staircase":
         rows, route = staircase_rows(Q)
         route_top = route_bot = route
-        pieces = _staircase_tables(L, eps, big)
+        pieces = _staircase_tables(L, eps, big_tops)
     else:
-        ladder = DeltaLadder(eps, list(big.tops), list(big.bots))
-        tags, pieces, route_top, route_bot = _ladder_tables(L, eps, ladder, big)
+        tags, pieces, route_top, route_bot = _ladder_tables(
+            L, eps, *_ladder_composites(eps, big_tops, big_bots))
         rows = [[(tag, Q[tag[1]]) for tag in row] for row in tags]
     P, terms = layered_sum(rows, route_top, route_bot, axis)
 
     zeta_comps, incls, sect, retr = {}, {}, {}, {}
     for j in range(L + 1):
-        layer = _assemble_zeta_component(rows[j], pieces[j], terms[j], big.terms[j])
+        layer = _assemble_zeta_component(rows[j], pieces[j], terms[j], big_terms[j])
         for r, f in layer.items():
             c = _insert(r, axis, j)
             zeta_comps[c] = f

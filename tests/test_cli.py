@@ -2,14 +2,14 @@ import json
 import random
 
 from binmc import serialize as ser
-from binmc.cli import main, verdict_bytes
+from binmc.cli import main, ring_from_name, verdict_bytes
 from binmc.cofinal import MAX_COEFFICIENT_SUM, rel_class
 from binmc.fpmod import FpModule, FpMorphism
 from binmc.gen import random_multicomplex, random_tn_class
 from binmc.kgroups import FormalClass, RelationChain
 from binmc.matrix import Matrix
 from binmc.multicomplex import BinaryMulticomplex, direct_sum_multi, validate
-from binmc.rings import ZZ
+from binmc.rings import GF, ZZ
 
 
 def _write(path, doc):
@@ -312,6 +312,17 @@ def test_empty_class_represents_over_named_ring(tmp_path, capsys):
     assert main(["represent-diagonal", src, "--ring", "F7",
                  "--direction", "1"]) == 0
     assert "result-diagonal" in capsys.readouterr().out
+    # Z -1-> Z entered with coefficients 1 and -1 cancels to an empty class,
+    # which takes the named ring, not the integers of its dropped entries
+    line = ser.multicomplex_to_doc(_scalar_line(ZZ, 1, 1))
+    doc = {"schema": ser.CLASS_SCHEMA, "dim": 1, "witnesses": [],
+           "entries": [{"coeff": 1, "multicomplex": line}, {"coeff": -1, "multicomplex": line}]}
+    src = _write(tmp_path / "cancelled.json", doc)
+    report = tmp_path / "r.json"
+    assert main(["represent-diagonal", src, "--ring", "F7", "--report", str(report)]) == 0
+    representative = _load(report)["witnesses"]["representative"]
+    assert representative["ring"] == {"kind": "prime-field", "p": "7"}
+    assert ring_from_name("F7") is GF(7)  # the instance documents parse to
 
 
 def test_oversized_box_is_an_input_error(tmp_path, monkeypatch, capsys):

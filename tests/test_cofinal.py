@@ -145,6 +145,9 @@ def test_pair_complement_multicomplexes():
     even = direct_sum_multi([odd, odd])
     with pytest.raises(MembershipRefusal):
         pair_complement(odd, even)
+    # validity is checked before the parities are compared
+    with pytest.raises(NotAcyclic):
+        pair_complement(_zero_line(ZZ, (2,)), even)
 
 
 def test_delta_top_retract():
@@ -237,13 +240,23 @@ def _counting(monkeypatch, module, name, counts):
 def test_complement_checks_once_per_public_call(monkeypatch):
     rng = random.Random(4)
     N = random_multicomplex(rng, ZZ, 3, length=2, max_rank=2, bricks=1)
-    counts = {}
-    for name in ("validate", "complement", "_complement"):
+    counts, tower_lengths = {}, []
+    for name in ("validate", "complement", "_complement", "rel_class", "image_multicomplex"):
         _counting(monkeypatch, cofinal, name, counts)
+    real_expand = cofinal.expand_along
+
+    def expand(M, axis):
+        tower_lengths.append(M.shape[axis] - 1)  # differentials per family
+        return real_expand(M, axis)
+
+    monkeypatch.setattr(cofinal, "expand_along", expand)
     T = cofinal.complement(N, 1)
     assert counts["_complement"] > 1  # the input really recurses
     assert counts["complement"] == 1  # ... without re-entering the public entry
     assert counts["validate"] == 2  # input once, output once
+    assert counts["rel_class"] == 2  # the parities too, input and output
+    # one image per top-family tower differential; the bottom family has none
+    assert counts["image_multicomplex"] == sum(tower_lengths) > 0
     assert rel_class(direct_sum_multi([N, T])).is_zero()
 
 

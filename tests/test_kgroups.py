@@ -70,6 +70,9 @@ def test_chains_do_not_mix_rings():
         plus_minus = [DiagonalStep(units[R], 0, 1), DiagonalStep(units[S], 0, -1)]
         if R == S:
             assert x == y and verify_chain(RelationChain(zero, plus_minus, zero)).ok
+            # a cancelled sum keeps no ring from the entries it dropped
+            cancelled = x - y
+            assert cancelled.ring is None and cancelled == zero
             continue
         assert x != y
         with pytest.raises(ShapeError):

@@ -10,9 +10,9 @@ from binmc.errors import NotAcyclic, ShapeError
 from binmc.fpmod import FpModule, FpMorphism, factor_through_mono, free_cover, hsum, is_epi
 from binmc.gen import random_fp_module, random_multicomplex
 from binmc.matrix import Matrix
-from binmc.multicomplex import (BinaryMulticomplex, BinaryTower, MultiMorphism,
+from binmc.multicomplex import (BinaryMulticomplex, MultiMorphism,
                                 collapse_along, kernel_multicomplex, validate)
-from binmc.resolve import (DeltaLadder, phi_class, resolve_binary, resolve_multi,
+from binmc.resolve import (_ladder_composites, phi_class, resolve_binary, resolve_multi,
                            verify_resolution)
 from binmc.rings import GF, QQ, ZZ, polynomial_ring
 from binmc.serialize import digest, resolution_to_doc
@@ -109,7 +109,7 @@ def test_delta_ladder_identities():
     Q = BinaryMulticomplex.of_module(FpModule.free(ZZ, 2))
     eps = [mor(Q, terms[k + 1], rows) for k, rows in enumerate(
         [[[1, 0], [0, 1]], [[1, 1], [0, 1]], [[2, 0], [1, 1]]])]
-    ladder = DeltaLadder(eps, tops, bots)
+    delta, delta_prime = _ladder_composites(eps, tops, bots)
 
     def alternating(outer, inner, k, l):
         # outer_{k-l+1} o inner_{k-l+2} o ... o eps_k, ending in outer_k when l is odd
@@ -119,14 +119,14 @@ def test_delta_ladder_identities():
         return f
 
     lags = {(k, l) for k in range(1, len(eps)) for l in range(1, k + 1)}
-    assert set(ladder.delta) == set(ladder.delta_prime) == lags
+    assert set(delta) == set(delta_prime) == lags
     for k, l in sorted(lags):
-        assert ladder.delta[(k, l)].equals(alternating(tops, bots, k, l)), (k, l)
-        assert ladder.delta_prime[(k, l)].equals(alternating(bots, tops, k, l)), (k, l)
+        assert delta[(k, l)].equals(alternating(tops, bots, k, l)), (k, l)
+        assert delta_prime[(k, l)].equals(alternating(bots, tops, k, l)), (k, l)
     want = (tops[1] @ (bots[2] @ eps[2])).components[()]
-    assert ladder.delta[(2, 2)].components[()].equals(want)
+    assert delta[(2, 2)].components[()].equals(want)
     want_p = (bots[1] @ (tops[2] @ eps[2])).components[()]
-    assert ladder.delta_prime[(2, 2)].components[()].equals(want_p)
+    assert delta_prime[(2, 2)].components[()].equals(want_p)
 
 
 def test_resolve_random_binary():
@@ -314,7 +314,7 @@ def _doubled(M, ut, ub):
     def scaled(u):
         return MultiMorphism(M, M, {c: FpMorphism.identity(m).scale(u)
                                     for c, m in M.objects.items()})
-    return collapse_along(BinaryTower((M, M), (scaled(ut),), (scaled(ub),)), M.dim)
+    return collapse_along((M, M), (scaled(ut),), (scaled(ub),), M.dim)
 
 
 def _hand_built(ring, ts, u, v):
