@@ -8,9 +8,14 @@
 # and print the same verdict lines; gen --seed 4 --dim 2 --fp, whose document
 # holds objects with relations, then resolve-multi --out and recheck, so that
 # verification falls back to check_ses and validates the kernel, expected to
-# exit 0 and print the same verdict lines; then a non-integer BINMC_SEED, expected
-# to exit 2 with a located input error; gen --max-rank 0 and gen --length 1,
-# each expected to exit 2 naming its option; check and homology of a free
+# exit 0 and print the same verdict lines; gen --seed 3 --dim 3 --length 2
+# --max-rank 1, then resolve-multi --out and recheck, expected to exit 0 and
+# print the same verdict lines, with a bundle under 1.5 MB (it was 13.6 MB
+# when documents wrote every matrix cell); snf of a version-2 matrix document
+# that declares 10^9 columns, expected to exit 2 naming the matrix and the
+# cap; then a non-integer BINMC_SEED, expected to exit 2 with a located input
+# error; gen --max-rank 0 and gen --length 1, each expected to exit 2 naming
+# its option; check and homology of a free
 # line that is not exact (Z -2-> Z), each expected to exit 1 and name the
 # homology at degree 0; represent-diagonal --out of a class with coefficient
 # -3 and verify-chain of the chain it writes, each expected to exit 0 and to
@@ -24,7 +29,8 @@
 # exit 0; verify-chain of a stepless chain from Z -1-> Z over Z to the same
 # line over F7, expected to exit 1 and name the rings; and verify-chain of a
 # chain between two empty classes of dimension -3, expected to exit 2 with a
-# located message.  Run from the root of a checkout:
+# located message.  The hand-written documents below use the version-1
+# layouts, which readers still accept.  Run from the root of a checkout:
 #
 #     bash scripts/cli_pipeline.sh
 set -euo pipefail
@@ -73,6 +79,18 @@ expect 0 python -m binmc resolve-multi t.json --out rt.json
 cp out.txt made.txt
 expect 0 python -m binmc recheck rt.json
 same_verdicts made.txt
+expect 0 python -m binmc gen --seed 3 --dim 3 --length 2 --max-rank 1 --out big.json
+expect 0 python -m binmc resolve-multi big.json --out rbig.json
+cp out.txt made.txt
+expect 0 python -m binmc recheck rbig.json
+same_verdicts made.txt
+size=$(wc -c <rbig.json)
+[ "$size" -lt 1500000 ] || { echo "bundle of big.json is $size bytes, not under 1.5 MB" >&2; exit 1; }
+echo '{"matrix":{"cols":1000000000,"rows":[[0,"1"]]},"ring":{"kind":"integers"},'\
+'"schema":"binmc.matrix/2"}' >wide.json
+expect 2 python -m binmc snf wide.json
+grep -q "^input error: matrix: 1000000000 columns declared, over the cap of 65536" err.txt \
+    || { cat err.txt >&2; exit 1; }
 expect 2 env BINMC_SEED=abc python -m binmc check m.json
 grep -q "^input error: BINMC_SEED: " err.txt || { cat err.txt >&2; exit 1; }
 expect 2 python -m binmc gen --max-rank 0

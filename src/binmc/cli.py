@@ -143,8 +143,8 @@ def _multicomplex_verdicts(report: dict, M):
 def _matrix_verdicts(report: dict, A):
     """Returns the Smith decomposition it checked."""
     dec = smith(A)
-    diag_ok = all(A.ring.is_zero(dec.S.get(i, j))
-                  for i in range(dec.S.rows) for j in range(dec.S.cols) if i != j)
+    # S stores its nonzero entries only, so every stored pair must be diagonal
+    diag_ok = all(j == i for i, pairs in enumerate(dec.S.row_pairs()) for j, _ in pairs)
     _verdict(report, "decomposition", dec.U @ A @ dec.V == dec.S, "U * A * V equals S")
     _verdict(report, "diagonal-form", diag_ok, f"rank {dec.rank}")
     return dec

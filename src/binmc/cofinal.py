@@ -163,10 +163,13 @@ def pair_complement(N1: BinaryMulticomplex, N2: BinaryMulticomplex) -> BinaryMul
 
 # The largest sum of |coefficient| over a class that diagonal_represent
 # accepts.  Each unit of coefficient is one summand folded into a running
-# direct sum, and every fold step stores that sum with its dense block maps,
-# so the chain grows about as the cube of the sum.  For a class of one dim-1
-# ZZ entry of shape (2,) with 8 generators, the CLI's chain document is
-# 1.2 KB at coefficient 1, 611 KB at 16 (0.1 s CPU) and 1.03 GB at 200.
+# direct sum, and every fold step stores that sum, so the chain's nonzeros
+# grow about as the square of the sum.  For a class of one dim-1 ZZ entry of
+# shape (2,) at coefficient 16, the CLI's chain document is 31 KB with 8
+# generators, 54 KB with 16, 104 KB with 32 and 204 KB with 64 (0.4 s CPU,
+# 52 MB peak); with 8 generators it is 105 KB at coefficient 32 and 394 KB
+# at 64.  The value dates from documents that wrote every cell (611 KB with 8
+# generators, 37.0 MB with 64), and is kept.
 MAX_COEFFICIENT_SUM = 16
 
 

@@ -4,24 +4,43 @@ Every document is plain JSON, UTF-8, with a version tag under "schema".
 Ring elements are exact text: integers as decimal strings, rationals as
 "a/b", prime-field elements as decimal strings, polynomials as ascending
 coefficient lists.  Structural numbers (dimensions, shapes, coordinates,
-ranks, signs) are ordinary JSON integers.  Serialization is canonical --
-sorted keys, fixed separators, records emitted in sorted coordinate order --
-so equal objects produce byte-identical documents and digests.
+ranks, signs, columns, member indices) are ordinary JSON integers.
+Serialization is canonical -- sorted keys, fixed separators, records
+emitted in sorted coordinate order -- so equal objects produce
+byte-identical documents and digests.
+
+Writers emit version 2 of every schema; readers accept version 1 as well.
+The two versions differ in how a matrix is written:
+
+- version 2: ``{"cols": n, "rows": [[j, v, j, v, ...], ...]}``, one list per
+  row holding its nonzero entries only, each as a column ``j`` (ascending,
+  ``0 <= j < n``) followed by its literal ``v``.  A document costs
+  O(nonzeros) in bytes, in parsing and in emitting.
+- version 1: ``{"rows": m, "cols": n, "entries": [[v, ...], ...]}``, every
+  cell written, zeros included.  Parsing compares each cell with the ring's
+  zero literal and parses only the others, so it costs one comparison per
+  cell and one parse per nonzero.
+
+A version-2 relation chain also writes each distinct multicomplex once, in a
+``members`` list ordered by first use; the start and end classes and the
+steps name members by index where version 1 nests a whole multicomplex
+document.  Members are shared when their documents are equal, which for
+canonical documents is exact equality of the multicomplexes (box, objects
+and both families), not equivalence under ``canonical_key``.  Every document
+nested in another, such as the multicomplexes of a resolution bundle, must
+carry the version of the document that holds it.
 
 Parsing is strict: every malformed field raises ParseError carrying a
 human-readable location (JSON line/column for syntax, a record path for
-semantic problems).  Integer literals must be exactly as written here (no
-'+', leading zeros, separators or whitespace), so equal objects have equal
-input digests too.  A document that nests too deeply, or declares a support
-box larger than its object list, is refused before any work is done.  Parsed
-morphisms go through the ordinary constructors, so ill-defined maps and
-mismatched shapes are rejected, not smuggled in.
-
-Matrix entries cost one comparison per cell and one parse per nonzero.  A
-parse compares each cell with the ring's zero literal ("0", "0/1" or []),
-skips an all-zero row with one count, and parses only the other cells; an
-emit starts each row as the zero literal repeated and converts only the
-nonzero entries.  Neither ever builds a dense row of ring elements.
+semantic problems, down to the row and pair of a version-2 matrix).  Integer
+literals must be exactly as written here (no '+', leading zeros, separators
+or whitespace), and a version-2 row may not list a zero entry, so equal
+objects have equal input digests too.  A document that nests too deeply,
+declares a support box larger than its object list, declares a matrix wider
+than MAX_COLUMNS, or declares more than MAX_CELLS matrix cells in all is
+refused before any work is done.  Parsed morphisms go through the ordinary
+constructors, so ill-defined maps and mismatched shapes are rejected, not
+smuggled in.
 """
 from __future__ import annotations
 
@@ -39,12 +58,34 @@ from .multicomplex import BinaryMulticomplex, MultiMorphism
 from .resolve import ResolutionResult
 from .rings import Ring, ring_from_descriptor
 
-MULTICOMPLEX_SCHEMA = "binmc.multicomplex/1"
-MATRIX_SCHEMA = "binmc.matrix/1"
-RESOLUTION_SCHEMA = "binmc.resolution/1"
-CHAIN_SCHEMA = "binmc.chain/1"
-CLASS_SCHEMA = "binmc.class/1"
-REPORT_SCHEMA = "binmc.report/1"
+SCHEMA_VERSION = 2  # what writers emit; readers also accept version 1
+
+
+def _tag(kind: str, version: int = SCHEMA_VERSION) -> str:
+    return f"binmc.{kind}/{version}"
+
+
+MULTICOMPLEX_SCHEMA = _tag("multicomplex")
+MATRIX_SCHEMA = _tag("matrix")
+RESOLUTION_SCHEMA = _tag("resolution")
+CHAIN_SCHEMA = _tag("chain")
+CLASS_SCHEMA = _tag("class")
+REPORT_SCHEMA = _tag("report")
+
+# A version-2 matrix lists its nonzeros but only declares its width, so a few
+# bytes could declare a matrix whose Smith form builds a V with one row per
+# column, or whose dense views (canonical_key's entries, torsion's
+# determinant) hold every cell.  Each matrix is checked against both caps
+# before its rows are read.  Measured: the resolution bundle of dim-4 seed 2
+# (random_multicomplex(Random(2), ZZ, 4, length=2, max_rank=1, bricks=1))
+# declares 62,016,768 cells and at most 972 columns, and rechecks; MAX_CELLS
+# leaves it room to double.  That of dim-4 seed 1 declares 558,150,912 cells
+# and is refused.  Near the caps, `snf` of one fully nonzero row 2**16 wide
+# takes 0.8 s and 73 MB, and `represent-diagonal` of a 3.5 KB class whose
+# relation matrices declare an eighth of MAX_CELLS takes 1.8 s and 238 MB,
+# nearly all of it canonical_key's dense view.
+MAX_COLUMNS = 2 ** 16
+MAX_CELLS = 2 ** 27
 
 
 def canonical_dumps(doc) -> str:
@@ -86,6 +127,38 @@ def _expect_schema(doc, schema, where):
         raise ParseError(f"expected schema {schema!r}, found {found!r}", where)
 
 
+class _Reader:
+    """How one document is read: its schema version, and the matrix cells
+    (rows times columns) it has declared so far, against MAX_CELLS."""
+    __slots__ = ("version", "cells")
+
+    def __init__(self, version: int = SCHEMA_VERSION):
+        self.version = version
+        self.cells = 0
+
+    @staticmethod
+    def of(doc, kind: str, where) -> "_Reader":
+        """The reader of a top-level document of this kind, at either version."""
+        found = _need(doc, "schema", str, where)
+        for version in (SCHEMA_VERSION, 1):
+            if found == _tag(kind, version):
+                return _Reader(version)
+        raise ParseError(f"expected schema {_tag(kind)!r} or {_tag(kind, 1)!r}, "
+                         f"found {found!r}", where)
+
+    def expect(self, doc, kind: str, where):
+        """A nested document must carry the version of the one that holds it."""
+        _expect_schema(doc, _tag(kind, self.version), where)
+
+    def declare(self, rows: int, cols: int, where):
+        if cols > MAX_COLUMNS:
+            raise ParseError(f"{cols} columns declared, over the cap of {MAX_COLUMNS}", where)
+        self.cells += rows * cols
+        if self.cells > MAX_CELLS:
+            raise ParseError(f"the document declares {self.cells} matrix cells up to here, "
+                             f"over the cap of {MAX_CELLS}", where)
+
+
 # -- rings ----------------------------------------------------------------
 
 
@@ -104,24 +177,53 @@ def ring_from_doc(doc, where="ring") -> Ring:
 
 
 def matrix_to_doc(A: Matrix) -> dict:
-    ring = A.ring
-    to, zero, cols = ring.element_to_doc, ring.element_to_doc(ring.zero), A.cols
-    fresh = isinstance(zero, list)  # every zero polynomial cell gets its own []
-    rows = []
-    for pairs in A.row_pairs():
-        row = [[] for _ in range(cols)] if fresh else [zero] * cols
-        for j, x in pairs:
-            row[j] = to(x)
-        rows.append(row)
-    return {"rows": A.rows, "cols": cols, "entries": rows}
+    to = A.ring.element_to_doc
+    return {"cols": A.cols,
+            "rows": [[v for j, x in pairs for v in (j, to(x))] for pairs in A.row_pairs()]}
 
 
-def matrix_from_doc(ring: Ring, doc, where="matrix") -> Matrix:
+def _sparse_matrix_from_doc(ring: Ring, doc, where, reader) -> Matrix:
+    cols = _need(doc, "cols", int, where)
+    rows = _need(doc, "rows", list, where)
+    if cols < 0:
+        raise ParseError("cols must be nonnegative", where)
+    reader.declare(len(rows), cols, where)
+    parse = ring.element_from_doc
+    out = []
+    for i, row in enumerate(rows):
+        if not isinstance(row, list) or len(row) % 2:
+            raise ParseError("a row must list column, entry pairs", f"{where}.rows[{i}]")
+        pairs, last = [], -1
+        for k in range(0, len(row), 2):
+            j = row[k]
+            if type(j) is not int or not last < j < cols:  # bool is not int here
+                if type(j) is not int:
+                    problem = f"column {j!r} is not an integer"
+                elif not 0 <= j < cols:
+                    problem = f"column {j} is outside 0..{cols - 1}"
+                else:
+                    problem = f"column {j} does not ascend from column {last}"
+                raise ParseError(problem, f"{where}.rows[{i}], pair {k // 2}")
+            try:
+                x = parse(row[k + 1])
+            except RingError as e:
+                raise ParseError(str(e), f"{where}.rows[{i}], pair {k // 2}")
+            if not x:  # QQ "0/5" and F_p[x] ["0"] are zeros too
+                raise ParseError(f"entry {row[k + 1]!r} at column {j} is zero",
+                                 f"{where}.rows[{i}], pair {k // 2}")
+            pairs.append((j, x))
+            last = j
+        out.append(pairs)
+    return Matrix.from_row_pairs(ring, cols, out)
+
+
+def _dense_matrix_from_doc(ring: Ring, doc, where, reader) -> Matrix:
     rows = _need(doc, "rows", int, where)
     cols = _need(doc, "cols", int, where)
     entries = _need(doc, "entries", list, where)
     if rows < 0 or cols < 0 or len(entries) != rows:
         raise ParseError(f"expected {rows} rows of entries", where)
+    reader.declare(rows, cols, where)
     # the zero literal parses to zero and never fails, so only the other
     # cells are parsed, in row order: the first bad cell is still reported
     zero, parse = ring.element_to_doc(ring.zero), ring.element_from_doc
@@ -142,24 +244,32 @@ def matrix_from_doc(ring: Ring, doc, where="matrix") -> Matrix:
     return Matrix.from_row_pairs(ring, cols, out)
 
 
+def matrix_from_doc(ring: Ring, doc, where="matrix", reader=None) -> Matrix:
+    """The matrix record doc, at reader's version (by default a fresh version-2 reader)."""
+    reader = reader or _Reader()
+    read = _dense_matrix_from_doc if reader.version == 1 else _sparse_matrix_from_doc
+    return read(ring, doc, where, reader)
+
+
 def matrix_document(A: Matrix) -> dict:
     return {"schema": MATRIX_SCHEMA, "ring": ring_to_doc(A.ring),
             "matrix": matrix_to_doc(A)}
 
 
 def matrix_from_document(doc) -> Matrix:
-    _expect_schema(doc, MATRIX_SCHEMA, "matrix document")
+    reader = _Reader.of(doc, "matrix", "matrix document")
     ring = ring_from_doc(_need(doc, "ring", dict, "matrix document"))
-    return matrix_from_doc(ring, _need(doc, "matrix", dict, "matrix document"))
+    return matrix_from_doc(ring, _need(doc, "matrix", dict, "matrix document"), "matrix",
+                           reader)
 
 
 def module_to_doc(m: FpModule) -> dict:
     return {"gens": m.gens, "rels": matrix_to_doc(m.rels)}
 
 
-def module_from_doc(ring: Ring, doc, where="module") -> FpModule:
+def module_from_doc(ring: Ring, doc, where, reader) -> FpModule:
     gens = _need(doc, "gens", int, where)
-    rels = matrix_from_doc(ring, _need(doc, "rels", dict, where), where + ".rels")
+    rels = matrix_from_doc(ring, _need(doc, "rels", dict, where), where + ".rels", reader)
     try:
         return FpModule(ring, gens, rels)
     except ShapeError as e:
@@ -192,8 +302,12 @@ def multicomplex_to_doc(M: BinaryMulticomplex) -> dict:
             "objects": objects, "differentials": diffs}
 
 
-def multicomplex_from_doc(doc, where="multicomplex") -> BinaryMulticomplex:
-    _expect_schema(doc, MULTICOMPLEX_SCHEMA, where)
+def multicomplex_from_doc(doc, where="multicomplex", reader=None) -> BinaryMulticomplex:
+    """A multicomplex document, standing alone or nested in one that reader reads."""
+    if reader is None:
+        reader = _Reader.of(doc, "multicomplex", where)
+    else:
+        reader.expect(doc, "multicomplex", where)
     ring = ring_from_doc(_need(doc, "ring", dict, where), where + ".ring")
     dim = _need(doc, "dim", int, where)
     if dim < 0:
@@ -217,7 +331,7 @@ def multicomplex_from_doc(doc, where="multicomplex") -> BinaryMulticomplex:
         c = _coord_from_doc(_need(rec, "at", list, spot), dim, spot)
         if c in objects:
             raise ParseError(f"duplicate object at {c}", spot)
-        objects[c] = module_from_doc(ring, rec, spot)
+        objects[c] = module_from_doc(ring, rec, spot, reader)
 
     tops, bots = {}, {}
     for k, rec in enumerate(_need(doc, "differentials", list, where)):
@@ -232,7 +346,7 @@ def multicomplex_from_doc(doc, where="multicomplex") -> BinaryMulticomplex:
         if c not in objects or tgt not in objects:
             raise ParseError(f"differential at axis {a}, {c} misses its endpoints", spot)
         for fam, out in (("top", tops), ("bottom", bots)):
-            mat = matrix_from_doc(ring, _need(rec, fam, dict, spot), f"{spot}.{fam}")
+            mat = matrix_from_doc(ring, _need(rec, fam, dict, spot), f"{spot}.{fam}", reader)
             try:
                 out[(a, c)] = FpMorphism(objects[c], objects[tgt], mat)
             except (ShapeError, IllDefinedMorphism) as e:
@@ -253,7 +367,7 @@ def components_to_doc(f: MultiMorphism) -> list:
 
 
 def components_from_doc(source: BinaryMulticomplex, target: BinaryMulticomplex,
-                        doc, where="morphism") -> MultiMorphism:
+                        doc, where, reader) -> MultiMorphism:
     if not isinstance(doc, list):
         raise ParseError("morphism components must be a list", where)
     comps = {}
@@ -265,7 +379,7 @@ def components_from_doc(source: BinaryMulticomplex, target: BinaryMulticomplex,
         if c in comps:
             raise ParseError(f"duplicate component at {c}", spot)
         mat = matrix_from_doc(source.ring, _need(rec, "matrix", dict, spot),
-                              spot + ".matrix")
+                              spot + ".matrix", reader)
         try:
             comps[c] = FpMorphism(source.objects[c], target.objects[c], mat)
         except (ShapeError, IllDefinedMorphism) as e:
@@ -293,9 +407,12 @@ def resolution_to_doc(res: ResolutionResult) -> dict:
 
 
 def resolution_from_doc(doc, where="resolution") -> ResolutionResult:
-    _expect_schema(doc, RESOLUTION_SCHEMA, where)
-    source = multicomplex_from_doc(_need(doc, "source", dict, where), where + ".source")
-    target = multicomplex_from_doc(_need(doc, "target", dict, where), where + ".target")
+    reader = _Reader.of(doc, "resolution", where)
+
+    def part(key):
+        return multicomplex_from_doc(_need(doc, key, dict, where), f"{where}.{key}", reader)
+
+    source, target = part("source"), part("target")
     offset = _need(doc, "offset", list, where)
     if len(offset) != source.dim or any(isinstance(o, bool) or not isinstance(o, int) or o < 0
                                         for o in offset):
@@ -306,10 +423,11 @@ def resolution_from_doc(doc, where="resolution") -> ResolutionResult:
                                        zip(source.shape, offset, target.shape)):
         raise ParseError(f"target shape {list(target.shape)} does not contain the source "
                          f"shape {list(source.shape)} moved by offset {offset}", where)
-    P = multicomplex_from_doc(_need(doc, "cover", dict, where), where + ".cover")
-    Pprime = multicomplex_from_doc(_need(doc, "kernel", dict, where), where + ".kernel")
-    zeta = components_from_doc(P, target, _need(doc, "zeta", list, where), where + ".zeta")
-    incl = components_from_doc(Pprime, P, _need(doc, "incl", list, where), where + ".incl")
+    P, Pprime = part("cover"), part("kernel")
+    zeta = components_from_doc(P, target, _need(doc, "zeta", list, where), where + ".zeta",
+                               reader)
+    incl = components_from_doc(Pprime, P, _need(doc, "incl", list, where), where + ".incl",
+                               reader)
     axes = _need(doc, "diagonal_axes", list, where)
     if any(isinstance(a, bool) or not isinstance(a, int) or not 0 <= a < source.dim
            for a in axes):
@@ -319,15 +437,35 @@ def resolution_from_doc(doc, where="resolution") -> ResolutionResult:
 
 
 # -- formal classes and relation chains --------------------------------------
+#
+# A multicomplex field of a class entry or a chain step is written by a
+# member function: inline as a whole document, or, in a version-2 chain, as
+# an index into the chain's member list.  Readers take the matching function
+# member(record, key, where) -> BinaryMulticomplex.
 
 
-def formal_class_to_doc(x: FormalClass) -> dict:
+def _inline(reader):
+    def member(rec, key, where):
+        return multicomplex_from_doc(_need(rec, key, dict, where), f"{where}.{key}", reader)
+    return member
+
+
+def _listed(members):
+    def member(rec, key, where):
+        k = _need(rec, key, int, where)
+        if not 0 <= k < len(members):
+            raise ParseError(f"member index {k} is out of range for {len(members)} members",
+                             f"{where}.{key}")
+        return members[k]
+    return member
+
+
+def formal_class_to_doc(x: FormalClass, member) -> dict:
     return {"dim": x.dim,
-            "entries": [{"coeff": c, "multicomplex": multicomplex_to_doc(M)}
-                        for M, c in x.entries()]}
+            "entries": [{"coeff": c, "multicomplex": member(M)} for M, c in x.entries()]}
 
 
-def formal_class_from_doc(doc, where="class") -> FormalClass:
+def formal_class_from_doc(doc, where, member) -> FormalClass:
     dim = _need(doc, "dim", int, where)
     if dim < 0:
         raise ParseError("dimension must be nonnegative", where)
@@ -335,8 +473,7 @@ def formal_class_from_doc(doc, where="class") -> FormalClass:
     for k, rec in enumerate(_need(doc, "entries", list, where)):
         spot = f"{where}.entries[{k}]"
         coeff = _need(rec, "coeff", int, spot)
-        M = multicomplex_from_doc(_need(rec, "multicomplex", dict, spot),
-                                  spot + ".multicomplex")
+        M = member(rec, "multicomplex", spot)
         try:
             x = x + FormalClass.of(M, coeff)
         except ShapeError as e:
@@ -345,87 +482,96 @@ def formal_class_from_doc(doc, where="class") -> FormalClass:
 
 
 def class_document(x: FormalClass, witnesses) -> dict:
-    return {"schema": CLASS_SCHEMA, **formal_class_to_doc(x),
+    return {"schema": CLASS_SCHEMA, **formal_class_to_doc(x, multicomplex_to_doc),
             "witnesses": list(witnesses)}
 
 
 def class_from_document(doc):
-    _expect_schema(doc, CLASS_SCHEMA, "class document")
-    x = formal_class_from_doc(doc, "class document")
+    reader = _Reader.of(doc, "class", "class document")
+    x = formal_class_from_doc(doc, "class document", _inline(reader))
     witnesses = _need(doc, "witnesses", list, "class document")
     if any(isinstance(w, bool) or not isinstance(w, int) for w in witnesses):
         raise ParseError("witnesses must list one axis per class entry", "class document")
     return x, witnesses
 
 
-def _step_to_doc(step) -> dict:
+def _step_to_doc(step, member) -> dict:
     if step.kind == "ses":
         return {"kind": "ses", "sign": step.sign,
-                "sub": multicomplex_to_doc(step.ext.sub),
-                "total": multicomplex_to_doc(step.ext.total),
-                "quot": multicomplex_to_doc(step.ext.quot),
+                "sub": member(step.ext.sub),
+                "total": member(step.ext.total),
+                "quot": member(step.ext.quot),
                 "mono": components_to_doc(step.ext.mono),
                 "epi": components_to_doc(step.ext.epi)}
     if step.kind == "diagonal":
         return {"kind": "diagonal", "sign": step.sign, "axis": step.axis,
-                "member": multicomplex_to_doc(step.member)}
+                "member": member(step.member)}
     if step.kind == "iso":
         return {"kind": "iso", "sign": step.sign,
-                "source": multicomplex_to_doc(step.forward.source),
-                "target": multicomplex_to_doc(step.forward.target),
+                "source": member(step.forward.source),
+                "target": member(step.forward.target),
                 "forward": components_to_doc(step.forward),
                 "backward": components_to_doc(step.backward)}
     raise ShapeError(f"unknown step kind {step.kind!r}")
 
 
-def _step_from_doc(doc, where):
+def _step_from_doc(doc, where, member, reader):
     kind = _need(doc, "kind", str, where)
     sign = _need(doc, "sign", int, where)
     if sign not in (1, -1):
         raise ParseError("step sign must be 1 or -1", where)
+
+    def maps(source, target, key):
+        return components_from_doc(source, target, _need(doc, key, list, where),
+                                   f"{where}.{key}", reader)
+
     try:
         if kind == "ses":
-            sub = multicomplex_from_doc(_need(doc, "sub", dict, where), where + ".sub")
-            total = multicomplex_from_doc(_need(doc, "total", dict, where), where + ".total")
-            quot = multicomplex_from_doc(_need(doc, "quot", dict, where), where + ".quot")
-            mono = components_from_doc(sub, total, _need(doc, "mono", list, where),
-                                       where + ".mono")
-            epi = components_from_doc(total, quot, _need(doc, "epi", list, where),
-                                      where + ".epi")
-            return SesStep(ExtensionObject(sub, total, quot, mono, epi), sign)
+            sub, total, quot = (member(doc, key, where) for key in ("sub", "total", "quot"))
+            return SesStep(ExtensionObject(sub, total, quot, maps(sub, total, "mono"),
+                                           maps(total, quot, "epi")), sign)
         if kind == "diagonal":
-            member = multicomplex_from_doc(_need(doc, "member", dict, where),
-                                           where + ".member")
-            return DiagonalStep(member, _need(doc, "axis", int, where), sign)
+            return DiagonalStep(member(doc, "member", where), _need(doc, "axis", int, where),
+                                sign)
         if kind == "iso":
-            source = multicomplex_from_doc(_need(doc, "source", dict, where),
-                                           where + ".source")
-            target = multicomplex_from_doc(_need(doc, "target", dict, where),
-                                           where + ".target")
-            forward = components_from_doc(source, target,
-                                          _need(doc, "forward", list, where),
-                                          where + ".forward")
-            backward = components_from_doc(target, source,
-                                           _need(doc, "backward", list, where),
-                                           where + ".backward")
-            return IsoStep(forward, backward, sign)
+            source, target = member(doc, "source", where), member(doc, "target", where)
+            return IsoStep(maps(source, target, "forward"), maps(target, source, "backward"),
+                           sign)
     except ShapeError as e:
         raise ParseError(str(e), where)
     raise ParseError(f"unknown step kind {kind!r}", where)
 
 
 def chain_to_doc(chain: RelationChain) -> dict:
-    return {"schema": CHAIN_SCHEMA,
-            "start": formal_class_to_doc(chain.start),
-            "end": formal_class_to_doc(chain.end),
-            "steps": [_step_to_doc(s) for s in chain.steps]}
+    members, index, seen = [], {}, {}
+
+    def member(M):
+        """M's index in members; equal multicomplexes have equal canonical documents."""
+        k = seen.get(id(M))  # the chain keeps M alive, so its id is not reused
+        if k is None:
+            doc = multicomplex_to_doc(M)
+            k = seen[id(M)] = index.setdefault(canonical_dumps(doc), len(members))
+            if k == len(members):
+                members.append(doc)
+        return k
+
+    start = formal_class_to_doc(chain.start, member)
+    end = formal_class_to_doc(chain.end, member)
+    steps = [_step_to_doc(s, member) for s in chain.steps]
+    return {"schema": CHAIN_SCHEMA, "members": members, "start": start, "end": end,
+            "steps": steps}
 
 
 def chain_from_doc(doc, where="chain") -> RelationChain:
-    _expect_schema(doc, CHAIN_SCHEMA, where)
-    start = formal_class_from_doc(_need(doc, "start", dict, where), where + ".start")
-    end = formal_class_from_doc(_need(doc, "end", dict, where), where + ".end")
-    steps = [_step_from_doc(rec, f"{where}.steps[{k}]")
+    reader = _Reader.of(doc, "chain", where)
+    if reader.version == 1:
+        member = _inline(reader)
+    else:
+        member = _listed([multicomplex_from_doc(m, f"{where}.members[{k}]", reader)
+                          for k, m in enumerate(_need(doc, "members", list, where))])
+    start = formal_class_from_doc(_need(doc, "start", dict, where), where + ".start", member)
+    end = formal_class_from_doc(_need(doc, "end", dict, where), where + ".end", member)
+    steps = [_step_from_doc(rec, f"{where}.steps[{k}]", member, reader)
              for k, rec in enumerate(_need(doc, "steps", list, where))]
     return RelationChain(start, steps, end)
 
@@ -433,19 +579,20 @@ def chain_from_doc(doc, where="chain") -> RelationChain:
 # -- dispatch ----------------------------------------------------------------
 
 
-_PARSERS = {
-    MULTICOMPLEX_SCHEMA: multicomplex_from_doc,
-    MATRIX_SCHEMA: matrix_from_document,
-    RESOLUTION_SCHEMA: resolution_from_doc,
-    CHAIN_SCHEMA: chain_from_doc,
-    CLASS_SCHEMA: class_from_document,
-}
+_PARSERS = {_tag(kind, version): (_tag(kind), parser)
+            for kind, parser in (("multicomplex", multicomplex_from_doc),
+                                 ("matrix", matrix_from_document),
+                                 ("resolution", resolution_from_doc),
+                                 ("chain", chain_from_doc),
+                                 ("class", class_from_document))
+            for version in (1, SCHEMA_VERSION)}
 
 
 def parse_any(doc):
-    """(schema, object) for any recognized document."""
-    schema = _need(doc, "schema", str, "document")
-    parser = _PARSERS.get(schema)
-    if parser is None:
-        raise ParseError(f"unrecognized schema {schema!r}", "document")
+    """(schema, object) for any recognized document, at either version; the
+    schema returned is the current tag of the document's kind."""
+    found = _need(doc, "schema", str, "document")
+    if found not in _PARSERS:
+        raise ParseError(f"unrecognized schema {found!r}", "document")
+    schema, parser = _PARSERS[found]
     return schema, parser(doc)

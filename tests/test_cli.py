@@ -159,6 +159,25 @@ def test_snf_reports_invariants(tmp_path):
     assert U @ A @ V == S
 
 
+def test_snf_diagonal_form_reads_stored_entries_only(tmp_path, monkeypatch, capsys):
+    # the verdict walks S's nonzeros; only the invariants read cells of S,
+    # one per diagonal position
+    calls = []
+    get = Matrix.get
+
+    def counted(self, i, j):
+        calls.append((i, j))
+        return get(self, i, j)
+
+    A = Matrix(ZZ, 3, 2, [ZZ.from_int(v) for v in [4, 2, 2, 2, 0, 6]])
+    src = _write(tmp_path / "mat.json", ser.matrix_document(A))
+    monkeypatch.setattr(Matrix, "get", counted)
+    capsys.readouterr()
+    assert main(["snf", src]) == 0
+    assert "[ok]   diagonal-form: rank 2" in capsys.readouterr().out
+    assert calls == [(0, 0), (1, 1)]
+
+
 def test_torsion_pins_the_unit_convention(tmp_path):
     src = _write(tmp_path / "u.json",
                  ser.multicomplex_to_doc(_scalar_line(ZZ, ZZ.one, ZZ.from_int(-1))))
@@ -171,9 +190,12 @@ def test_exit_codes(tmp_path, capsys):
     good = str(tmp_path / "m.json")
     assert main(["gen", "--seed", "5", "--out", good]) == 0
 
-    # corrupt one differential entry: parses, fails verification
+    # corrupt one differential entry: parses, fails verification; the first
+    # pair of row 0 is column 0, so this is the cell (0, 0)
     doc = _load(tmp_path / "m.json")
-    doc["differentials"][0]["top"]["entries"][0][0] = "7"
+    row = doc["differentials"][0]["top"]["rows"][0]
+    assert row[0] == 0
+    row[1] = "7"
     bad = _write(tmp_path / "bad.json", doc)
     assert main(["check", bad]) == 1
 

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from binmc import serialize as ser
+from binmc.cofinal import diagonal_represent
 from binmc.errors import ParseError, RingError
 from binmc.extension import split_extension
 from binmc.gen import (conjugate_multicomplex, random_multicomplex,
@@ -11,6 +12,7 @@ from binmc.gen import (conjugate_multicomplex, random_multicomplex,
 from binmc.kgroups import (DiagonalStep, FormalClass, IsoStep, RelationChain,
                            SesStep, verify_chain)
 from binmc.matrix import Matrix
+from binmc.multicomplex import shift
 from binmc.resolve import resolve_binary, resolve_multi, verify_resolution
 from binmc.rings import PolynomialRing, PrimeField, QQ, ZZ
 
@@ -146,7 +148,7 @@ def test_semantic_errors_carry_document_paths():
     bad = ser.multicomplex_from_doc  # short name for repeated calls
 
     broken = ser.multicomplex_to_doc(M)
-    broken["differentials"][0]["top"]["entries"][0][0] = "x"
+    next(row for row in broken["differentials"][0]["top"]["rows"] if row)[1] = "x"
     with pytest.raises(ParseError) as e:
         bad(broken)
     assert "differentials[0].top" in str(e.value)
@@ -179,18 +181,27 @@ def test_semantic_errors_carry_document_paths():
 def test_ill_defined_differential_is_rejected_with_location():
     # objects: Z at spot 0, Z/2 at spot 1; the map Z/2 -> Z sending the
     # generator to 1 does not kill the relation, so parsing must refuse it.
+    for version in (1, 2):
+        _refuse_ill_defined(version)
+
+
+def _refuse_ill_defined(version):
+    if version == 1:
+        free, two, one = ({"rows": 1, "cols": c, "entries": [e]}
+                          for c, e in ((0, []), (1, ["2"]), (1, ["1"])))
+    else:
+        free, two, one = ({"cols": c, "rows": [r]} for c, r in ((0, []), (1, [0, "2"]),
+                                                                (1, [0, "1"])))
     doc = {
-        "schema": ser.MULTICOMPLEX_SCHEMA,
+        "schema": f"binmc.multicomplex/{version}",
         "ring": {"kind": "integers"},
         "dim": 1, "shape": [2],
         "objects": [
-            {"at": [0], "gens": 1, "rels": {"rows": 1, "cols": 0, "entries": [[]]}},
-            {"at": [1], "gens": 1, "rels": {"rows": 1, "cols": 1, "entries": [["2"]]}},
+            {"at": [0], "gens": 1, "rels": free},
+            {"at": [1], "gens": 1, "rels": two},
         ],
         "differentials": [
-            {"axis": 0, "at": [1],
-             "top": {"rows": 1, "cols": 1, "entries": [["1"]]},
-             "bottom": {"rows": 1, "cols": 1, "entries": [["1"]]}},
+            {"axis": 0, "at": [1], "top": one, "bottom": one},
         ],
     }
     with pytest.raises(ParseError) as e:
@@ -218,12 +229,19 @@ def test_witness_and_sign_validation():
 
 
 def test_negative_dimensions_are_refused_with_location():
+    for version in (1, 2):
+        _refuse_negative_dimensions(version)
+
+
+def _refuse_negative_dimensions(version):
     # the chain between two empty classes of dimension -3 once verified
     empty = {"dim": -3, "entries": []}
-    docs = {"chain.start": {"schema": ser.CHAIN_SCHEMA, "start": empty, "end": empty,
-                            "steps": []},
-            "class document": {"schema": ser.CLASS_SCHEMA, **empty, "witnesses": []},
-            "multicomplex": {"schema": ser.MULTICOMPLEX_SCHEMA, "ring": {"kind": "integers"},
+    members = {"members": []} if version == 2 else {}
+    docs = {"chain.start": {"schema": f"binmc.chain/{version}", "start": empty, "end": empty,
+                            "steps": [], **members},
+            "class document": {"schema": f"binmc.class/{version}", **empty, "witnesses": []},
+            "multicomplex": {"schema": f"binmc.multicomplex/{version}",
+                             "ring": {"kind": "integers"},
                              **empty, "shape": [], "objects": [], "differentials": []}}
     for where, doc in docs.items():
         with pytest.raises(ParseError) as e:
@@ -236,10 +254,12 @@ def test_non_canonical_entry_is_rejected_with_location():
     for ring, literal in ((ZZ, "1_000"), (PrimeField(7), "7"), (PrimeField(7), "-1")):
         M = random_multicomplex(random.Random(17), ring, 1, length=2, max_rank=2)
         doc = ser.multicomplex_to_doc(M)
-        doc["differentials"][0]["top"]["entries"][0][0] = literal
+        rows = doc["differentials"][0]["top"]["rows"]
+        i = next(i for i, row in enumerate(rows) if row)
+        rows[i][1] = literal
         with pytest.raises(ParseError) as e:
             ser.multicomplex_from_doc(doc)
-        assert "differentials[0].top.entries[0][0]" in str(e.value)
+        assert f"differentials[0].top.rows[{i}], pair 0" in str(e.value)
         assert repr(literal) in str(e.value)
 
 
@@ -313,24 +333,33 @@ def _bad_cells(ring):
     return common + ["1.0", " 1"]
 
 
+def _v1_matrix_from_doc(ring, doc, where="matrix"):
+    return ser.matrix_from_doc(ring, doc, where, ser._Reader(1))
+
+
 @pytest.mark.parametrize("ring", [ZZ, F7, QQ, F5X], ids=lambda r: r.kind)
 def test_sparse_parse_and_emit_match_the_per_cell_reference(ring):
+    # the version-1 reader against the per-cell reference, and the version-2
+    # writer and reader against the matrix the reference wrote
     rng = random.Random(401)
     shapes = [(0, 0), (0, 4), (4, 0), (1, 1), (3, 5), (6, 2), (7, 9)]
     mats = [_random_matrix(rng, ring, r, c, d) for r, c in shapes for d in (0.0, 0.15, 1.0)]
     for A in mats:
-        doc = ser.matrix_to_doc(A)
-        assert (ser.canonical_dumps(doc)
-                == ser.canonical_dumps(_reference_matrix_to_doc(A)))
-        lists = [c for row in doc["entries"] for c in row if isinstance(c, list)]
-        assert len({id(c) for c in lists}) == len(lists)
-        assert len({id(row) for row in doc["entries"]}) == A.rows
-        new = _outcome(ser.matrix_from_doc, ring, doc)
-        assert new == _outcome(_reference_matrix_from_doc, ring, doc)
+        ref = _reference_matrix_to_doc(A)
+        new = _outcome(_v1_matrix_from_doc, ring, ref)
+        assert new == _outcome(_reference_matrix_from_doc, ring, ref)
         assert new[1] == A
+        doc = ser.matrix_to_doc(A)
+        assert ser.matrix_from_doc(ring, doc) == A
+        assert doc["cols"] == A.cols and len(doc["rows"]) == A.rows
+        assert [row[::2] for row in doc["rows"]] == [
+            [j for j, x in enumerate(cells) if x] for cells in A.row_list()]
+        lists = [v for row in doc["rows"] for v in row[1::2] if isinstance(v, list)]
+        assert len({id(c) for c in lists}) == len(lists)
+        assert len({id(row) for row in doc["rows"]}) == A.rows
 
     def same(doc):
-        new = _outcome(ser.matrix_from_doc, ring, doc)
+        new = _outcome(_v1_matrix_from_doc, ring, doc)
         assert new == _outcome(_reference_matrix_from_doc, ring, doc), doc
         return new
 
@@ -339,7 +368,7 @@ def test_sparse_parse_and_emit_match_the_per_cell_reference(ring):
         if not A.rows or not A.cols:
             continue
         for cell in _bad_cells(ring) + zero_literals:
-            doc = ser.matrix_to_doc(A)
+            doc = _reference_matrix_to_doc(A)
             i, j = rng.randrange(A.rows), rng.randrange(A.cols)
             doc["entries"][i][j] = cell
             same(doc)
@@ -349,37 +378,42 @@ def test_sparse_parse_and_emit_match_the_per_cell_reference(ring):
             doc["entries"][-1][-1] = "bad"
             assert same(doc)[1].startswith(f"m.entries[{i}][{j}]: ")
         for cell in zero_literals:
-            doc = ser.matrix_to_doc(A)
+            doc = _reference_matrix_to_doc(A)
             for row in doc["entries"]:
                 row[:] = [cell] * A.cols
             assert same(doc)[1] == Matrix.zeros(ring, A.rows, A.cols)
         # ragged and malformed rows, and a wrong row count
         for k, mangle in enumerate([lambda r: r.append(r[0]), lambda r: r.pop(),
                                     lambda r: r.clear()]):
-            doc = ser.matrix_to_doc(A)
+            doc = _reference_matrix_to_doc(A)
             mangle(doc["entries"][k % A.rows])
             assert same(doc)[0] == "error"
         for row in ("0", None, {}):
-            doc = ser.matrix_to_doc(A)
+            doc = _reference_matrix_to_doc(A)
             doc["entries"][-1] = row
             assert same(doc)[0] == "error"
-        doc = ser.matrix_to_doc(A)
+        doc = _reference_matrix_to_doc(A)
         doc["rows"] += 1
         assert same(doc)[0] == "error"
 
 
+def _matrix_records(doc):
+    return ([rec["rels"] for rec in doc["objects"]]
+            + [rec[fam] for rec in doc["differentials"] for fam in ("top", "bottom")])
+
+
 @pytest.mark.parametrize("ring", [ZZ, F7, QQ, F5X], ids=lambda r: r.kind)
 def test_parsing_parses_each_cell_that_is_not_the_zero_literal_once(monkeypatch, ring):
-    # the O(nonzeros) property: a zero cell costs one comparison, never a parse
+    # the O(nonzeros) property: a zero cell costs one comparison in version 1
+    # and is not written in version 2, and each nonzero is parsed once
     M = random_multicomplex(random.Random(409), ring, 2, length=3, max_rank=2,
                             allow_fp=True)
-    doc = ser.multicomplex_to_doc(M)
-    matrices = [rec["rels"] for rec in doc["objects"]]
-    matrices += [rec[fam] for rec in doc["differentials"] for fam in ("top", "bottom")]
+    v1, v2 = _v1(ser.multicomplex_to_doc, M), ser.multicomplex_to_doc(M)
     zero = ring.element_to_doc(ring.zero)
-    cells = [c for m in matrices for row in m["entries"] for c in row]
+    cells = [c for m in _matrix_records(v1) for row in m["entries"] for c in row]
     nonzero = sum(c != zero for c in cells)
     assert 0 < nonzero < len(cells) // 2
+    assert sum(len(row) for m in _matrix_records(v2) for row in m["rows"]) == 2 * nonzero
     calls = []
     parse = type(ring).element_from_doc
 
@@ -388,5 +422,220 @@ def test_parsing_parses_each_cell_that_is_not_the_zero_literal_once(monkeypatch,
         return parse(self, cell)
 
     monkeypatch.setattr(type(ring), "element_from_doc", counted)
-    assert ser.multicomplex_from_doc(doc) == M
-    assert len(calls) == nonzero
+    for doc in (v1, v2):
+        calls.clear()
+        assert ser.multicomplex_from_doc(doc) == M
+        assert len(calls) == nonzero
+
+
+# -- version 1 beside version 2 ------------------------------------------------
+
+
+def _v1(write, *args):
+    """What write(*args) gives under the version-1 writers: every matrix cell
+    by cell through the reference emitter, and every schema tag at version 1."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ser, "matrix_to_doc", _reference_matrix_to_doc)
+        for name in ("MULTICOMPLEX_SCHEMA", "MATRIX_SCHEMA", "RESOLUTION_SCHEMA",
+                     "CLASS_SCHEMA", "CHAIN_SCHEMA"):
+            mp.setattr(ser, name, getattr(ser, name).replace("/2", "/1"))
+        return write(*args)
+
+
+def _v1_chain_doc(chain):
+    """A version-1 chain document: each multicomplex written inline wherever it
+    occurs (call it through _v1)."""
+    inline = ser.multicomplex_to_doc
+    return {"schema": ser.CHAIN_SCHEMA,
+            "start": ser.formal_class_to_doc(chain.start, inline),
+            "end": ser.formal_class_to_doc(chain.end, inline),
+            "steps": [ser._step_to_doc(s, inline) for s in chain.steps]}
+
+
+def _class_and_chain(ring, seed):
+    x, wits = random_tn_class(random.Random(seed), ring, 2, terms=2, length=2, max_rank=1)
+    return x, wits, diagonal_represent(x, wits, ring=ring)[1]
+
+
+@pytest.mark.parametrize("ring", [ZZ, F7, QQ, F5X], ids=lambda r: r.kind)
+def test_version_1_and_2_documents_read_back_to_equal_objects(ring):
+    rng = random.Random(431)
+    M = random_multicomplex(rng, ring, 2, length=2, max_rank=2, allow_fp=ring is ZZ)
+    A = _random_matrix(rng, ring, 4, 5, 0.4)
+    res = resolve_multi(M)
+    x, wits, chain = _class_and_chain(ring, 433)
+
+    def pair(write, *args):
+        v1, v2 = _v1(write, *args), write(*args)
+        assert v1["schema"].endswith("/1") and v2["schema"].endswith("/2")
+        assert ser.canonical_dumps(v1) != ser.canonical_dumps(v2)
+        (s1, one), (s2, two) = ser.parse_any(v1), ser.parse_any(v2)
+        assert s1 == s2 == v2["schema"]
+        return one, two
+
+    M1, M2 = pair(ser.multicomplex_to_doc, M)
+    assert M1 == M2 == M and M1.canonical_key() == M2.canonical_key() == M.canonical_key()
+    assert pair(ser.matrix_document, A) == (A, A)
+    r1, r2 = pair(ser.resolution_to_doc, res)
+    for part in ("source", "target", "P", "Pprime", "offset", "diagonal_axes"):
+        assert getattr(r1, part) == getattr(r2, part) == getattr(res, part), part
+    for part in ("zeta", "incl"):
+        want = {c: f.mat for c, f in getattr(res, part).components.items()}
+        for got in (r1, r2):
+            assert {c: f.mat for c, f in getattr(got, part).components.items()} == want
+    for part in ("P", "Pprime"):
+        assert getattr(r1, part).canonical_key() == getattr(res, part).canonical_key()
+    (x1, w1), (x2, w2) = pair(ser.class_document, x, wits)
+    assert x1 == x2 == x and w1 == w2 == list(wits)
+    assert [N.canonical_key() for N, _ in x1.entries()] == [
+        N.canonical_key() for N, _ in x.entries()]
+    c1 = ser.chain_from_doc(_v1(_v1_chain_doc, chain))
+    c2 = ser.chain_from_doc(ser.chain_to_doc(chain))
+    assert c1.start == c2.start == chain.start and c1.end == c2.end == chain.end
+    assert ser.chain_to_doc(c1) == ser.chain_to_doc(c2) == ser.chain_to_doc(chain)
+
+
+def _chain_variants(chain):
+    """chain, and copies with the first step's sign flipped, the last step
+    dropped, and the end class replaced by the start class."""
+    first = chain.steps[0]
+    flipped = (SesStep(first.ext, -first.sign) if first.kind == "ses"
+               else DiagonalStep(first.member, first.axis, -first.sign))
+    return [chain,
+            RelationChain(chain.start, [flipped] + chain.steps[1:], chain.end),
+            RelationChain(chain.start, chain.steps[:-1], chain.end),
+            RelationChain(chain.start, chain.steps, chain.start)]
+
+
+def test_verify_chain_reports_agree_on_version_1_and_2_documents():
+    oks = []
+    for k, ring in enumerate((ZZ, F7, QQ, F5X)):
+        for chain in _chain_variants(_class_and_chain(ring, 437 + k)[2]):
+            want = verify_chain(chain)
+            v1 = ser.chain_from_doc(_v1(_v1_chain_doc, chain))
+            v2 = ser.chain_from_doc(ser.chain_to_doc(chain))
+            assert verify_chain(v1) == verify_chain(v2) == want
+            oks.append(want.ok)
+    assert oks.count(True) == 4 and oks.count(False) == 12
+
+
+def test_chain_members_are_shared_by_exact_equality_only():
+    M = random_multicomplex(random.Random(439), ZZ, 1, length=2, max_rank=2,
+                            diagonal_axes=(0,))
+    twin = ser.multicomplex_from_doc(ser.multicomplex_to_doc(M))  # equal, not identical
+    moved = shift(M, (1,))  # equivalent under canonical_key, not equal
+    assert twin == M and twin is not M
+    assert moved.canonical_key() == M.canonical_key() and moved != M
+    chain = RelationChain(FormalClass.of(M),
+                          [DiagonalStep(M, 0, -1), DiagonalStep(twin, 0, 1),
+                           DiagonalStep(moved, 0, -1), DiagonalStep(moved, 0, 1)],
+                          FormalClass.of(M))
+    doc = ser.chain_to_doc(chain)
+    assert doc["members"] == [ser.multicomplex_to_doc(M), ser.multicomplex_to_doc(moved)]
+    assert [step["member"] for step in doc["steps"]] == [0, 0, 1, 1]
+    assert doc["start"]["entries"][0]["multicomplex"] == 0
+    back = ser.chain_from_doc(doc)
+    assert [s.member for s in back.steps] == [M, M, moved, moved]
+    assert verify_chain(back) == verify_chain(chain)
+    # a diagonal_represent chain names each distinct multicomplex once
+    _, _, chain = _class_and_chain(ZZ, 441)
+    doc = ser.chain_to_doc(chain)
+    members = [ser.multicomplex_from_doc(m) for m in doc["members"]]
+    assert all(a != b for k, a in enumerate(members) for b in members[k + 1:])
+    v1_members = ser.canonical_dumps(_v1(_v1_chain_doc, chain)).count('"schema":')
+    assert len(members) < v1_members - 1
+
+
+def _located(parse, doc):
+    with pytest.raises(ParseError) as e:
+        parse(doc)
+    return str(e.value)
+
+
+def test_version_2_parse_errors_are_located_to_the_row_and_pair():
+    A = Matrix.from_int_rows(ZZ, [[0, 3, 0, 5], [0, 0, 0, 0], [2, 0, 0, 0]])
+    doc = ser.matrix_document(A)
+    assert doc["matrix"]["rows"] == [[1, "3", 3, "5"], [], [0, "2"]]
+    bad = {
+        "column 4 is outside 0..3": [1, "3", 4, "5"],
+        "column -1 is outside 0..3": [1, "3", -1, "5"],
+        "column 1 does not ascend from column 3": [3, "5", 1, "3"],
+        "column 1 does not ascend from column 1": [1, "3", 1, "5"],
+        "entry '0' at column 3 is zero": [1, "3", 3, "0"],
+        "column '3' is not an integer": [1, "3", "3", "5"],
+        "column True is not an integer": [1, "3", True, "5"],
+        "column 3.0 is not an integer": [1, "3", 3.0, "5"],
+        "bad integer literal '05'": [1, "3", 3, "05"],
+    }
+    for message, row in bad.items():
+        broken = ser.load_text(ser.canonical_dumps(doc))
+        broken["matrix"]["rows"][0] = row
+        assert _located(ser.matrix_from_document, broken) == f"matrix.rows[0], pair 1: {message}"
+    for row in ([1, "3", 3], "1", None):
+        broken = ser.load_text(ser.canonical_dumps(doc))
+        broken["matrix"]["rows"][2] = row
+        assert _located(ser.matrix_from_document, broken) == (
+            "matrix.rows[2]: a row must list column, entry pairs")
+    # zeros that are not the zero literal are refused as well
+    for ring, zero in ((QQ, "0/5"), (F5X, ["0"])):
+        broken = {"schema": ser.MATRIX_SCHEMA, "ring": ser.ring_to_doc(ring),
+                  "matrix": {"cols": 2, "rows": [[1, zero]]}}
+        assert _located(ser.matrix_from_document, broken).startswith("matrix.rows[0], pair 0: ")
+    # a member index out of range, negative or boolean
+    M = random_multicomplex(random.Random(443), ZZ, 1, length=2, max_rank=2,
+                            diagonal_axes=(0,))
+    chain = ser.chain_to_doc(RelationChain(FormalClass.of(M), [DiagonalStep(M, 0, -1)],
+                                           FormalClass.zero(1)))
+    for value, message in ((1, "chain.steps[0].member: member index 1 is out of range "
+                               "for 1 members"),
+                           (-1, "chain.steps[0].member: member index -1 is out of range "
+                                "for 1 members"),
+                           (True, "chain.steps[0]: field 'member' must be an integer"),
+                           ("0", "chain.steps[0]: field 'member' has the wrong type")):
+        broken = ser.load_text(ser.canonical_dumps(chain))
+        broken["steps"][0]["member"] = value
+        assert _located(ser.chain_from_doc, broken) == message
+    broken = ser.load_text(ser.canonical_dumps(chain))
+    broken["start"]["entries"][0]["multicomplex"] = 3
+    assert _located(ser.chain_from_doc, broken) == (
+        "chain.start.entries[0].multicomplex: member index 3 is out of range for 1 members")
+    # a nested document carries the version of the one that holds it
+    broken = ser.load_text(ser.canonical_dumps(chain))
+    broken["members"][0]["schema"] = "binmc.multicomplex/1"
+    assert "chain.members[0]: expected schema 'binmc.multicomplex/2'" in _located(
+        ser.chain_from_doc, broken)
+
+
+def test_declared_sizes_over_the_caps_are_refused_with_location():
+    # a few bytes declare a matrix wider than MAX_COLUMNS ...
+    wide = {"schema": ser.MATRIX_SCHEMA, "ring": {"kind": "integers"},
+            "matrix": {"cols": 10 ** 9, "rows": [[0, "1"]]}}
+    assert _located(ser.matrix_from_document, wide) == (
+        f"matrix: 1000000000 columns declared, over the cap of {ser.MAX_COLUMNS}")
+    M = random_multicomplex(random.Random(447), ZZ, 1, length=2, max_rank=2)
+    doc = ser.multicomplex_to_doc(M)
+    doc["objects"][1]["rels"]["cols"] = ser.MAX_COLUMNS + 1
+    assert _located(ser.multicomplex_from_doc, doc) == (
+        f"multicomplex.objects[1].rels: {ser.MAX_COLUMNS + 1} columns declared, "
+        f"over the cap of {ser.MAX_COLUMNS}")
+    # ... or more than MAX_CELLS cells across its matrices, here with one
+    # empty row too many for the cap at the widest width allowed
+    rows = ser.MAX_CELLS // ser.MAX_COLUMNS
+    at_cap = {"schema": ser.MATRIX_SCHEMA, "ring": {"kind": "integers"},
+              "matrix": {"cols": ser.MAX_COLUMNS, "rows": [[]] * rows}}
+    assert ser.matrix_from_document(at_cap) == Matrix.zeros(ZZ, rows, ser.MAX_COLUMNS)
+    at_cap["matrix"]["rows"] = [[]] * (rows + 1)
+    assert _located(ser.matrix_from_document, at_cap) == (
+        f"matrix: the document declares {(rows + 1) * ser.MAX_COLUMNS} matrix cells up to "
+        f"here, over the cap of {ser.MAX_CELLS}")
+    # the cap counts the whole document: two relation matrices each under it,
+    # whose sum is over it, are refused at the second
+    g = rows // 2 + 1
+    free = {"cols": ser.MAX_COLUMNS, "rows": [[]] * g}
+    ident = {"cols": g, "rows": [[i, "1"] for i in range(g)]}
+    doc = {"schema": ser.MULTICOMPLEX_SCHEMA, "ring": {"kind": "integers"}, "dim": 1,
+           "shape": [2], "objects": [{"at": [t], "gens": g, "rels": free} for t in (0, 1)],
+           "differentials": [{"axis": 0, "at": [1], "top": ident, "bottom": ident}]}
+    assert _located(ser.multicomplex_from_doc, doc) == (
+        f"multicomplex.objects[1].rels: the document declares {2 * g * ser.MAX_COLUMNS} "
+        f"matrix cells up to here, over the cap of {ser.MAX_CELLS}")
