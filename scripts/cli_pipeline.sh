@@ -8,7 +8,11 @@
 # and print the same verdict lines; gen --seed 4 --dim 2 --fp, whose document
 # holds objects with relations, then resolve-multi --out and recheck, so that
 # verification falls back to check_ses and validates the kernel, expected to
-# exit 0 and print the same verdict lines; gen --seed 3 --dim 3 --length 2
+# exit 0 and print the same verdict lines; gen --ring "F5[x]" --dim 2 --seed 2,
+# whose document has no diagonal direction, so that the cover is the ladder
+# and its projection holds composites of the differentials over F5[x], then
+# resolve-multi --out and recheck, expected to exit 0 and print the same
+# verdict lines; gen --seed 3 --dim 3 --length 2
 # --max-rank 1, then resolve-multi --out and recheck, expected to exit 0 and
 # print the same verdict lines, with a bundle under 1.5 MB (it was 13.6 MB
 # when documents wrote every matrix cell); snf of a version-2 matrix document
@@ -26,10 +30,14 @@
 # represent-diagonal --ring F7 --report of a class whose two entries cancel,
 # expected to exit 0 with a representative over F7, not over the integers of
 # the dropped entries, and verify-chain of the chain it writes, expected to
-# exit 0; verify-chain of a stepless chain from Z -1-> Z over Z to the same
+# exit 0; represent-diagonal of a 10 KB version-2 class document whose two
+# relation matrices declare 2^24 cells each, under a 200 MB address-space
+# limit, expected to exit 0, because a canonical key costs the nonzeros of
+# its matrices, not their cells; verify-chain of a stepless chain from
+# Z -1-> Z over Z to the same
 # line over F7, expected to exit 1 and name the rings; and verify-chain of a
 # chain between two empty classes of dimension -3, expected to exit 2 with a
-# located message.  The hand-written documents below use the version-1
+# located message.  The other hand-written documents use the version-1
 # layouts, which readers still accept.  Run from the root of a checkout:
 #
 #     bash scripts/cli_pipeline.sh
@@ -78,6 +86,11 @@ expect 0 python -m binmc gen --seed 4 --dim 2 --fp --out t.json
 expect 0 python -m binmc resolve-multi t.json --out rt.json
 cp out.txt made.txt
 expect 0 python -m binmc recheck rt.json
+same_verdicts made.txt
+expect 0 python -m binmc gen --ring "F5[x]" --dim 2 --seed 2 --out f5.json
+expect 0 python -m binmc resolve-multi f5.json --out rf5.json
+cp out.txt made.txt
+expect 0 python -m binmc recheck rf5.json
 same_verdicts made.txt
 expect 0 python -m binmc gen --seed 3 --dim 3 --length 2 --max-rank 1 --out big.json
 expect 0 python -m binmc resolve-multi big.json --out rbig.json
@@ -133,8 +146,22 @@ python -c 'import json, sys
 ring = json.load(open("r.json"))["witnesses"]["representative"]["ring"]
 sys.exit(ring != {"kind": "prime-field", "p": "7"} and f"representative is over {ring}")'
 expect 0 python -m binmc verify-chain cchain.json
+# Z/2 -1-> Z/2 on 256 generators, each object presented by a 256 x 65536
+# relation matrix with 256 nonzeros
+python -c 'import json
+n = 256
+diagonal = lambda v, cols: {"cols": cols, "rows": [[i, v] for i in range(n)]}
+obj = lambda t: {"at": [t], "gens": n, "rels": diagonal("2", 2 ** 16)}
+line = {"differentials": [{"at": [1], "axis": 0, "bottom": diagonal("1", n),
+                           "top": diagonal("1", n)}],
+        "dim": 1, "objects": [obj(0), obj(1)], "ring": {"kind": "integers"},
+        "schema": "binmc.multicomplex/2", "shape": [2]}
+print(json.dumps({"dim": 1, "entries": [{"coeff": 1, "multicomplex": line}],
+                  "schema": "binmc.class/2", "witnesses": [0]}))' >heavy.json
+(ulimit -v 200000; expect 0 python -m binmc represent-diagonal heavy.json)
 
-# the two lines share one canonical key, so only their rings tell them apart
+# the two lines hold the same entries, over Z and over F7, so only their
+# rings tell them apart
 formal_class() { echo '{"dim":'"$1"',"entries":'"$2"'}'; }
 f7='{"kind":"prime-field","p":"7"}'
 echo '{"end":'"$(formal_class 1 '[{"coeff":1,"multicomplex":'"$(line 1 "$f7")"'}]')"','\

@@ -155,6 +155,17 @@ class Matrix:
     def __hash__(self):
         return hash((self.rows, self.cols, tuple(self._nz)))
 
+    def __lt__(self, other: "Matrix") -> bool:
+        """Ordered as the dense entry tuples, for two matrices of one shape
+        over one ring; the first stored rows that differ decide."""
+        zero = self.ring.zero
+        for a, b in zip(self._nz, other._nz):
+            if a != b:
+                x, y = dict(_pairs(a)), dict(_pairs(b))
+                j = min(j for j in x.keys() | y.keys() if x.get(j, zero) != y.get(j, zero))
+                return x.get(j, zero) < y.get(j, zero)
+        return False
+
     def __repr__(self):
         return f"Matrix({self.ring.kind} {self.rows}x{self.cols} {list(self.entries)})"
 

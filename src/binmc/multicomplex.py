@@ -21,9 +21,11 @@ shift_morphism and pad_morphism; each checks its arguments and makes one
 call into the core.  The kernel and image multicomplexes of a morphism, and
 the kernels that resolutions build from carried sections, share one
 restriction, _restrict, of both differential families through coordinatewise
-monos.  layered_sum stacks direct sums along a new axis, with one morphism
-for both families where their routes agree, and staircase_rows lays out the
-identity staircase that resolve and cofinal both build on.
+monos.  block_identity_morphism builds every morphism between direct sums
+from blocks that are identities or any MultiMorphism.  layered_sum stacks
+direct sums along a new axis, with one morphism for both families where
+their routes agree, and staircase_rows lays out the identity staircase that
+resolve and cofinal both build on.
 expand_along and collapse_along convert along one axis to and from a binary
 complex of (dim-1)-multicomplexes, held as the tuples (terms, tops, bots);
 diagonal_embed collapses one family of differentials into both, the paper's
@@ -155,12 +157,15 @@ class BinaryMulticomplex:
         return _rebox(self, tuple(-l for l in lo), tuple(h - l + 1 for l, h in zip(lo, hi)))
 
     def canonical_key(self):
+        """The normalized tables as one hashed tuple that holds the matrices
+        themselves, so it costs O(nonzeros); keys over one ring compare as if
+        each matrix were its dense entry tuple (Matrix.__lt__)."""
         if self._key is None:
             n = self.normalize()
             objs = tuple((c, n.objects[c].gens, n.objects[c].rels.rows,
-                          n.objects[c].rels.cols, n.objects[c].rels.entries)
+                          n.objects[c].rels.cols, n.objects[c].rels)
                          for c in sorted(n.objects))
-            diffs = tuple((a, c, n.tops[(a, c)].mat.entries, n.bots[(a, c)].mat.entries)
+            diffs = tuple((a, c, n.tops[(a, c)].mat, n.bots[(a, c)].mat)
                           for (a, c) in sorted(n.tops))
             self._key = _HashedKey((n.dim, n.shape, objs, diffs))
         return self._key
@@ -312,9 +317,6 @@ class MultiMorphism:
         for c, f in self.components.items():
             if f.source != source.objects[c] or f.target != target.objects[c]:
                 raise ShapeError(f"component at {c} has wrong endpoints")
-
-    def at(self, coord) -> FpMorphism:
-        return self.components[tuple(coord)]
 
     @staticmethod
     def identity(M: BinaryMulticomplex) -> "MultiMorphism":
@@ -514,21 +516,25 @@ def _summands(multis):
 
 
 def block_identity_morphism(src_atoms, tgt_atoms, routed, term_src, term_tgt) -> MultiMorphism:
-    """Morphism between direct sums assembled from identity blocks.
+    """Morphism between direct sums assembled block by block.
 
     src_atoms and tgt_atoms are (tag, multicomplex) lists matching the
-    summand order of term_src and term_tgt; routed is a set of
-    (target_tag, source_tag) pairs, each wiring two copies of one summand by
-    the identity.  Every unrouted block is zero.
+    summand order of term_src and term_tgt.  routed maps (target_tag,
+    source_tag) pairs to the MultiMorphism filling that block, or to None for
+    an identity; a plain set of pairs routes identities only.  Every unrouted
+    block is zero, and a block that does not fit raises ShapeError.
     """
     ring = term_src.ring
-    pairs = [(r, s) for r, (tag_t, _) in enumerate(tgt_atoms)
+    if not isinstance(routed, dict):
+        routed = dict.fromkeys(routed)
+    pairs = [(r, s, routed[(tag_t, tag_s)]) for r, (tag_t, _) in enumerate(tgt_atoms)
              for s, (tag_s, _) in enumerate(src_atoms) if (tag_t, tag_s) in routed]
     comps = {}
     for c in box_coords(term_src.shape):
         heights = [A.objects[c].gens for _, A in tgt_atoms]
         widths = [A.objects[c].gens for _, A in src_atoms]
-        blocks = {(r, s): Matrix.identity(ring, heights[r]) for r, s in pairs}
+        blocks = {(r, s): Matrix.identity(ring, heights[r]) if f is None else f.components[c].mat
+                  for r, s, f in pairs}
         comps[c] = FpMorphism(term_src.objects[c], term_tgt.objects[c],
                               block_matrix(ring, heights, widths, blocks), _trusted=True)
     return MultiMorphism(term_src, term_tgt, comps)

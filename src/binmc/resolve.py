@@ -16,11 +16,13 @@ multicomplex.staircase_rows, the same one cofinal's shift complex uses.
 Otherwise each summand is a doubled complex whose top and bottom
 differentials are the shift patterns [[0,1],[0,0]] and [[0,0],[1,0]], glued
 to the target by an alternating ladder of composites of the two
-differentials.  Both covers are assembled by multicomplex.layered_sum.  Higher
-dimensions recurse: the epimorphism provider for an n-dimensional input is
-the (n-1)-dimensional resolution of its slices, and the base provider for
-modules is the free cover.  The slice covers are re-wrapped onto the
-translated input's slices without a comparison; verify_resolution checks the target.
+differentials.  Both covers are assembled by multicomplex.layered_sum, and
+each layer of the projection zeta by multicomplex.block_identity_morphism
+from its blocks keyed by summand tag.  Higher dimensions recurse: the
+epimorphism provider for an n-dimensional input is the (n-1)-dimensional
+resolution of its slices, and the base provider for modules is the free
+cover.  The slice covers are re-wrapped onto the translated input's slices
+without a comparison; verify_resolution checks the target.
 
 Kernels are assembled by products, not eliminated.  Each resolution
 carries, per coordinate, a section s of its projection (zeta s = 1 modulo
@@ -51,8 +53,8 @@ from .fpmod import FpModule, FpMorphism, free_cover, is_epi, kernel
 from .matrix import Matrix, block_diag, block_matrix
 from .multicomplex import (BinaryMulticomplex, MultiMorphism, ValidationReport,
                            _insert, _origins, _rebox, _rebox_morphism, _restrict,
-                           box_coords, expand_along, layered_sum, pad_to, shift,
-                           staircase_rows, validate)
+                           block_identity_morphism, expand_along, layered_sum,
+                           pad_to, shift, staircase_rows, validate)
 
 
 class ResolutionResult:
@@ -175,63 +177,36 @@ def _module_resolution(M0: BinaryMulticomplex) -> ResolutionResult:
 
 
 def _staircase_tables(L, eps, big_tops):
-    """Projection pieces onto the staircase_rows cover along a diagonal
-    axis (post-shift degrees 0..L)."""
-    pieces = [[big_tops[j] @ eps[j]] if j < L else [] for j in range(L + 1)]
+    """Projection blocks, by summand tag, onto the staircase_rows cover along
+    a diagonal axis (post-shift degrees 0..L)."""
+    blocks = [{("lo", j): big_tops[j] @ eps[j]} if j < L else {} for j in range(L + 1)]
     for j in range(1, L + 1):
-        pieces[j].append(eps[j - 1])
-    return pieces
+        blocks[j][("hi", j - 1)] = eps[j - 1]
+    return blocks
 
 
 def _ladder_tables(L, eps, delta, delta_prime):
-    """Atom lists, ladder projection pieces, and the two shift routings for
-    the doubled covers along a non-diagonal axis."""
-    n = L - 1
-    atoms, pieces = [], []
-    atoms.append([("end", k) for k in range(n, -1, -1)])
-    pieces.append([None] * (n + 1))  # degree 0 projects to the zero slice
+    """Atom lists, ladder projection blocks by summand tag, and the two shift
+    routings for the doubled covers along a non-diagonal axis."""
+    atoms = [[("end", k) for k in range(L - 1, -1, -1)]]
+    blocks = [{}]  # degree 0 projects to the zero slice
     for j in range(1, L + 1):
-        row_atoms, row_pieces = [], []
-        for k in range(n, j - 1, -1):
-            row_atoms.append(("a", k))
-            row_pieces.append(delta[(k, k - j + 1)])
-            row_atoms.append(("b", k))
-            row_pieces.append(delta_prime[(k, k - j + 1)])
-        row_atoms.append(("top", j - 1))
-        row_pieces.append(eps[j - 1])
-        atoms.append(row_atoms)
-        pieces.append(row_pieces)
-    route_top, route_bot = {}, {}
-    for j in range(1, L + 1):
-        rt, rb = set(), set()
-        for k in range(n, j - 1, -1):
-            if j - 1 >= 1:
-                rt.add((("a", k), ("b", k)))
-                rb.add((("b", k), ("a", k)))
-            else:
-                rt.add((("end", k), ("b", k)))
-                rb.add((("end", k), ("a", k)))
-        if j - 1 >= 1:
-            rt.add((("a", j - 1), ("top", j - 1)))
-            rb.add((("b", j - 1), ("top", j - 1)))
-        else:
-            rt.add((("end", 0), ("top", 0)))
-            rb.add((("end", 0), ("top", 0)))
-        route_top[j] = rt
-        route_bot[j] = rb
-    return atoms, pieces, route_top, route_bot
+        row = {}
+        for k in range(L - 1, j - 1, -1):
+            row[("a", k)] = delta[(k, k - j + 1)]
+            row[("b", k)] = delta_prime[(k, k - j + 1)]
+        row[("top", j - 1)] = eps[j - 1]
+        atoms.append(list(row))
+        blocks.append(row)
 
+    def route(j, x, y):
+        """Into layer j - 1: (y, k) -> (x, k) for k >= j and ("top", j - 1) ->
+        (x, j - 1), where layer 0 holds ("end", k) in place of (x, k)."""
+        t = "end" if j == 1 else x
+        return {((t, k), (y, k)) for k in range(j, L)} | {((t, j - 1), ("top", j - 1))}
 
-def _assemble_zeta_component(atom_list, piece_list, term, big_term):
-    ring = term.ring
-    comps = {}
-    for c in box_coords(term.shape):
-        blocks = {(0, s): piece.components[c].mat
-                  for s, piece in enumerate(piece_list) if piece is not None}
-        mat = block_matrix(ring, [big_term.objects[c].gens],
-                           [A.objects[c].gens for _, A in atom_list], blocks)
-        comps[c] = FpMorphism(term.objects[c], big_term.objects[c], mat, _trusted=True)
-    return comps
+    return (atoms, blocks, {j: route(j, "a", "b") for j in range(1, L + 1)},
+            {j: route(j, "b", "a") for j in range(1, L + 1)})
 
 
 def _carried(cover: ResolutionResult, moves, shape) -> dict:
@@ -300,17 +275,19 @@ def _resolve(M: BinaryMulticomplex, branch=None) -> ResolutionResult:
     if branch == "staircase":
         rows, route = staircase_rows(Q)
         route_top = route_bot = route
-        pieces = _staircase_tables(L, eps, big_tops)
+        blocks = _staircase_tables(L, eps, big_tops)
     else:
-        tags, pieces, route_top, route_bot = _ladder_tables(
+        tags, blocks, route_top, route_bot = _ladder_tables(
             L, eps, *_ladder_composites(eps, big_tops, big_bots))
         rows = [[(tag, Q[tag[1]]) for tag in row] for row in tags]
     P, terms = layered_sum(rows, route_top, route_bot, axis)
 
     zeta_comps, incls, sect, retr = {}, {}, {}, {}
     for j in range(L + 1):
-        layer = _assemble_zeta_component(rows[j], pieces[j], terms[j], big_terms[j])
-        for r, f in layer.items():
+        layer = block_identity_morphism(rows[j], [("big", big_terms[j])],
+                                        {("big", tag): f for tag, f in blocks[j].items()},
+                                        terms[j], big_terms[j])
+        for r, f in layer.components.items():
             c = _insert(r, axis, j)
             zeta_comps[c] = f
             K, sect[c], retr[c] = _kernel_from_section(f.mat, lower[j - 1][r] if j else None)

@@ -74,16 +74,16 @@ REPORT_SCHEMA = _tag("report")
 
 # A version-2 matrix lists its nonzeros but only declares its width, so a few
 # bytes could declare a matrix whose Smith form builds a V with one row per
-# column, or whose dense views (canonical_key's entries, torsion's
-# determinant) hold every cell.  Each matrix is checked against both caps
+# column, or whose dense views (torsion's determinant, a matrix's repr)
+# hold every cell.  Each matrix is checked against both caps
 # before its rows are read.  Measured: the resolution bundle of dim-4 seed 2
 # (random_multicomplex(Random(2), ZZ, 4, length=2, max_rank=1, bricks=1))
 # declares 62,016,768 cells and at most 972 columns, and rechecks; MAX_CELLS
 # leaves it room to double.  That of dim-4 seed 1 declares 558,150,912 cells
 # and is refused.  Near the caps, `snf` of one fully nonzero row 2**16 wide
-# takes 0.8 s and 73 MB, and `represent-diagonal` of a 3.5 KB class whose
-# relation matrices declare an eighth of MAX_CELLS takes 1.8 s and 238 MB,
-# nearly all of it canonical_key's dense view.
+# takes 0.8 s and 73 MB, and `represent-diagonal` of a 10 KB class whose
+# two relation matrices declare 2**24 cells each takes 1.5 s and 64 MB,
+# since canonical_key holds matrices and not their dense entries.
 MAX_COLUMNS = 2 ** 16
 MAX_CELLS = 2 ** 27
 

@@ -473,6 +473,24 @@ def test_sparse_storage_matches_dense_reference(ring, density):
         assert solve(A, basis) is not None and solve(basis, A) is not None
 
 
+@pytest.mark.parametrize("ring", [ZZ, GF(7), QQ, F5X], ids=["ZZ", "GF7", "QQ", "F5X"])
+def test_order_and_equality_match_the_dense_entry_tuples(ring):
+    # canonical keys hold matrices, so two matrices of one shape must compare
+    # exactly as their dense entries; B redraws one or two cells of A, so the
+    # pair often agrees on a long prefix and differs late, or not at all
+    rng = random.Random(f"order:{ring.kind}")
+    for _ in range(1000):
+        n, m, density = rng.randint(1, 4), rng.randint(1, 5), rng.choice([0.1, 0.5, 0.9])
+        A, C = (_random_sparse(rng, ring, n, m, density) for _ in range(2))
+        cells = list(A.entries)
+        for _ in range(rng.randint(1, 2)):
+            cells[rng.randrange(n * m)] = _raw_entry(rng, ring) if rng.random() < 0.7 else ring.zero
+        B = Matrix(ring, n, m, cells)
+        for X, Y in ((A, B), (B, A), (A, C), (A, A)):
+            assert (X < Y) == (X.entries < Y.entries)
+            assert (X == Y) == (X.entries == Y.entries)
+
+
 GRIDS = [([2, 0, 3], [0, 1, 3, 2]), ([0], [4]), ([3], [0]), ([], []), ([1, 2], []),
          ([], [2, 1]), ([2, 1], [1, 3])]
 

@@ -1,5 +1,6 @@
 """Binary multicomplex structure: validation, towers, embedding, images."""
 import random
+import tracemalloc
 
 import pytest
 
@@ -10,10 +11,10 @@ from binmc.errors import NotAcyclic, ShapeError
 from binmc.fpmod import FpModule, FpMorphism
 from binmc.gen import conjugate_multicomplex, random_multicomplex
 from binmc.kgroups import FormalClass, RelationChain, torsion, verify_chain
-from binmc.matrix import Matrix
+from binmc.matrix import Matrix, block_matrix
 from binmc.multicomplex import (BinaryMulticomplex, MultiMorphism,
-                                box_coords, collapse_along, common_shape,
-                                diagonal_embed, diagonality_report,
+                                block_identity_morphism, box_coords,
+                                collapse_along, common_shape, diagonal_embed, diagonality_report,
                                 direct_sum_multi, expand_along,
                                 image_multicomplex, layered_sum, pad_morphism,
                                 pad_to, rediagonalize, shift, shift_morphism,
@@ -355,6 +356,97 @@ def test_layered_sum_shares_one_morphism_only_where_the_routes_agree():
         assert along and all(N.tops[k] is not N.bots[k] and N.tops[k].mat is not N.bots[k].mat
                              for k in along)
         assert not N.is_diagonal_in(axis)
+
+
+@pytest.mark.parametrize("ring", [ZZ, GF(7), F5X], ids=["ZZ", "GF7", "F5X"])
+def test_block_morphism_of_morphism_blocks(ring):
+    # [[incl, 1], [0, zeta]] : P' (+) P -> P (+) target from a resolution's
+    # chain maps: each component is the block matrix of the blocks' components
+    rng = random.Random(f"blocks:{ring.kind}")
+    res = resolve_multi(random_multicomplex(rng, ring, 2, length=2, max_rank=1,
+                                            allow_fp=ring is ZZ))
+    Pp, P, T = res.Pprime, res.P, res.target
+    src, tgt = [("k", Pp), ("p", P)], [("p", P), ("t", T)]
+    routed = {("p", "k"): res.incl, ("p", "p"): None, ("t", "p"): res.zeta}
+    term_src, term_tgt = direct_sum_multi([Pp, P]), direct_sum_multi([P, T])
+    f = block_identity_morphism(src, tgt, routed, term_src, term_tgt)
+    assert f.source is term_src and f.target is term_tgt
+    for c in box_coords(P.shape):
+        gens = [Pp.objects[c].gens, P.objects[c].gens, T.objects[c].gens]
+        want = block_matrix(ring, gens[1:], gens[:2],
+                            {(0, 0): res.incl.components[c].mat,
+                             (0, 1): Matrix.identity(ring, gens[1]),
+                             (1, 1): res.zeta.components[c].mat})
+        assert f.components[c].mat == want
+    assert f.commutes()
+    # a plain set of pairs still means identity blocks
+    ident = block_identity_morphism(tgt, tgt, {("p", "p"), ("t", "t")}, term_tgt, term_tgt)
+    assert ident.equals(MultiMorphism.identity(term_tgt))
+    # one block that does not commute spoils the whole morphism
+    for c, z in res.zeta.components.items():
+        bent = MultiMorphism(P, T, {**res.zeta.components, c: z + z})
+        if not bent.commutes():
+            break
+    assert not bent.commutes()
+    assert not block_identity_morphism(src, tgt, {**routed, ("t", "p"): bent},
+                                       term_src, term_tgt).commutes()
+    # zeta in the block of P' is as wide as P, which P' is not
+    assert any(Pp.objects[c].gens != P.objects[c].gens for c in box_coords(P.shape))
+    with pytest.raises(ShapeError):
+        block_identity_morphism(src, tgt, {("t", "k"): res.zeta}, term_src, term_tgt)
+
+
+def _dense_key(M):
+    """The reference key: canonical_key with every matrix in it replaced by
+    its dense entry tuple."""
+    n = M.normalize()
+    objs = tuple((c, n.objects[c].gens, n.objects[c].rels.rows, n.objects[c].rels.cols,
+                  n.objects[c].rels.entries) for c in sorted(n.objects))
+    diffs = tuple((a, c, n.tops[(a, c)].mat.entries, n.bots[(a, c)].mat.entries)
+                  for (a, c) in sorted(n.tops))
+    return (n.dim, n.shape, objs, diffs)
+
+
+@pytest.mark.parametrize("ring", [ZZ, GF(7), QQ, F5X], ids=["ZZ", "GF7", "QQ", "F5X"])
+def test_canonical_keys_sort_and_match_as_the_dense_keys(ring):
+    # FormalClass.entries() sorts by canonical_key, and a class document's
+    # witnesses follow that order: keys that hold matrices must sort and
+    # match exactly as the dense entry tuples did
+    rng = random.Random(f"keys:{ring.kind}")
+    members = []
+    for _ in range(6):
+        M = random_multicomplex(rng, ring, 1 + rng.randrange(2), length=2, max_rank=2,
+                                allow_fp=ring is ZZ, bricks=1)
+        members += [M, shift(M, (1,) * M.dim), conjugate_multicomplex(rng, M)[0]]
+    order = sorted(range(len(members)), key=lambda i: members[i].canonical_key())
+    assert order == sorted(range(len(members)), key=lambda i: _dense_key(members[i]))
+    for M in members:
+        for N in members:
+            assert (M.canonical_key() == N.canonical_key()) == (_dense_key(M) == _dense_key(N))
+
+
+def test_canonical_key_of_a_cell_heavy_multicomplex_is_small():
+    # Z/2 -1-> Z/2 on 256 generators, each presented by a 256 x 65536 relation
+    # matrix with 256 nonzeros: 2^25 declared cells, within serialize's caps;
+    # a key with dense entries would hold every cell (over 256 MB)
+    def line():
+        rels = Matrix.from_row_pairs(ZZ, 2 ** 16, [[(i, 2)] for i in range(256)])
+        mod = FpModule(ZZ, 256, rels)
+        assert mod.canonical() == (0, (2,) * 256)  # normalize keeps both objects
+        one = FpMorphism.identity(mod)
+        return BinaryMulticomplex.from_binary_chain(ZZ, [mod, mod], [one], [one])
+
+    M = line()
+    tracemalloc.start()
+    try:
+        key = M.canonical_key()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20, peak
+    # a copy built from fresh matrices has an equal key
+    other = line().canonical_key()
+    assert other == key and hash(other) == hash(key) and not other < key
 
 
 def test_top_slice_and_diagonal_embed():

@@ -12,8 +12,8 @@ from binmc.gen import random_fp_module, random_multicomplex
 from binmc.matrix import Matrix
 from binmc.multicomplex import (BinaryMulticomplex, MultiMorphism,
                                 collapse_along, kernel_multicomplex, validate)
-from binmc.resolve import (_ladder_composites, phi_class, resolve_binary, resolve_multi,
-                           verify_resolution)
+from binmc.resolve import (_ladder_composites, _ladder_tables, _staircase_tables, phi_class,
+                           resolve_binary, resolve_multi, verify_resolution)
 from binmc.rings import GF, QQ, ZZ, polynomial_ring
 from binmc.serialize import digest, resolution_to_doc
 
@@ -193,6 +193,56 @@ def test_phi_class_independent_of_cover():
         assert phi_class(m, bigger) == default
 
 
+def _if_else_routes(L):
+    """The reference for _ladder_tables' routings, written out with one
+    if/else branch for layer 0's targets where _ladder_tables renames them."""
+    n = L - 1
+    route_top, route_bot = {}, {}
+    for j in range(1, L + 1):
+        rt, rb = set(), set()
+        for k in range(n, j - 1, -1):
+            if j - 1 >= 1:
+                rt.add((("a", k), ("b", k)))
+                rb.add((("b", k), ("a", k)))
+            else:
+                rt.add((("end", k), ("b", k)))
+                rb.add((("end", k), ("a", k)))
+        if j - 1 >= 1:
+            rt.add((("a", j - 1), ("top", j - 1)))
+            rb.add((("b", j - 1), ("top", j - 1)))
+        else:
+            rt.add((("end", 0), ("top", 0)))
+            rb.add((("end", 0), ("top", 0)))
+        route_top[j] = rt
+        route_bot[j] = rb
+    return route_top, route_bot
+
+
+@pytest.mark.parametrize("L", [1, 2, 3, 4])
+def test_ladder_tables_route_and_block_every_atom(L):
+    # stand-ins name each block by where it comes from
+    eps = [("eps", k) for k in range(L)]
+    delta = {(k, l): ("delta", k, l) for k in range(1, L) for l in range(1, k + 1)}
+    delta_prime = {key: ("delta'",) + key for key in delta}
+    atoms, blocks, route_top, route_bot = _ladder_tables(L, eps, delta, delta_prime)
+    assert (route_top, route_bot) == _if_else_routes(L)
+    assert atoms[0] == [("end", k) for k in range(L - 1, -1, -1)] and blocks[0] == {}
+    for j in range(1, L + 1):
+        # every atom of a layer above 0 has its projection block, in atom order
+        assert atoms[j] == list(blocks[j])
+        assert blocks[j][("top", j - 1)] == ("eps", j - 1)
+        for k in range(j, L):
+            assert blocks[j][("a", k)] == ("delta", k, k - j + 1)
+            assert blocks[j][("b", k)] == ("delta'", k, k - j + 1)
+        # each route wires atoms of layer j into atoms of layer j - 1
+        for route in (route_top[j], route_bot[j]):
+            assert {s for _, s in route} <= set(atoms[j])
+            assert {t for t, _ in route} <= set(atoms[j - 1])
+    one = [Matrix.identity(ZZ, 1)] * L
+    assert [sorted(b) for b in _staircase_tables(L, one, one)] == [
+        sorted([("lo", j)] * (j < L) + [("hi", j - 1)] * (j > 0)) for j in range(L + 1)]
+
+
 def test_resolve_multi_golden_digests():
     # pins the re-boxing of covers and target to exact bundle bytes; the last
     # two inputs are diagonal, so they take the staircase branch
@@ -212,16 +262,29 @@ def test_resolve_multi_golden_digests():
     assert got == expected
 
 
+def _dense(part):
+    """A key part with every matrix in it replaced by its dense entry tuple."""
+    if isinstance(part, Matrix):
+        return part.entries
+    return tuple(map(_dense, part)) if isinstance(part, tuple) else part
+
+
 def test_canonical_key_golden_digests():
     # pins canonical_key(), and with it the order of FormalClass.entries(), on
     # the kernels P' of criterion-4-style resolutions over ZZ: eight of
-    # dimension 2 and two of dimension 3, half with torsion objects
-    expected = ["3d38e87c7eceb2f5", "5fa654573149b157", "09bbe9d08d15717f",
-                "bffb87cf23e1fcbf", "74e4892d0928aa3e", "032ff2aa3d3e743e",
-                "074e3443057b39bf", "281aad2fdc5d56b5", "803f8f17ab88bca2",
-                "1c8a37e61c6936d1"]
+    # dimension 2 and two of dimension 3, half with torsion objects.  The key
+    # holds matrices, whose repr the first pins hash; the second pins are
+    # those of the key's dense view, pinned when keys held dense entries
+    expected = ["097d96cbf5711180", "406b737a9cbae2cd", "67a7c9acf8a1f9dd",
+                "496236186448d471", "75d651660cf98678", "67ab5ec0b71c477f",
+                "1831191ce7f22c3f", "648264cce5fbdbe2", "8062bacbfb2dce61",
+                "77ac396e0371a930"]
+    expected_dense = ["3d38e87c7eceb2f5", "5fa654573149b157", "09bbe9d08d15717f",
+                      "bffb87cf23e1fcbf", "74e4892d0928aa3e", "032ff2aa3d3e743e",
+                      "074e3443057b39bf", "281aad2fdc5d56b5", "803f8f17ab88bca2",
+                      "1c8a37e61c6936d1"]
     rng = random.Random(104)
-    got = []
+    got, got_dense = [], []
     for case in range(10):
         dim = 2 if case < 8 else 3
         M = random_multicomplex(rng, ZZ, dim, length=2 if dim == 3 else rng.randint(2, 3),
@@ -230,12 +293,14 @@ def test_canonical_key_golden_digests():
         Pprime = resolve_multi(M, check=False).Pprime
         key = Pprime.canonical_key()
         got.append(hashlib.sha256(repr(key).encode("utf-8")).hexdigest()[:16])
+        got_dense.append(hashlib.sha256(repr(_dense(key)).encode("utf-8")).hexdigest()[:16])
         # computed once, and equal, ordered and hashed as the plain tuple
         plain = tuple(key)
         assert Pprime.canonical_key() is key
         assert key == plain and plain == key and hash(key) == hash(plain)
         assert not key < plain and not plain < key and {plain: 1}[key] == 1
     assert got == expected
+    assert got_dense == expected_dense
 
 
 # eliminations without U and V per seed: validate(P), validate(P'), and verify_resolution
