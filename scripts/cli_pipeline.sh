@@ -38,7 +38,12 @@
 # line over F7, expected to exit 1 and name the rings; and verify-chain of a
 # chain between two empty classes of dimension -3, expected to exit 2 with a
 # located message.  The other hand-written documents use the version-1
-# layouts, which readers still accept.  Run from the root of a checkout:
+# layouts, which readers still accept.  Last, under PYTHONHASHSEED=1 and
+# PYTHONHASHSEED=2, each in fresh processes: gen --seed 4 --dim 2 --fp --out
+# and resolve-multi --out --report of that document, and gen --seed 0 --dim 2
+# --out and cofinalize --direction 0 --out --report of that one; the
+# documents written under the two hash seeds must be byte-identical, and the
+# reports equal once timing_ms is dropped.  Run from the root of a checkout:
 #
 #     bash scripts/cli_pipeline.sh
 set -euo pipefail
@@ -174,3 +179,22 @@ echo '{"end":'"$(formal_class -3 '[]')"',"schema":"binmc.chain/1","start":'"$(fo
 expect 2 python -m binmc verify-chain negative.json
 grep -q "^input error: chain.start: dimension must be nonnegative" err.txt \
     || { cat err.txt >&2; exit 1; }
+
+# the same documents and reports under two string-hash seeds
+for h in 1 2; do
+    expect 0 env PYTHONHASHSEED=$h python -m binmc gen --seed 4 --dim 2 --fp --out h$h-t.json
+    expect 0 env PYTHONHASHSEED=$h python -m binmc resolve-multi h$h-t.json --out h$h-rt.json \
+        --report h$h-rt-report.json
+    expect 0 env PYTHONHASHSEED=$h python -m binmc gen --seed 0 --dim 2 --out h$h-m.json
+    expect 0 env PYTHONHASHSEED=$h python -m binmc cofinalize h$h-m.json --direction 0 \
+        --out h$h-T.json --report h$h-T-report.json
+done
+for doc in t.json rt.json m.json T.json; do
+    cmp -s h1-$doc h2-$doc || { echo "h1-$doc and h2-$doc differ" >&2; exit 1; }
+done
+python -c 'import json, sys
+for name in ("rt-report.json", "T-report.json"):
+    one, two = (json.load(open(f"h{h}-{name}")) for h in (1, 2))
+    one.pop("timing_ms"), two.pop("timing_ms")
+    if one != two:
+        sys.exit(f"h1-{name} and h2-{name} differ beyond timing_ms")'

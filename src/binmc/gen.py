@@ -15,8 +15,8 @@ from .extension import ExtensionObject, split_extension
 from .fpmod import FpModule, FpMorphism, direct_sum_modules
 from .kgroups import FormalClass
 from .matrix import Matrix, block_diag, det, kron, smith
-from .multicomplex import (BinaryMulticomplex, MultiMorphism, box_coords,
-                           direct_sum_multi)
+from .multicomplex import (BinaryMulticomplex, MultiMorphism, _assemble, _minus,
+                           box_coords, direct_sum_multi)
 from .rings import Ring, ZZ
 
 
@@ -267,7 +267,6 @@ def random_binary_base(rng: random.Random, ring: Ring, length: int,
 def _tensor_brick(ring: Ring, bases):
     """Free binary multicomplex whose axis-a differentials act on one tensor
     factor; per-line acyclicity and all commutation squares hold by shape."""
-    dim = len(bases)
     shape = tuple(len(b[0]) for b in bases)
 
     def rank_at(c):
@@ -278,27 +277,15 @@ def _tensor_brick(ring: Ring, bases):
 
     objects = {c: FpModule.free(ring, rank_at(c)) for c in box_coords(shape)}
 
-    def diff_mat(which, axis, c):
+    def diff(fam, axis, c):
+        """The differential at (axis, c) of the family at index fam of a base."""
         factor = None
         for a, x in enumerate(c):
-            if a == axis:
-                piece = bases[a][1][x - 1] if which == "top" else bases[a][2][x - 1]
-            else:
-                piece = Matrix.identity(ring, bases[a][0][x])
+            piece = bases[a][fam][x - 1] if a == axis else Matrix.identity(ring, bases[a][0][x])
             factor = piece if factor is None else kron(factor, piece)
-        return factor
+        return FpMorphism(objects[c], objects[_minus(c, axis)], factor, _trusted=True)
 
-    tops, bots = {}, {}
-    for a in range(dim):
-        for c in box_coords(shape):
-            if c[a] < 1:
-                continue
-            tgt = c[:a] + (c[a] - 1,) + c[a + 1:]
-            tops[(a, c)] = FpMorphism(objects[c], objects[tgt],
-                                      diff_mat("top", a, c), _trusted=True)
-            bots[(a, c)] = FpMorphism(objects[c], objects[tgt],
-                                      diff_mat("bottom", a, c), _trusted=True)
-    return BinaryMulticomplex(ring, dim, shape, objects, tops, bots)
+    return _assemble(ring, shape, objects, lambda a, c: (diff(1, a, c), diff(2, a, c)))
 
 
 def _double_brick(rng: random.Random, ring: Ring, dim: int, length: int,
@@ -314,20 +301,15 @@ def _double_brick(rng: random.Random, ring: Ring, dim: int, length: int,
         units[a] = (ut, ub)
     base_scale = ring.one if 0 in diagonal_axes else _random_unit(rng, ring)
     objects = {c: C.objects[c[0]] for c in box_coords(shape)}
-    tops, bots = {}, {}
-    for c in box_coords(shape):
-        if c[0] >= 1:
+
+    def edge(a, c):
+        if a == 0:
             d = C.diffs[c[0] - 1]
-            tops[(0, c)] = d
-            bots[(0, c)] = d if 0 in diagonal_axes else d.scale(base_scale)
-        for a in range(1, dim):
-            if c[a] < 1:
-                continue
-            ut, ub = units[a]
-            ident = FpMorphism.identity(objects[c])
-            tops[(a, c)] = ident.scale(ut)
-            bots[(a, c)] = ident.scale(ub)
-    return BinaryMulticomplex(ring, dim, shape, objects, tops, bots)
+            return d, (d if 0 in diagonal_axes else d.scale(base_scale))
+        ident = FpMorphism.identity(objects[c])
+        return tuple(ident.scale(u) for u in units[a])
+
+    return _assemble(ring, shape, objects, edge)
 
 
 def conjugate_multicomplex(rng: random.Random, M: BinaryMulticomplex):
@@ -337,12 +319,12 @@ def conjugate_multicomplex(rng: random.Random, M: BinaryMulticomplex):
     conjugated by the same automorphisms.
     """
     autos = {c: random_automorphism(rng, m) for c, m in M.objects.items()}
-    tops, bots = {}, {}
-    for fam, out in ((M.tops, tops), (M.bots, bots)):
-        for (a, c), d in fam.items():
-            tgt = c[:a] + (c[a] - 1,) + c[a + 1:]
-            out[(a, c)] = autos[tgt][0] @ d @ autos[c][1]
-    Mp = BinaryMulticomplex(M.ring, M.dim, M.shape, M.objects, tops, bots)
+
+    def edge(a, c):
+        f, g_inv = autos[_minus(c, a)][0], autos[c][1]
+        return f @ M.tops[(a, c)] @ g_inv, f @ M.bots[(a, c)] @ g_inv
+
+    Mp = _assemble(M.ring, M.shape, M.objects, edge)
     iso = MultiMorphism(M, Mp, {c: autos[c][0] for c in autos})
     iso_inv = MultiMorphism(Mp, M, {c: autos[c][1] for c in autos})
     return Mp, iso, iso_inv

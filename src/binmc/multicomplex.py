@@ -9,8 +9,12 @@ agree there.
 
 Coordinates are tuples of length dim; shape is the box extent per axis; a
 differential at (axis, coord) maps obj(coord) -> obj(coord - e_axis) and is
-present exactly when coord[axis] >= 1.  Dimension 0 is allowed (one module,
-no differentials) so constructions can recurse uniformly.
+present exactly when coord[axis] >= 1, the edge rule of _edges.  Every
+builder that makes a multicomplex edge by edge (the re-box core, _restrict,
+direct sums, expand_along's terms, collapse_along and gen's bricks) gives
+_assemble the (top, bottom) pair of each edge once; a pair that holds one
+morphism twice keeps the two families sharing it.  Dimension 0 is allowed
+(one module, no differentials) so constructions can recurse uniformly.
 
 Every move of a multicomplex to another box goes through one coordinate map,
 the re-box core _rebox (with _rebox_morphism for morphisms): coordinate c
@@ -61,6 +65,21 @@ def _drop(coord, axis):
     return coord[:axis] + coord[axis + 1:]
 
 
+def _edges(shape):
+    """The edges (a, c) of a box, c[a] >= 1: axis by axis, each in box order."""
+    return [(a, c) for a in range(len(shape)) for c in box_coords(shape) if c[a] >= 1]
+
+
+def _assemble(ring: Ring, shape, objects, edge) -> "BinaryMulticomplex":
+    """The multicomplex on objects whose top and bottom differentials at each
+    edge (a, c) are the pair edge(a, c); a pair that holds one morphism twice
+    gives both families that morphism."""
+    pairs = {e: edge(*e) for e in _edges(shape)}
+    return BinaryMulticomplex(ring, len(shape), shape, objects,
+                              {e: p[0] for e, p in pairs.items()},
+                              {e: p[1] for e, p in pairs.items()})
+
+
 class _HashedKey(tuple):
     """A tuple that hashes once: equal, ordered and hashed as the plain tuple."""
 
@@ -87,10 +106,9 @@ class BinaryMulticomplex:
         self.tops = dict(tops)
         self.bots = dict(bots)
         self._key = None  # canonical_key, computed once: nothing changes the tables
-        coords = set(box_coords(shape))
-        if set(self.objects) != coords:
+        if set(self.objects) != set(box_coords(shape)):
             raise ShapeError("object table must cover the support box exactly")
-        expected = {(a, c) for c in coords for a in range(dim) if c[a] >= 1}
+        expected = set(_edges(shape))
         for fam_name, fam in (("top", self.tops), ("bottom", self.bots)):
             if set(fam) != expected:
                 raise ShapeError(f"{fam_name} differentials must cover interior coordinates exactly")
@@ -376,19 +394,15 @@ def _rebox(M: BinaryMulticomplex, offsets, shape) -> BinaryMulticomplex:
     zero = FpModule.zero(M.ring)
     origins = _origins(offsets, M.shape, shape)
     objects = {c: zero if old is None else M.objects[old] for c, old in origins.items()}
-    tops, bots = {}, {}
-    for a in range(M.dim):
-        for c, old in origins.items():
-            if c[a] < 1:
-                continue
-            if old is not None and old[a] >= 1:
-                tops[(a, c)] = M.tops[(a, old)]
-                bots[(a, c)] = M.bots[(a, old)]
-            else:
-                f = FpMorphism.zero(objects[c], objects[_minus(c, a)])
-                tops[(a, c)] = f
-                bots[(a, c)] = f
-    return BinaryMulticomplex(M.ring, M.dim, shape, objects, tops, bots)
+
+    def edge(a, c):
+        old = origins[c]
+        if old is not None and old[a] >= 1:
+            return M.tops[(a, old)], M.bots[(a, old)]
+        f = FpMorphism.zero(objects[c], objects[_minus(c, a)])
+        return f, f
+
+    return _assemble(M.ring, shape, objects, edge)
 
 
 def _rebox_morphism(f: MultiMorphism, offsets, shape) -> MultiMorphism:
@@ -446,22 +460,21 @@ def _restrict(M: BinaryMulticomplex, incls, failure: str, retractions=None):
     not restrict raises ShapeError(failure).
     """
     retractions = retractions or {}
-    tops, bots = {}, {}
-    for fam, out in ((M.tops, tops), (M.bots, bots)):
-        for (a, c) in fam:
-            below = _minus(c, a)
-            moved = fam[(a, c)] @ incls[c]
-            rho = retractions.get(below)
-            if rho is not None:
-                out[(a, c)] = FpMorphism(incls[c].source, incls[below].source,
-                                         rho @ moved.mat, _trusted=True)
-                continue
-            lifted = factor_through_mono(incls[below], moved)
-            if lifted is None:
-                raise ShapeError(failure)
-            out[(a, c)] = lifted
-    S = BinaryMulticomplex(M.ring, M.dim, M.shape,
-                           {c: incl.source for c, incl in incls.items()}, tops, bots)
+
+    def restricted(fam, a, c):
+        below = _minus(c, a)
+        moved = fam[(a, c)] @ incls[c]
+        rho = retractions.get(below)
+        if rho is not None:
+            return FpMorphism(incls[c].source, incls[below].source, rho @ moved.mat,
+                              _trusted=True)
+        lifted = factor_through_mono(incls[below], moved)
+        if lifted is None:
+            raise ShapeError(failure)
+        return lifted
+
+    S = _assemble(M.ring, M.shape, {c: incl.source for c, incl in incls.items()},
+                  lambda a, c: (restricted(M.tops, a, c), restricted(M.bots, a, c)))
     return S, MultiMorphism(S, M, incls)
 
 
@@ -484,18 +497,15 @@ def common_shape(multis) -> tuple:
 
 def direct_sum_multi(multis) -> BinaryMulticomplex:
     multis = [pad_to(m, common_shape(multis)) for m in multis]
-    first = multis[0]
-    ring, dim, shape = first.ring, first.dim, first.shape
+    ring, shape = multis[0].ring, multis[0].shape
     objects = {c: direct_sum_modules([m.objects[c] for m in multis]) for c in box_coords(shape)}
-    tops, bots = {}, {}
-    for out, fams in ((tops, [m.tops for m in multis]), (bots, [m.bots for m in multis])):
-        for a in range(dim):
-            for c in box_coords(shape):
-                if c[a] >= 1:
-                    out[(a, c)] = FpMorphism(
-                        objects[c], objects[_minus(c, a)],
-                        block_diag(ring, [f[(a, c)].mat for f in fams]), _trusted=True)
-    return BinaryMulticomplex(ring, dim, shape, objects, tops, bots)
+
+    def summed(fams, a, c):
+        return FpMorphism(objects[c], objects[_minus(c, a)],
+                          block_diag(ring, [f[(a, c)].mat for f in fams]), _trusted=True)
+
+    tops, bots = [m.tops for m in multis], [m.bots for m in multis]
+    return _assemble(ring, shape, objects, lambda a, c: (summed(tops, a, c), summed(bots, a, c)))
 
 
 def summand_inclusion(multis, k: int) -> MultiMorphism:
@@ -550,27 +560,23 @@ def expand_along(M: BinaryMulticomplex, axis: int):
     along the axis, with tops[k], bots[k] : terms[k+1] -> terms[k]."""
     _check_axis(axis, M.dim)
     rest_shape = _drop(M.shape, axis)
-    rest_dim = M.dim - 1
-    terms = []
-    for t in range(M.shape[axis]):
-        objects = {r: M.objects[_insert(r, axis, t)] for r in box_coords(rest_shape)}
-        tops, bots = {}, {}
-        for a in range(rest_dim):
-            orig_a = a if a < axis else a + 1
-            for r in box_coords(rest_shape):
-                if r[a] < 1:
-                    continue
-                c = _insert(r, axis, t)
-                tops[(a, r)] = M.tops[(orig_a, c)]
-                bots[(a, r)] = M.bots[(orig_a, c)]
-        terms.append(BinaryMulticomplex(M.ring, rest_dim, rest_shape, objects, tops, bots))
-    tower_tops, tower_bots = [], []
-    for t in range(1, M.shape[axis]):
-        comp_t = {r: M.tops[(axis, _insert(r, axis, t))] for r in box_coords(rest_shape)}
-        comp_b = {r: M.bots[(axis, _insert(r, axis, t))] for r in box_coords(rest_shape)}
-        tower_tops.append(MultiMorphism(terms[t], terms[t - 1], comp_t))
-        tower_bots.append(MultiMorphism(terms[t], terms[t - 1], comp_b))
-    return tuple(terms), tuple(tower_tops), tuple(tower_bots)
+    rest = list(box_coords(rest_shape))
+
+    def term(t):
+        def edge(a, r):
+            e = (a if a < axis else a + 1, _insert(r, axis, t))
+            return M.tops[e], M.bots[e]
+
+        return _assemble(M.ring, rest_shape, {r: M.objects[_insert(r, axis, t)] for r in rest}, edge)
+
+    terms = tuple(term(t) for t in range(M.shape[axis]))
+
+    def tower(fam):
+        return tuple(MultiMorphism(terms[t], terms[t - 1],
+                                   {r: fam[(axis, _insert(r, axis, t))] for r in rest})
+                     for t in range(1, len(terms)))
+
+    return terms, tower(M.tops), tower(M.bots)
 
 
 def collapse_along(terms, tops, bots, axis: int) -> BinaryMulticomplex:
@@ -580,34 +586,21 @@ def collapse_along(terms, tops, bots, axis: int) -> BinaryMulticomplex:
         raise ShapeError("cannot collapse an empty tower")
     if len(tops) != len(terms) - 1 or len(bots) != len(terms) - 1:
         raise ShapeError("binary tower needs one differential pair per adjacent pair")
-    first = terms[0]
-    ring, rest_dim = first.ring, first.dim
-    _check_axis(axis, rest_dim + 1)
-    rest_shape = first.shape
-    for term in terms:
-        if term.shape != rest_shape or term.dim != rest_dim:
-            raise ShapeError("tower terms must share one shape; pad them first")
-    shape = _insert(rest_shape, axis, len(terms))
-    objects = {}
-    flat_tops, flat_bots = {}, {}
-    for t, term in enumerate(terms):
-        for r in box_coords(rest_shape):
-            c = _insert(r, axis, t)
-            objects[c] = term.objects[r]
-        for a in range(rest_dim):
-            orig_a = a if a < axis else a + 1
-            for r in box_coords(rest_shape):
-                if r[a] < 1:
-                    continue
-                c = _insert(r, axis, t)
-                flat_tops[(orig_a, c)] = term.tops[(a, r)]
-                flat_bots[(orig_a, c)] = term.bots[(a, r)]
-    for t in range(1, len(terms)):
-        for r in box_coords(rest_shape):
-            c = _insert(r, axis, t)
-            flat_tops[(axis, c)] = tops[t - 1].components[r]
-            flat_bots[(axis, c)] = bots[t - 1].components[r]
-    return BinaryMulticomplex(ring, rest_dim + 1, shape, objects, flat_tops, flat_bots)
+    rest_shape = terms[0].shape
+    _check_axis(axis, len(rest_shape) + 1)
+    if any(term.shape != rest_shape for term in terms):
+        raise ShapeError("tower terms must share one shape; pad them first")
+    objects = {_insert(r, axis, t): term.objects[r]
+               for t, term in enumerate(terms) for r in box_coords(rest_shape)}
+
+    def edge(a, c):
+        t, r = c[axis], _drop(c, axis)
+        if a == axis:
+            return tops[t - 1].components[r], bots[t - 1].components[r]
+        e = (a if a < axis else a - 1, r)
+        return terms[t].tops[e], terms[t].bots[e]
+
+    return _assemble(terms[0].ring, _insert(rest_shape, axis, len(terms)), objects, edge)
 
 
 def layered_sum(rows, route_top, route_bot, axis: int):

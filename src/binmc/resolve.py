@@ -5,9 +5,10 @@ Every valid multicomplex M receives a short exact sequence
     Pprime >--incl--> P --zeta--> target
 
 in which P and Pprime have free objects and validate in free mode, and
-target is M translated up by a recorded per-axis offset (the covers extend
-one layer below the input support along the expansion axis, so the whole
-sequence is re-graded to keep boxes nonnegative).
+target is M translated up by one in every axis: the cover extends one layer
+below the input support along the expansion axis, and each slice cover one
+layer below its own.  The result records that offset, (1,) * dim, or all
+zeros for an input with a zero extent, which is its own resolution.
 
 Two constructions are used along the chosen axis.  For an axis where the two
 differentials agree, each cover summand is a two-layer identity complex
@@ -52,9 +53,9 @@ from .extension import ExtensionObject
 from .fpmod import FpModule, FpMorphism, free_cover, is_epi, kernel
 from .matrix import Matrix, block_diag, block_matrix
 from .multicomplex import (BinaryMulticomplex, MultiMorphism, ValidationReport,
-                           _insert, _origins, _rebox, _rebox_morphism, _restrict,
-                           block_identity_morphism, expand_along, layered_sum,
-                           pad_to, shift, staircase_rows, validate)
+                           _insert, _rebox, _restrict, block_identity_morphism,
+                           box_coords, common_shape, expand_along, layered_sum,
+                           pad_morphism, pad_to, shift, staircase_rows, validate)
 
 
 class ResolutionResult:
@@ -209,14 +210,12 @@ def _ladder_tables(L, eps, delta, delta_prime):
             {j: route(j, "b", "a") for j in range(1, L + 1)})
 
 
-def _carried(cover: ResolutionResult, moves, shape) -> dict:
+def _carried(cover: ResolutionResult, shape) -> dict:
     """(inclusion matrix, section, retraction) of a cover at each coordinate
-    of its re-boxed projection; coordinates outside its box hold zero modules."""
-    ring = cover.P.ring
-    empty = Matrix.zeros(ring, 0, 0)
-    return {r: (empty, empty, empty) if old is None
-            else (cover.incl.components[old].mat, cover.sect[old], cover.retr[old])
-            for r, old in _origins(moves, cover.P.shape, shape).items()}
+    of the box of the given shape; outside the cover's box, of zero modules."""
+    empty = Matrix.zeros(cover.P.ring, 0, 0)
+    return {r: (cover.incl.components[r].mat, cover.sect[r], cover.retr[r])
+            if r in cover.sect else (empty, empty, empty) for r in box_coords(shape)}
 
 
 def _kernel_from_section(Z: Matrix, lower):
@@ -258,14 +257,11 @@ def _resolve(M: BinaryMulticomplex, branch=None) -> ResolutionResult:
     axis = min(diag) if branch == "staircase" else M.dim - 1
     covers = [_resolve(term) for term in expand_along(M, axis)[0]]
     L = len(covers)
-    rest_dim = M.dim - 1
-    W = tuple(max(c.offset[a] for c in covers) for a in range(rest_dim))
-    moves = [tuple(w - o for w, o in zip(W, c.offset)) for c in covers]
-    r_star = tuple(max(c.zeta.source.shape[a] + m[a] for c, m in zip(covers, moves))
-                   for a in range(rest_dim))
-    eps = [_rebox_morphism(c.zeta, m, r_star) for c, m in zip(covers, moves)]
-    lower = [_carried(c, m, r_star) for c, m in zip(covers, moves)]
-    offset = W[:axis] + (1,) + W[axis:]
+    # every cover's target is its slice moved up by one in each of its axes
+    r_star = common_shape([c.P for c in covers])
+    eps = [pad_morphism(c.zeta, r_star) for c in covers]
+    lower = [_carried(c, r_star) for c in covers]
+    offset = (1,) * M.dim
     final_shape = r_star[:axis] + (L + 1,) + r_star[axis:]
     target = _rebox(M, offset, final_shape)
     big_terms, big_tops, big_bots = expand_along(target, axis)

@@ -54,7 +54,7 @@ from .fpmod import FpModule, FpMorphism
 from .kgroups import (DiagonalStep, FormalClass, IsoStep, RelationChain,
                       SesStep)
 from .matrix import Matrix
-from .multicomplex import BinaryMulticomplex, MultiMorphism
+from .multicomplex import BinaryMulticomplex, MultiMorphism, _minus
 from .resolve import ResolutionResult
 from .rings import Ring, ring_from_descriptor
 
@@ -333,19 +333,19 @@ def multicomplex_from_doc(doc, where="multicomplex", reader=None) -> BinaryMulti
             raise ParseError(f"duplicate object at {c}", spot)
         objects[c] = module_from_doc(ring, rec, spot, reader)
 
-    tops, bots = {}, {}
+    tables = {"top": {}, "bottom": {}}
     for k, rec in enumerate(_need(doc, "differentials", list, where)):
         spot = f"{where}.differentials[{k}]"
         a = _need(rec, "axis", int, spot)
         c = _coord_from_doc(_need(rec, "at", list, spot), dim, spot)
         if not 0 <= a < dim or c[a] < 1:
             raise ParseError(f"axis {a} at {c} does not name an interior edge", spot)
-        if (a, c) in tops:
+        if (a, c) in tables["top"]:
             raise ParseError(f"duplicate differential at axis {a}, {c}", spot)
-        tgt = c[:a] + (c[a] - 1,) + c[a + 1:]
+        tgt = _minus(c, a)
         if c not in objects or tgt not in objects:
             raise ParseError(f"differential at axis {a}, {c} misses its endpoints", spot)
-        for fam, out in (("top", tops), ("bottom", bots)):
+        for fam, out in tables.items():
             mat = matrix_from_doc(ring, _need(rec, fam, dict, spot), f"{spot}.{fam}", reader)
             try:
                 out[(a, c)] = FpMorphism(objects[c], objects[tgt], mat)
@@ -353,7 +353,7 @@ def multicomplex_from_doc(doc, where="multicomplex", reader=None) -> BinaryMulti
                 raise ParseError(str(e), f"{spot}.{fam}")
 
     try:
-        return BinaryMulticomplex(ring, dim, shape, objects, tops, bots)
+        return BinaryMulticomplex(ring, dim, shape, objects, tables["top"], tables["bottom"])
     except ShapeError as e:
         raise ParseError(str(e), where)
 

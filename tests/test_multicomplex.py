@@ -4,7 +4,7 @@ import tracemalloc
 
 import pytest
 
-from binmc import matrix
+from binmc import matrix, multicomplex
 from binmc.cofinal import complement
 from binmc.complexes import acyclicity_witness
 from binmc.errors import NotAcyclic, ShapeError
@@ -22,6 +22,7 @@ from binmc.multicomplex import (BinaryMulticomplex, MultiMorphism,
                                 summand_projection, validate)
 from binmc.resolve import resolve_multi, verify_resolution
 from binmc.rings import GF, QQ, ZZ, polynomial_ring
+from binmc.serialize import digest, multicomplex_to_doc
 
 F5X = polynomial_ring(GF(5))
 
@@ -244,11 +245,52 @@ def test_diagonality_report():
 
 
 def test_expand_collapse_roundtrip():
+    # the terms, the tower and the collapsed result all hold M's own morphisms
     rng = random.Random(17)
-    for dim in (2, 3):
-        M = random_multicomplex(rng, ZZ, dim, length=2, max_rank=2, bricks=1)
-        for axis in range(dim):
-            assert collapse_along(*expand_along(M, axis), axis) == M
+    for ring in (ZZ, GF(7), QQ, F5X):
+        for dim in (1, 2, 3):
+            M = random_multicomplex(rng, ring, dim, length=2, max_rank=2 if dim < 3 else 1,
+                                    bricks=1, allow_fp=dim < 3 and ring is not QQ)
+            for axis in range(dim):
+                terms, tops, bots = expand_along(M, axis)
+                for t, term in enumerate(terms):
+                    for (a, r), f in term.tops.items():
+                        e = (a if a < axis else a + 1, multicomplex._insert(r, axis, t))
+                        assert f is M.tops[e] and term.bots[(a, r)] is M.bots[e]
+                back = collapse_along(terms, tops, bots, axis)
+                assert back == M
+                assert all(back.tops[e] is f for e, f in M.tops.items())
+                assert all(back.bots[e] is f for e, f in M.bots.items())
+
+
+def test_shift_keeps_old_edges_and_shares_new_zero_edges():
+    rng = random.Random(29)
+    for ring, dim in ((ZZ, 1), (GF(7), 2), (F5X, 2), (QQ, 3)):
+        M = random_multicomplex(rng, ring, dim, length=2, max_rank=1, bricks=1, allow_fp=True)
+        offsets = tuple(range(1, dim + 1))
+        moved = shift(M, offsets)
+        for (a, c), f in M.tops.items():
+            e = (a, tuple(x + o for x, o in zip(c, offsets)))
+            assert moved.tops[e] is f and moved.bots[e] is M.bots[(a, c)]
+        new = [e for e in moved.tops if e[1][e[0]] <= offsets[e[0]]
+               or any(x < o for x, o in zip(e[1], offsets))]
+        assert new and len(new) == len(moved.tops) - len(M.tops)
+        assert all(moved.tops[e] is moved.bots[e] and moved.tops[e].is_zero() for e in new)
+
+
+def test_gen_golden_digests():
+    # pins random_multicomplex's documents; between them the cases build
+    # tensor bricks, finitely presented double bricks, direct sums and
+    # conjugations over every ring family
+    cases = [(ZZ, 3, dict(length=2, max_rank=1, bricks=1), 1, "2513d66010d40884"),
+             (ZZ, 2, dict(length=3, max_rank=2, bricks=2, allow_fp=True), 4, "1eb9ebe3e8595935"),
+             (GF(7), 1, dict(length=4, max_rank=2, allow_fp=True), 9, "a81973bd52c226e4"),
+             (QQ, 2, dict(length=2, max_rank=2, allow_fp=True, diagonal_axes=(1,)), 5,
+              "52b7641e9a92de3b"),
+             (F5X, 2, dict(length=2, max_rank=2, allow_fp=True), 2, "d2fbbc7518eda656")]
+    for ring, dim, kw, seed, expected in cases:
+        M = random_multicomplex(random.Random(seed), ring, dim, **kw)
+        assert digest(multicomplex_to_doc(M))[:16] == expected, (ring, dim, seed)
 
 
 def test_normalize_and_equivalence():

@@ -262,6 +262,22 @@ def test_resolve_multi_golden_digests():
     assert got == expected
 
 
+def test_resolution_offset_is_one_in_every_axis():
+    # every slice cover is its slice moved up by one in each axis, so the
+    # covers need no alignment: the offset is (1,) * dim on both branches
+    rng = random.Random(61)
+    for ring in (ZZ, GF(7), polynomial_ring(GF(5))):
+        for dim in (1, 2, 3):
+            for allow_fp in (False, True):
+                M = random_multicomplex(rng, ring, dim, length=2 if dim == 3 else 3,
+                                        max_rank=1 if dim == 3 else 2, bricks=1,
+                                        allow_fp=allow_fp)
+                assert resolve_multi(M, check=False).offset == (1,) * dim
+                assert resolve._resolve(M, branch="ladder").offset == (1,) * dim
+    empty = BinaryMulticomplex.zero(ZZ, 2)
+    assert resolve_multi(empty).offset == (0, 0)
+
+
 def _dense(part):
     """A key part with every matrix in it replaced by its dense entry tuple."""
     if isinstance(part, Matrix):
