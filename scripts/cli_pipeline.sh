@@ -35,12 +35,19 @@
 # limit, expected to exit 0, because a canonical key costs the nonzeros of
 # its matrices, not their cells; verify-chain of a stepless chain from
 # Z -1-> Z over Z to the same
-# line over F7, expected to exit 1 and name the rings; and verify-chain of a
+# line over F7, expected to exit 1 and name the rings; verify-chain of a
 # chain between two empty classes of dimension -3, expected to exit 2 with a
-# located message.  The other hand-written documents use the version-1
-# layouts, which readers still accept.  Last, under PYTHONHASHSEED=1 and
-# PYTHONHASHSEED=2, each in fresh processes: gen --seed 4 --dim 2 --fp --out
-# and resolve-multi --out --report of that document, and gen --seed 0 --dim 2
+# located message; verify-chain of a version-2 chain over GF(1000003) whose
+# start lists 8,000 distinct diagonal lines and whose 8,000 diagonal steps
+# remove them one by one, expected to exit 0 within 20 s (a class built by
+# repeated addition made it take 50 s); and check of a 12,125-byte
+# multicomplex document declaring dim 4000 with an all-zero shape, and
+# represent-diagonal of the 66-byte class document declaring dim 1000, each
+# expected to exit 2 within 10 s, naming the dimension cap.  The other
+# hand-written documents use the version-1 layouts, which readers still
+# accept.  Last, under PYTHONHASHSEED=1 and PYTHONHASHSEED=2, each in fresh
+# processes: gen --seed 4 --dim 2 --fp --out and resolve-multi --out
+# --report of that document, and gen --seed 0 --dim 2
 # --out and cofinalize --direction 0 --out --report of that one; the
 # documents written under the two hash seeds must be byte-identical, and the
 # reports equal once timing_ms is dropped.  Run from the root of a checkout:
@@ -178,6 +185,40 @@ echo '{"end":'"$(formal_class -3 '[]')"',"schema":"binmc.chain/1","start":'"$(fo
 '"steps":[]}' >negative.json
 expect 2 python -m binmc verify-chain negative.json
 grep -q "^input error: chain.start: dimension must be nonnegative" err.txt \
+    || { cat err.txt >&2; exit 1; }
+
+# 8,000 distinct diagonal lines F -a-> F over GF(1000003) in one version-2
+# chain: the start class lists them all and each step removes one, so a class
+# built by repeated addition makes reading and replaying it quadratic
+python -c 'import json
+n = 8000
+ring = {"kind": "prime-field", "p": "1000003"}
+free = {"gens": 1, "rels": {"cols": 0, "rows": [[]]}}
+def line(a):
+    d = {"cols": 1, "rows": [[0, str(a)]]}
+    return {"differentials": [{"at": [1], "axis": 0, "bottom": d, "top": d}], "dim": 1,
+            "objects": [{"at": [0], **free}, {"at": [1], **free}], "ring": ring,
+            "schema": "binmc.multicomplex/2", "shape": [2]}
+print(json.dumps({"end": {"dim": 1, "entries": []},
+                  "members": [line(a) for a in range(1, n + 1)], "schema": "binmc.chain/2",
+                  "start": {"dim": 1, "entries": [{"coeff": 1, "multicomplex": k}
+                                                  for k in range(n)]},
+                  "steps": [{"axis": 0, "kind": "diagonal", "member": k, "sign": -1}
+                            for k in range(n)]}))' >long.json
+expect 0 timeout 20 python -m binmc verify-chain long.json
+grep -q "chain-verifies: 8000 steps" out.txt || { cat out.txt >&2; exit 1; }
+# a dimension over serialize.MAX_DIM is refused before any box is built
+python -c 'import json
+print(json.dumps({"differentials": [], "dim": 4000, "objects": [],
+                  "ring": {"kind": "integers"}, "schema": "binmc.multicomplex/2",
+                  "shape": [0] * 4000}))' >tall.json
+[ "$(wc -c <tall.json)" -eq 12125 ] || { echo "tall.json is not 12,125 bytes" >&2; exit 1; }
+expect 2 timeout 10 python -m binmc check tall.json
+grep -q "^input error: multicomplex: dimension 4000 declared, over the cap of 32" err.txt \
+    || { cat err.txt >&2; exit 1; }
+echo '{"dim":1000,"entries":[],"schema":"binmc.class/2","witnesses":[]}' >tall-class.json
+expect 2 timeout 10 python -m binmc represent-diagonal tall-class.json
+grep -q "^input error: class document: dimension 1000 declared, over the cap of 32" err.txt \
     || { cat err.txt >&2; exit 1; }
 
 # the same documents and reports under two string-hash seeds

@@ -378,13 +378,13 @@ def random_tn_class(rng: random.Random, ring: Ring, dim: int, terms: int = 2,
     per entry of x.entries(), which is what tn_membership_certificate and
     diagonal_represent consume.
     """
-    by_key = {}
-    x = FormalClass.zero(dim)
+    by_key, drawn = {}, []
     for _ in range(terms):
         axis = rng.randrange(dim)
         g = random_multicomplex(rng, ring, dim, length=length, max_rank=max_rank,
                                 diagonal_axes=(axis,))
-        x = x + FormalClass.of(g, rng.choice((1, -1)))
+        drawn.append((g, rng.choice((1, -1))))
         by_key[g.canonical_key()] = axis
+    x = FormalClass(dim, drawn)
     witnesses = [by_key[M.canonical_key()] for M, _ in x.entries()]
     return x, witnesses

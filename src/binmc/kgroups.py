@@ -6,11 +6,13 @@ families of relations: [N] = [N'] + [N''] for every short exact sequence
 N' >-> N ->> N'', and [T] = 0 whenever T is diagonal in some direction.
 This module makes the presentation executable:
 
-  * FormalClass   - a signed formal sum of concrete multicomplexes,
+  * FormalClass   - a signed formal sum of concrete multicomplexes, merged
+                    in one pass by its constructor and by nothing else,
   * RelationChain - a finite sequence of relation applications rewriting one
                     class into another, each step carrying its own witness,
   * verify_chain  - replays the whole computation from scratch, re-validating
-                    every referenced multicomplex and every witness.
+                    every referenced multicomplex and every witness, and
+                    sums the start class and the steps' deltas once.
 
 No attempt is made to *decide* equality in the presented group (the relation
 quotient has no effective normal form); only supplied chains are checked.
@@ -38,37 +40,39 @@ from .multicomplex import BinaryMulticomplex, MultiMorphism, validate
 class FormalClass:
     """Signed formal sum of acyclic binary multicomplexes of one dimension.
 
-    Entries are keyed by the normalized content of the multicomplex, so two
-    representatives that differ only by a translation of the support box (or
-    by trailing zero padding) merge into a single term.  Coefficients are
-    integers; zero coefficients are dropped.  All members share one ring and
-    one dimension; ring is that of the members, None for an empty class.
+    FormalClass(dim, terms) is the one merge: one pass over (multicomplex,
+    coefficient) terms, keyed by canonical_key, so representatives that differ
+    only by a translation of the support box (or by trailing zero padding)
+    make one entry, represented by the term that opened it.  Zero sums are
+    dropped.  A term of another dimension, or a nonzero one over another ring
+    than the entries kept so far, raises ShapeError, as adding the terms one
+    at a time would.  ring is that of the kept entries, None when none is.
     """
 
     __slots__ = ("dim", "ring", "_entries")
 
-    def __init__(self, dim: int, entries=None):
-        self.dim = dim
-        self.ring = None
-        self._entries = {}
-        for key, (M, c) in (entries or {}).items():
+    def __init__(self, dim: int, terms=()):
+        entries, ring = {}, None
+        for M, c in terms:
             if M.dim != dim:
                 raise ShapeError("formal class mixes dimensions")
             if c == 0:
                 continue
-            if self.ring is None:
-                self.ring = M.ring
-            elif M.ring != self.ring:
+            if entries and M.ring != ring:
                 raise ShapeError("formal class mixes coefficient rings")
-            self._entries[key] = (M, c)
+            ring, key = M.ring, M.canonical_key()
+            N, total = entries.pop(key, (M, 0))
+            if total + c:
+                entries[key] = (N, total + c)
+        self.dim, self.ring, self._entries = dim, ring if entries else None, entries
 
     @staticmethod
     def of(M: BinaryMulticomplex, coeff: int = 1) -> "FormalClass":
-        return FormalClass(M.dim, {M.canonical_key(): (M, coeff)})
+        return FormalClass(M.dim, [(M, coeff)])
 
     @staticmethod
     def zero(dim: int) -> "FormalClass":
-        return FormalClass(dim, {})
+        return FormalClass(dim)
 
     def entries(self):
         """(multicomplex, coefficient) pairs in a deterministic order."""
@@ -84,18 +88,10 @@ class FormalClass:
     def __add__(self, other: "FormalClass") -> "FormalClass":
         if other.dim != self.dim:
             raise ShapeError("formal class mixes dimensions")
-        if None not in (self.ring, other.ring) and other.ring != self.ring:
-            raise ShapeError("formal class mixes coefficient rings")
-        merged = dict(self._entries)
-        for key, (M, c) in other._entries.items():
-            if key in merged:
-                merged[key] = (merged[key][0], merged[key][1] + c)
-            else:
-                merged[key] = (M, c)
-        return FormalClass(self.dim, merged)
+        return FormalClass(self.dim, [*self._entries.values(), *other._entries.values()])
 
     def __neg__(self) -> "FormalClass":
-        return FormalClass(self.dim, {k: (M, -c) for k, (M, c) in self._entries.items()})
+        return FormalClass(self.dim, [(M, -c) for M, c in self._entries.values()])
 
     def __sub__(self, other: "FormalClass") -> "FormalClass":
         return self + (-other)
@@ -136,10 +132,8 @@ class SesStep:
         return self.ext.members()
 
     def class_delta(self) -> FormalClass:
-        s = self.sign
-        return (FormalClass.of(self.ext.sub, s)
-                + FormalClass.of(self.ext.quot, s)
-                + FormalClass.of(self.ext.total, -s))
+        E, s = self.ext, self.sign
+        return FormalClass(E.sub.dim, [(E.sub, s), (E.quot, s), (E.total, -s)])
 
     def check_payload(self) -> Optional[str]:
         failure = self.ext.verify()
@@ -202,9 +196,8 @@ class IsoStep:
         return (self.forward.source, self.forward.target)
 
     def class_delta(self) -> FormalClass:
-        s = self.sign
-        return (FormalClass.of(self.forward.target, s)
-                + FormalClass.of(self.forward.source, -s))
+        f, s = self.forward, self.sign
+        return FormalClass(f.target.dim, [(f.target, s), (f.source, -s)])
 
     def check_payload(self) -> Optional[str]:
         f, g = self.forward, self.backward
@@ -248,8 +241,8 @@ def verify_chain(chain: RelationChain) -> ChainReport:
     The check is deliberately redundant: every distinct multicomplex that the
     chain touches (in the endpoints or inside a step payload) must share one
     dimension and ring and is validated, every step payload is re-verified
-    from scratch, and the running formal sum is recomputed and compared
-    against the declared end class.
+    from scratch, and the start class plus every step's delta is summed once,
+    after the last step, and compared against the declared end class.
     """
     if chain.end.dim != chain.start.dim:
         return ChainReport(False, None, "start and end classes have different dimensions")
@@ -275,7 +268,7 @@ def verify_chain(chain: RelationChain) -> ChainReport:
         if bad:
             return bad
 
-    running = chain.start
+    terms = list(chain.start._entries.values())
     for i, step in enumerate(chain.steps):
         for M in step.referenced():
             if M.dim != chain.start.dim:
@@ -289,9 +282,9 @@ def verify_chain(chain: RelationChain) -> ChainReport:
         problem = step.check_payload()
         if problem is not None:
             return ChainReport(False, i, problem)
-        running = running + step.class_delta()
+        terms += step.class_delta()._entries.values()
 
-    if running != chain.end:
+    if FormalClass(chain.start.dim, terms) != chain.end:
         return ChainReport(False, None, "rewriting bookkeeping does not reach the declared end class")
     return ChainReport(True)
 

@@ -36,11 +36,12 @@ semantic problems, down to the row and pair of a version-2 matrix).  Integer
 literals must be exactly as written here (no '+', leading zeros, separators
 or whitespace), and a version-2 row may not list a zero entry, so equal
 objects have equal input digests too.  A document that nests too deeply,
-declares a support box larger than its object list, declares a matrix wider
-than MAX_COLUMNS, or declares more than MAX_CELLS matrix cells in all is
-refused before any work is done.  Parsed morphisms go through the ordinary
-constructors, so ill-defined maps and mismatched shapes are rejected, not
-smuggled in.
+declares a dimension above MAX_DIM, a support box larger than its object
+list, a matrix wider than MAX_COLUMNS, or more than MAX_CELLS matrix cells
+in all is refused before any work is done.  Parsed morphisms go through the
+ordinary constructors, so ill-defined maps and mismatched shapes are
+rejected, not smuggled in, and a class is one FormalClass construction over
+all its entries, with a mixing error located at the entry that mixes.
 """
 from __future__ import annotations
 
@@ -86,6 +87,10 @@ REPORT_SCHEMA = _tag("report")
 # since canonical_key holds matrices and not their dense entries.
 MAX_COLUMNS = 2 ** 16
 MAX_CELLS = 2 ** 27
+# A box is walked once per axis or pair of axes (validate, the edge tables),
+# so work grows as dim**3 even where the box holds no object, and a document
+# declares dim in a few bytes.  Every test, workload and script uses dim <= 5.
+MAX_DIM = 32
 
 
 def canonical_dumps(doc) -> str:
@@ -119,6 +124,15 @@ def _need(doc, key, kind, where):
     if kind is not None and not isinstance(value, kind):
         raise ParseError(f"field {key!r} has the wrong type", where)
     return value
+
+
+def _need_dim(doc, where) -> int:
+    dim = _need(doc, "dim", int, where)
+    if dim < 0:
+        raise ParseError("dimension must be nonnegative", where)
+    if dim > MAX_DIM:
+        raise ParseError(f"dimension {dim} declared, over the cap of {MAX_DIM}", where)
+    return dim
 
 
 def _expect_schema(doc, schema, where):
@@ -309,9 +323,7 @@ def multicomplex_from_doc(doc, where="multicomplex", reader=None) -> BinaryMulti
     else:
         reader.expect(doc, "multicomplex", where)
     ring = ring_from_doc(_need(doc, "ring", dict, where), where + ".ring")
-    dim = _need(doc, "dim", int, where)
-    if dim < 0:
-        raise ParseError("dimension must be nonnegative", where)
+    dim = _need_dim(doc, where)
     shape = _need(doc, "shape", list, where)
     if len(shape) != dim or any(isinstance(s, bool) or not isinstance(s, int) or s < 0
                                 for s in shape):
@@ -368,8 +380,6 @@ def components_to_doc(f: MultiMorphism) -> list:
 
 def components_from_doc(source: BinaryMulticomplex, target: BinaryMulticomplex,
                         doc, where, reader) -> MultiMorphism:
-    if not isinstance(doc, list):
-        raise ParseError("morphism components must be a list", where)
     comps = {}
     for k, rec in enumerate(doc):
         spot = f"{where}[{k}]"
@@ -466,19 +476,20 @@ def formal_class_to_doc(x: FormalClass, member) -> dict:
 
 
 def formal_class_from_doc(doc, where, member) -> FormalClass:
-    dim = _need(doc, "dim", int, where)
-    if dim < 0:
-        raise ParseError("dimension must be nonnegative", where)
-    x = FormalClass.zero(dim)
-    for k, rec in enumerate(_need(doc, "entries", list, where)):
-        spot = f"{where}.entries[{k}]"
-        coeff = _need(rec, "coeff", int, spot)
-        M = member(rec, "multicomplex", spot)
-        try:
-            x = x + FormalClass.of(M, coeff)
-        except ShapeError as e:
-            raise ParseError(str(e), spot)
-    return x
+    dim = _need_dim(doc, where)
+    spot = where
+
+    def terms():
+        nonlocal spot  # the entry being read, where a mixing error is located
+        for k, rec in enumerate(_need(doc, "entries", list, where)):
+            spot = f"{where}.entries[{k}]"
+            coeff = _need(rec, "coeff", int, spot)
+            yield member(rec, "multicomplex", spot), coeff
+
+    try:
+        return FormalClass(dim, terms())
+    except ShapeError as e:
+        raise ParseError(str(e), spot)
 
 
 def class_document(x: FormalClass, witnesses) -> dict:

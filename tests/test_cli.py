@@ -1,14 +1,17 @@
+import copy
 import json
 import random
 
 from binmc import serialize as ser
 from binmc.cli import main, ring_from_name, verdict_bytes
 from binmc.cofinal import MAX_COEFFICIENT_SUM, rel_class
+from binmc.extension import split_extension
 from binmc.fpmod import FpModule, FpMorphism
 from binmc.gen import random_multicomplex, random_tn_class
-from binmc.kgroups import FormalClass, RelationChain
+from binmc.kgroups import FormalClass, RelationChain, SesStep
 from binmc.matrix import Matrix
 from binmc.multicomplex import BinaryMulticomplex, direct_sum_multi, validate
+from binmc.resolve import resolve_multi
 from binmc.rings import GF, ZZ
 
 
@@ -455,3 +458,122 @@ def test_memory_error_is_a_located_input_error(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
     assert main(["gen", "--out", str(tmp_path / "g.json")]) == 2
     assert capsys.readouterr().err == "input error: out of memory in gen\n"
+
+
+def _base_documents():
+    """Valid version-2 documents for the input-error table: a dim-1
+    multicomplex, its resolution bundle, a chain with one split step, and
+    classes whose entries differ in dimension or ring."""
+    M = random_multicomplex(random.Random(0), ZZ, 1, length=3, max_rank=1)
+    U = _scalar_line(ZZ, 1, 1)
+    E = split_extension(M, U)
+    chain = RelationChain(FormalClass.of(M) + FormalClass.of(U), [SesStep(E, -1)],
+                          FormalClass.of(E.total))
+    flat = random_multicomplex(random.Random(0), ZZ, 2, length=2, max_rank=1)
+    return {"multicomplex": ser.multicomplex_to_doc(M),
+            "point": ser.multicomplex_to_doc(BinaryMulticomplex.zero(ZZ, 0)),
+            "resolution": ser.resolution_to_doc(resolve_multi(M)),
+            "chain": ser.chain_to_doc(chain),
+            "class": ser.class_document(FormalClass.of(U), [0]),
+            "flat": ser.multicomplex_to_doc(flat),
+            "F7 line": ser.multicomplex_to_doc(_scalar_line(GF(7), 1, 1))}
+
+
+def _set(path, value):
+    """A mutation that sets doc[path[0]][path[1]]... to value."""
+    def mutate(doc, base):
+        for key in path[:-1]:
+            doc = doc[key]
+        doc[path[-1]] = value(base) if callable(value) else value
+    return mutate
+
+
+def _entry(coeff, name):
+    """A mutation that appends to the class document an entry for base[name]."""
+    return _set(("entries",), lambda base: base["class"]["entries"]
+                + [{"coeff": coeff, "multicomplex": base[name]}])
+
+# (command, document, mutation, exit status, the first line of stderr or stdout)
+_INPUT_ERRORS = [
+    ("check", "multicomplex", _set(("differentials", 0, "top", "cols"), -1), 2,
+     "input error: multicomplex.differentials[0].top: cols must be nonnegative"),
+    ("check", "multicomplex", _set(("objects", 1, "at"), [1, 0]), 2,
+     "input error: multicomplex.objects[1]: coordinate must be a list of 1 integers"),
+    ("check", "multicomplex", _set(("shape",), [-3]), 2,
+     "input error: multicomplex: shape must list 1 nonnegative extents"),
+    ("check", "multicomplex", _set(("objects", 1, "at"), [0]), 2,
+     "input error: multicomplex.objects[1]: duplicate object at (0,)"),
+    ("check", "multicomplex",
+     _set(("differentials", 1), lambda base: base["multicomplex"]["differentials"][0]), 2,
+     "input error: multicomplex.differentials[1]: duplicate differential at axis 0, (1,)"),
+    ("check", "multicomplex", _set(("objects", 2, "at"), [5]), 2,
+     "input error: multicomplex.differentials[1]: differential at axis 0, (2,) "
+     "misses its endpoints"),
+    ("check", "multicomplex", _set(("objects", 0, "gens"), 2), 2,
+     "input error: multicomplex.objects[0]: relations matrix must have one row per generator"),
+    ("check", "multicomplex",
+     _set(("differentials",), lambda base: base["multicomplex"]["differentials"][:1]), 2,
+     "input error: multicomplex: top differentials must cover interior coordinates exactly"),
+    ("check", "multicomplex", _set(("dim",), 33), 2,
+     "input error: multicomplex: dimension 33 declared, over the cap of 32"),
+    ("recheck", "resolution", _set(("zeta",), {}), 2,
+     "input error: resolution: field 'zeta' has the wrong type"),
+    ("recheck", "resolution", _set(("zeta", 0, "at"), [9]), 2,
+     "input error: resolution.zeta[0]: component at (9,) is outside the support box"),
+    ("recheck", "resolution", _set(("incl", 1, "at"), [0]), 2,
+     "input error: resolution.incl[1]: duplicate component at (0,)"),
+    ("recheck", "resolution", _set(("zeta",), lambda base: base["resolution"]["zeta"][1:]), 2,
+     "input error: resolution.zeta: morphism components must cover the support box"),
+    ("recheck", "resolution", _set(("incl", 0, "matrix", "cols"), 5), 2,
+     "input error: resolution.incl[0]: morphism matrix must be 4x4, got 4x5"),
+    ("recheck", "resolution", _set(("offset",), [-1]), 2,
+     "input error: resolution: offset must list one nonnegative shift per axis"),
+    ("recheck", "resolution", _set(("diagonal_axes",), [1]), 2,
+     "input error: resolution: diagonal_axes must list axes of the source"),
+    ("verify-chain", "chain", _set(("steps", 0, "kind"), "twist"), 2,
+     "input error: chain.steps[0]: unknown step kind 'twist'"),
+    ("verify-chain", "chain", _set(("steps", 0, "mono"), 3), 2,
+     "input error: chain.steps[0]: field 'mono' has the wrong type"),
+    ("verify-chain", "chain", _set(("start", "dim"), 40), 2,
+     "input error: chain.start: dimension 40 declared, over the cap of 32"),
+    ("represent-diagonal", "class", _entry(0, "flat"), 2,
+     "input error: class document.entries[1]: formal class mixes dimensions"),
+    ("represent-diagonal", "class", _entry(2, "F7 line"), 2,
+     "input error: class document.entries[1]: formal class mixes coefficient rings"),
+    ("represent-diagonal", "class", _set(("dim",), 1000), 2,
+     "input error: class document: dimension 1000 declared, over the cap of 32"),
+    ("homology", "point", None, 0, "[ok]   degenerate: dimension 0, no lines to check"),
+]
+
+# (arguments, with {m} for the multicomplex document, and the first line of stderr)
+_ARGUMENT_ERRORS = [
+    (["cofinalize", "{m}", "--direction", "3"],
+     "input error: --direction: direction 3 is not an axis of a 1-dimensional input"),
+    (["cofinalize", "{m}", "--direction", "-1"],
+     "input error: --direction: direction -1 is not an axis of a 1-dimensional input"),
+    (["gen", "--dim", "1", "--diagonal", "2"],
+     "input error: --diagonal: diagonal axis 2 is not an axis in dimension 1"),
+    (["gen", "--ring", "R"], "input error: --ring: unknown ring 'R', expected "
+     "Z, Q, F<p>, or F<p>[x]"),
+]
+
+
+def test_each_input_error_is_located_and_exits_2(tmp_path, capsys):
+    base = _base_documents()
+    for name in ("multicomplex", "resolution", "chain", "class"):
+        assert main(["recheck", _write(tmp_path / "ok.json", base[name])]) == 0, name
+    for command, name, mutate, status, line in _INPUT_ERRORS:
+        doc = copy.deepcopy(base[name])
+        if mutate:
+            mutate(doc, base)
+        path = _write(tmp_path / "doc.json", doc)
+        capsys.readouterr()
+        assert main([command, path]) == status, line
+        out = capsys.readouterr()
+        assert (out.err or out.out).splitlines()[0] == line
+    m = _write(tmp_path / "m.json", base["multicomplex"])
+    for argv, line in _ARGUMENT_ERRORS:
+        capsys.readouterr()
+        assert main([a.format(m=m) for a in argv] + ["--out", str(tmp_path / "x.json")]) == 2
+        assert capsys.readouterr().err == line + "\n"
+    assert not (tmp_path / "x.json").exists()

@@ -6,7 +6,7 @@ from binmc import cofinal, kgroups
 from binmc.cofinal import (RelClass, complement, diagonal_represent,
                            pair_complement, rel_class)
 from binmc.errors import (CertificateError, MembershipRefusal, NotAcyclic,
-                          ShapeError)
+                          NotDiagonal, ShapeError)
 from binmc.fpmod import FpModule, FpMorphism
 from binmc.gen import (conjugate_multicomplex, random_multicomplex,
                        random_tn_class)
@@ -337,3 +337,29 @@ def test_uncomplemented_invalid_generator_fails_verify_chain():
     t, chain = diagonal_represent(FormalClass.of(line), [0])
     report = verify_chain(chain)
     assert not report.ok and "invalid" in report.reason
+
+
+def test_check_complement_refuses_a_wrong_complement():
+    # N = Z -1-> Z is diagonal in axis 0 with odd ranks at both spots; each T
+    # below breaks one promise a complement of N makes
+    N = unit_complex(ZZ, 1)
+    R = FpModule.free(ZZ, 1)
+    z = FpMorphism.zero(R, R)
+    not_acyclic = BinaryMulticomplex.from_binary_chain(ZZ, [R, R], [z], [z])
+    cases = [(not_acyclic, NotAcyclic, f"constructed complement is invalid: "
+              f"{validate(not_acyclic, 'free').first()}"),
+             (unit_complex(ZZ, -1), NotDiagonal,
+              "constructed complement is not diagonal in direction 0"),
+             (BinaryMulticomplex.zero(ZZ, 1), MembershipRefusal,
+              "complement left an odd rank at (0,)")]
+    for T, error, message in cases:
+        with pytest.raises(error) as e:
+            cofinal._check_complement(N, 0, T)
+        assert str(e.value) == message
+    rng = random.Random(3)
+    N2 = random_multicomplex(rng, ZZ, 2, length=2, max_rank=2, diagonal_axes=(0, 1))
+    T2 = random_multicomplex(rng, ZZ, 2, length=2, max_rank=2, diagonal_axes=(0,))
+    assert N2.diagonal_directions() == {0, 1} and T2.diagonal_directions() == {0}
+    with pytest.raises(NotDiagonal) as e:
+        cofinal._check_complement(N2, 0, T2)
+    assert str(e.value) == "constructed complement lost the diagonal direction 1"

@@ -1,10 +1,12 @@
 """Homology, acyclicity witnesses and the rank certificate."""
 import random
+from dataclasses import replace
 
 import pytest
 
-from binmc.complexes import (ChainComplex, acyclicity_witness, describe_homology,
-                             free_line_homology, homology, homology_by_ranks)
+from binmc.complexes import (AcyclicityWitness, ChainComplex, acyclicity_witness,
+                             describe_homology, free_line_homology, homology,
+                             homology_by_ranks)
 from binmc.errors import RingError, ShapeError
 from binmc.fpmod import FpModule, FpMorphism
 from binmc.gen import (complex_direct_sum, conjugate_complex, random_acyclic_complex,
@@ -267,3 +269,22 @@ def test_rank_certificate_needs_free_objects():
     C = ChainComplex(ZZ, [FpModule(ZZ, 1, mat([[2]]))], [])
     with pytest.raises(RingError):
         free_line_homology(C)
+
+
+def test_witness_verify_refuses_each_broken_part():
+    C = two_term(1)
+    w = acyclicity_witness(C).witness
+    assert w.verify()
+    zero, two = FpModule.zero(ZZ), free(2)
+    broken = [
+        replace(w, cycles=w.cycles[:-1]),  # one cycle object short
+        replace(w, cycles=(free(1),) + w.cycles[1:]),  # Z_{-1} is not zero
+        replace(w, epis=(FpMorphism.zero(two, w.cycles[0]),) + w.epis[1:]),  # epi from Z^2
+        replace(w, monos=(FpMorphism.zero(two, C.objects[0]),) + w.monos[1:]),  # mono from Z^2
+        replace(w, epis=(w.epis[0], w.epis[1].scale(2))),  # mono_0 epi_1 = 2 d_1
+    ]
+    # every map fits the non-acyclic complex Z, but 0 >-> Z ->> 0 is not exact
+    Z = ChainComplex(ZZ, [free(1)], [])
+    broken.append(AcyclicityWitness(Z, (zero, zero), (FpMorphism.zero(free(1), zero),),
+                                    (FpMorphism.zero(zero, free(1)),)))
+    assert [b.verify() for b in broken] == [False] * 6

@@ -191,3 +191,18 @@ def test_chains_verify_alike_from_memory_and_from_documents(monkeypatch):
             assert got == verify_chain(chain_from_doc(chain_to_doc(variant)))
             reports.append(got.ok)
     assert True in reports and False in reports
+
+
+def test_noncommuting_inclusion_is_caught():
+    free1 = FpModule.free(ZZ, 1)
+    ident = FpMorphism.identity(free1)
+    A = BinaryMulticomplex.from_binary_chain(ZZ, [free1, free1], [ident], [ident])
+    E = split_extension(A, BinaryMulticomplex.zero(ZZ, 1))
+    comps = dict(E.mono.components)
+    # flipping the sign at one end keeps each fiber exact but breaks the square
+    comps[(0,)] = comps[(0,)].scale(ZZ.from_int(-1))
+    twisted = ExtensionObject(E.sub, E.total, E.quot, MultiMorphism(E.sub, E.total, comps),
+                              E.epi)
+    failure = twisted.verify()
+    assert (failure.kind, failure.coord, failure.detail) == (
+        "mono-square", (), "inclusion does not commute with differentials")

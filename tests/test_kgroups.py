@@ -15,8 +15,10 @@ from binmc.kgroups import (ChainReport, DiagonalStep, FormalClass, IsoStep,
                            verify_chain)
 from binmc.matrix import Matrix
 from binmc.multicomplex import (BinaryMulticomplex, MultiMorphism, box_coords,
-                                direct_sum_multi, shift)
-from binmc.rings import QQ, ZZ, PrimeField
+                                direct_sum_multi, shift, summand_inclusion,
+                                summand_projection, validate)
+from binmc.rings import GF, QQ, ZZ, PrimeField, polynomial_ring
+from binmc.serialize import chain_from_doc, chain_to_doc
 
 
 def unit_complex(ring, u):
@@ -291,3 +293,175 @@ def test_membership_certificate():
     assert not tn_membership_certificate(y, [0]).ok
     assert not tn_membership_certificate(y, []).ok
     assert not tn_membership_certificate(y, [5]).ok
+
+
+# -- one merge for every sum ---------------------------------------------
+
+
+class _FoldedClass:
+    """FormalClass arithmetic as it was before the one-pass merge: a
+    constructor that trusts its callers' keys, and an __add__ that copies,
+    re-merges and re-checks the whole class."""
+
+    def __init__(self, dim, entries):
+        self.dim, self.ring, self._entries = dim, None, {}
+        for key, (M, c) in entries.items():
+            if M.dim != dim:
+                raise ShapeError("formal class mixes dimensions")
+            if c == 0:
+                continue
+            if self.ring is None:
+                self.ring = M.ring
+            elif M.ring != self.ring:
+                raise ShapeError("formal class mixes coefficient rings")
+            self._entries[key] = (M, c)
+
+    def __add__(self, other):
+        if other.dim != self.dim:
+            raise ShapeError("formal class mixes dimensions")
+        if None not in (self.ring, other.ring) and other.ring != self.ring:
+            raise ShapeError("formal class mixes coefficient rings")
+        merged = dict(self._entries)
+        for key, (M, c) in other._entries.items():
+            if key in merged:
+                merged[key] = (merged[key][0], merged[key][1] + c)
+            else:
+                merged[key] = (M, c)
+        return _FoldedClass(self.dim, merged)
+
+    def entries(self):
+        return [self._entries[k] for k in sorted(self._entries)]
+
+
+def _outcome(build):
+    """The error a sum raises, or its ring and its entries with their
+    representatives by identity."""
+    try:
+        x = build()
+    except ShapeError as e:
+        return "error", str(e)
+    return x.ring, [(id(M), c) for M, c in x.entries()]
+
+
+def test_one_pass_merge_matches_repeated_addition():
+    rng = random.Random(29)
+    seen = set()
+    for ring in (ZZ, GF(7), QQ, polynomial_ring(GF(5))):
+        other = ZZ if ring is not ZZ else GF(7)
+        pool = [random_multicomplex(rng, ring, 1, length=2, max_rank=1) for _ in range(3)]
+        pool += [shift(M, (1,)) for M in pool] + [unit_complex(ring, ring.one)]
+        # unit_complex has one canonical key over every ring; the dim-2 member
+        # mixes dimensions
+        strangers = [unit_complex(other, other.one),
+                     random_multicomplex(rng, ring, 2, length=2, max_rank=1)]
+        for _ in range(400):
+            terms = [(rng.choice(strangers) if rng.random() < 0.1 else rng.choice(pool),
+                      rng.choice((-2, -1, -1, 0, 1, 1, 2))) for _ in range(rng.randrange(9))]
+
+            def folded():
+                x = _FoldedClass(1, {})
+                for M, c in terms:
+                    x = x + _FoldedClass(M.dim, {M.canonical_key(): (M, c)})
+                return x
+
+            def added():
+                x = FormalClass.zero(1)
+                for M, c in terms:
+                    x = x + FormalClass.of(M, c)
+                return x
+
+            want = _outcome(folded)
+            assert _outcome(lambda: FormalClass(1, terms)) == want
+            assert _outcome(added) == want
+            if want[0] == "error":
+                seen.add(want[1])
+                continue
+            x = FormalClass(1, terms)
+            seen.add("empty" if x.is_zero() else "kept")
+            if x.is_zero() and any(c for _, c in terms):
+                assert x.ring is None
+                seen.add("cancelled")
+            assert x == added() and x == FormalClass(1, x.entries())
+            assert (x - added()).is_zero() and (-x + x).is_zero()
+            assert [(M, -c) for M, c in x.entries()] == (-x).entries()
+    assert seen == {"formal class mixes dimensions", "formal class mixes coefficient rings",
+                    "empty", "kept", "cancelled"}
+
+
+def _diagonal_lines(n):
+    """n distinct diagonal lines F -a-> F over GF(1000003), a = 1..n."""
+    F = GF(1000003)
+    R = FpModule.free(F, 1)
+    one = FpMorphism.identity(R)
+    return [BinaryMulticomplex.from_binary_chain(F, [R, R], [one.scale(a)], [one.scale(a)])
+            for a in range(1, n + 1)]
+
+
+def test_parsing_and_replaying_a_long_chain_holds_linear_entries(monkeypatch):
+    # start lists n distinct diagonal lines and each step removes one; a sum
+    # built by repeated + held about n**2 / 2 entries in the reader and again
+    # in the replay
+    n = 2000
+    lines = _diagonal_lines(n)
+    doc = chain_to_doc(RelationChain(FormalClass(1, [(L, 1) for L in lines]),
+                                     [DiagonalStep(L, 0, -1) for L in lines],
+                                     FormalClass.zero(1)))
+    held = []
+    init = FormalClass.__init__
+
+    def counted(self, dim, terms=()):
+        init(self, dim, terms)
+        held.append(len(self._entries))
+
+    monkeypatch.setattr(FormalClass, "__init__", counted)
+    report = verify_chain(chain_from_doc(doc))
+    assert report.ok, report.reason
+    assert sum(held) <= 10 * n
+
+
+# -- every reject branch of the chain verifier, by its wording ------------
+
+
+def _refusal(chain):
+    report = verify_chain(chain)
+    assert not report.ok
+    return report.step, report.reason
+
+
+def test_iso_step_refusals_are_worded():
+    U, V = unit_complex(QQ, Fraction(1)), unit_complex(QQ, Fraction(2))
+    one_u, one_v = MultiMorphism.identity(U), MultiMorphism.identity(V)
+    # components 1 and 2 break the square of the top differential 1
+    bent = MultiMorphism(U, U, {(0,): FpMorphism.identity(U.objects[(0,)]),
+                                (1,): FpMorphism.identity(U.objects[(1,)]).scale(Fraction(2))})
+    S = direct_sum_multi([U, V])
+    into, onto = summand_inclusion([U, V], 0), summand_projection([U, V], 0)
+    cases = [
+        (IsoStep(one_u, one_v, 1), U, "isomorphism witness pair has mismatched endpoints"),
+        (IsoStep(bent, one_u, 1), U, "forward map does not commute with the differentials"),
+        (IsoStep(one_u, bent, 1), U, "backward map does not commute with the differentials"),
+        (IsoStep(into, onto, 1), S, "forward o backward is not the identity"),
+    ]
+    for step, end, reason in cases:
+        chain = RelationChain(FormalClass.of(step.forward.source), [step], FormalClass.of(end))
+        assert _refusal(chain) == (0, reason)
+
+
+def test_chain_verifier_refusals_are_worded():
+    rng = random.Random(16)
+    D = random_multicomplex(rng, ZZ, 1, length=3, max_rank=2, diagonal_axes=(0,))
+    D2 = random_multicomplex(rng, ZZ, 2, length=2, max_rank=1, diagonal_axes=(0,))
+    R = FpModule.free(ZZ, 1)
+    z = FpMorphism.zero(R, R)
+    Mbad = BinaryMulticomplex.from_binary_chain(ZZ, [R, R], [z], [z])
+    zero = FormalClass.zero(1)
+    assert _refusal(RelationChain(zero, [], FormalClass.zero(2))) == (
+        None, "start and end classes have different dimensions")
+    assert _refusal(RelationChain(zero, [DiagonalStep(D2, 0, 1)], zero)) == (
+        0, "step references the wrong dimension")
+    assert _refusal(RelationChain(FormalClass.of(D), [DiagonalStep(D, 1, -1)], zero)) == (
+        0, "diagonal axis 1 out of range for dimension 1")
+    # an invalid member met first inside a step is reported at that step
+    steps = [DiagonalStep(D, 0, -1), DiagonalStep(Mbad, 0, 1)]
+    reason = f"referenced multicomplex is invalid: {validate(Mbad).first()}"
+    assert _refusal(RelationChain(FormalClass.of(D), steps, zero)) == (1, reason)

@@ -7,9 +7,9 @@ import pytest
 from binmc import matrix
 from binmc.errors import ShapeError
 from binmc.gen import random_unimodular
-from binmc.matrix import (Matrix, block_diag, block_matrix, column_space_basis, det,
-                          hstack, invariant_factors, kernel_basis, kron, rank,
-                          rank_over_fractions, smith, solve, vstack)
+from binmc.matrix import (Matrix, SmithDecomposition, block_diag, block_matrix,
+                          column_space_basis, det, hstack, invariant_factors, kernel_basis,
+                          kron, rank, rank_over_fractions, smith, solve, vstack)
 from binmc.rings import GF, QQ, ZZ, polynomial_ring
 
 
@@ -691,3 +691,20 @@ def test_random_unimodular_carries_its_inverse(ring):
             U, U_inv = random_unimodular(rng, ring, n)
             assert U_inv == solve(U, Matrix.identity(ring, n))
             assert U @ U_inv == Matrix.identity(ring, n)
+
+
+def test_smith_verify_refuses_each_broken_claim():
+    I = Matrix.identity(ZZ, 2)
+    zero = Matrix.zeros(ZZ, 2, 2)
+    S = M([[2, 0], [0, 6]])
+    assert SmithDecomposition(ZZ, I, S, I).verify(S)
+    cases = [
+        (SmithDecomposition(ZZ, I, M([[2, 0], [0, 12]]), I), S),  # U A V is not S
+        (SmithDecomposition(ZZ, M([[2, 0], [0, 1]]), zero, I), zero),  # U not invertible
+        (SmithDecomposition(ZZ, I, zero, M([[1, 0], [0, 2]])), zero),  # V not invertible
+    ]
+    # S = A with U = V = 1: a zero before a nonzero, 2 not dividing 3, and an
+    # entry off the diagonal
+    cases += [(SmithDecomposition(ZZ, I, A, I), A)
+              for A in (M([[0, 0], [0, 1]]), M([[2, 0], [0, 3]]), M([[1, 1], [0, 1]]))]
+    assert [dec.verify(A) for dec, A in cases] == [False] * 6

@@ -597,6 +597,9 @@ def _differential_cases():
         yield "retraction misshapen", _replaced(
             res, retr={**res.retr, c: Matrix.zeros(res.P.ring, r.rows, r.cols + 1)})
         yield "no splitting", _replaced(res, sect=None, retr=None)
+        yield "incl endpoints", _replaced(res, incl=MultiMorphism.identity(res.P))
+        yield "zeta endpoints", _replaced(res, zeta=MultiMorphism.identity(res.P))
+        yield "axes claimed", _replaced(res, diagonal_axes=range(res.P.dim))
         # a retraction and a section that still split, but with r s != 0
         c = next((c for c, r in sorted(res.retr.items())
                   if r is not None and r.rows and res.zeta.components[c].mat.rows), None)
@@ -643,6 +646,11 @@ def _differential_cases():
             point, presented, MultiMorphism.zero(point, nothing),
             MultiMorphism(presented, point, {(): into}), source=nothing, target=nothing,
             offset=(), sect={(): Matrix.zeros(ZZ, 1, 0)}, retr={(): None})
+    # a cover Z/2 that is not free, with nothing in its kernel
+    two = BinaryMulticomplex.of_module(FpModule(ZZ, 1, Matrix(ZZ, 1, 1, [2])))
+    yield "cover not free", resolve.ResolutionResult(
+        two, nothing, MultiMorphism.identity(two), MultiMorphism.zero(nothing, two),
+        source=two, target=two, offset=())
     m6 = FpModule(ZZ, 1, Matrix(ZZ, 1, 1, [6]))
     torsion = BinaryMulticomplex.from_binary_chain(
         ZZ, [m6, m6], [FpMorphism.identity(m6)], [FpMorphism.identity(m6)])
@@ -659,7 +667,7 @@ def test_verify_resolution_agrees_with_elimination(monkeypatch):
         return fpmod.check_ses(i, p)
 
     monkeypatch.setattr(extension, "check_ses", counted_ses)
-    seen = {}
+    seen, worded = {}, {}
     for label, res in _differential_cases():
         want = _verify_by_elimination(res)
         ses_calls[0] = 0
@@ -668,6 +676,7 @@ def test_verify_resolution_agrees_with_elimination(monkeypatch):
         outcome = ("PASS" if got.ok else "sequence" if want[0].startswith("sequence at")
                    else "kernel" if want[0].startswith("kernel invalid") else "FAIL")
         seen.setdefault(label, set()).add(outcome)
+        worded.setdefault(label, set()).update(got.failures)
         free = all(m.is_free_presentation() for m in res.target.objects.values())
         if label in ("section doubled", "retraction misshapen", "no splitting",
                      "torsion target", "retraction plus X zeta", "section plus incl Y"):
@@ -684,6 +693,12 @@ def test_verify_resolution_agrees_with_elimination(monkeypatch):
                   "incl not in the kernel"):
         assert seen[label] == {"sequence"}, label
     assert seen["incl zeroed"] == seen["zeta zeroed"] == {"FAIL"}
+    for label, wording in (("incl endpoints", "inclusion endpoints are wrong"),
+                           ("zeta endpoints", "projection endpoints are wrong"),
+                           ("cover not free", "cover invalid: object at () is not free")):
+        assert seen[label] == {"FAIL"} and wording in worded[label], label
+    claims = {f"diagonality in axis {a} was not preserved" for a in range(3)}
+    assert seen["axes claimed"] == {"PASS", "FAIL"} and worded["axes claimed"] <= claims
 
 
 def test_a_splitting_that_misses_a_rank_is_refused():
