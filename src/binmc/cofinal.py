@@ -15,9 +15,9 @@ such that every rank of N (+) T is even.  When N is itself diagonal in some
 other direction j, T comes out diagonal in both i and j.  The recursion
 peels one axis off N, complements the image multicomplexes of the peeled
 top differentials (the bottom family's images have the same rank grid), and
-reassembles the pieces into a two-layer shift complex whose differential is
-the identity block [[0,1],[0,0]] in both families: the identity staircase of
-multicomplex.staircase_rows, the same one resolve covers a diagonal axis with.
+stacks the pieces along the peeled axis into multicomplex.staircase, whose
+differential is the identity block [[0,1],[0,0]] in both families: the same
+staircase resolve covers a diagonal axis with.
 The input is checked once on entry and the output once on return; the
 recursion in between (_complement) checks nothing, not even the parities
 pair_complement compares at its own boundary.
@@ -36,9 +36,8 @@ from .extension import split_extension
 from .fpmod import FpModule
 from .kgroups import (DiagonalStep, FormalClass, RelationChain, SesStep,
                       tn_membership_certificate)
-from .multicomplex import (BinaryMulticomplex, common_shape, expand_along,
-                           image_multicomplex, layered_sum, pad_to,
-                           staircase_rows, validate)
+from .multicomplex import (BinaryMulticomplex, expand_along, image_multicomplex,
+                           staircase, validate)
 from .rings import ZZ, Ring
 
 
@@ -77,17 +76,6 @@ def rel_class(N: BinaryMulticomplex) -> RelClass:
 # -- the complement construction -----------------------------------------
 
 
-def _shift_complex(pieces, axis: int, ring: Ring, dim: int) -> BinaryMulticomplex:
-    """The identity staircase (multicomplex.staircase_rows) on pieces padded
-    to one box: layer m is pieces[m] (+) pieces[m-1], diagonal and exact
-    along the new axis."""
-    if not pieces:
-        return BinaryMulticomplex.zero(ring, dim)
-    rest_shape = common_shape(pieces)
-    rows, route = staircase_rows([pad_to(p, rest_shape) for p in pieces])
-    return layered_sum(rows, route, route, axis)[0]
-
-
 def _complement(N: BinaryMulticomplex, i: int) -> BinaryMulticomplex:
     """complement(N, i) without its checks: N must be valid and free."""
     if N.dim == 0:
@@ -101,7 +89,9 @@ def _complement(N: BinaryMulticomplex, i: int) -> BinaryMulticomplex:
     j = min(N.diagonal_directions() - {i}, default=i)
     i_rest = 0 if j == i else (i if i < j else i - 1)
     pieces = [_complement(image_multicomplex(d)[0], i_rest) for d in expand_along(N, j)[1]]
-    return _shift_complex(pieces, j, N.ring, N.dim)
+    if not pieces:
+        return BinaryMulticomplex.zero(N.ring, N.dim)
+    return staircase(pieces, j)[0]
 
 
 def _check_input(N: BinaryMulticomplex):

@@ -28,8 +28,9 @@ restriction, _restrict, of both differential families through coordinatewise
 monos.  block_identity_morphism builds every morphism between direct sums
 from blocks that are identities or any MultiMorphism.  layered_sum stacks
 direct sums along a new axis, with one morphism for both families where
-their routes agree, and staircase_rows lays out the identity staircase that
-resolve and cofinal both build on.
+their routes agree, and staircase builds on it the identity staircase that
+resolve and cofinal both cover with: it alone decides which piece sits in
+which layer.
 expand_along and collapse_along convert along one axis to and from a binary
 complex of (dim-1)-multicomplexes, held as the tuples (terms, tops, bots);
 diagonal_embed collapses one family of differentials into both, the paper's
@@ -274,8 +275,9 @@ def validate(M: BinaryMulticomplex, mode: str = "fp") -> ValidationReport:
     with nonzero homology and that homology, in the same words.
     """
     failures = []
+    coords = sorted(M.objects)  # the box, walked once by the free scan and the squares
     if mode == "free":
-        for c in sorted(M.objects):
+        for c in coords:
             if not M.objects[c].is_free_presentation():
                 failures.append(ValidationFailure("free", "", -1, c, "object is not free"))
         if failures:
@@ -303,19 +305,18 @@ def validate(M: BinaryMulticomplex, mode: str = "fp") -> ValidationReport:
                     failures.append(ValidationFailure(
                         "line", which, axis, _insert(rest, axis, found[0]),
                         describe_homology(*found)))
-    for ai in range(M.dim):
-        for aj in range(ai + 1, M.dim):
-            for c in sorted(box_coords(M.shape)):
-                if c[ai] < 1 or c[aj] < 1:
-                    continue
-                for fi, fam_i in (("top", M.tops), ("bottom", M.bots)):
-                    for fj, fam_j in (("top", M.tops), ("bottom", M.bots)):
-                        lhs = fam_i[(ai, _minus(c, aj))] @ fam_j[(aj, c)]
-                        rhs = fam_j[(aj, _minus(c, ai))] @ fam_i[(ai, c)]
-                        if not lhs.equals(rhs):
-                            failures.append(ValidationFailure(
-                                "square", f"{fi}/{fj}", ai, c,
-                                f"axes {ai},{aj} do not commute"))
+    for ai, aj in itertools.combinations(range(M.dim), 2):
+        for c in coords:
+            if c[ai] < 1 or c[aj] < 1:
+                continue
+            for fi, fam_i in (("top", M.tops), ("bottom", M.bots)):
+                for fj, fam_j in (("top", M.tops), ("bottom", M.bots)):
+                    lhs = fam_i[(ai, _minus(c, aj))] @ fam_j[(aj, c)]
+                    rhs = fam_j[(aj, _minus(c, ai))] @ fam_i[(ai, c)]
+                    if not lhs.equals(rhs):
+                        failures.append(ValidationFailure(
+                            "square", f"{fi}/{fj}", ai, c,
+                            f"axes {ai},{aj} do not commute"))
     return ValidationReport(not failures, tuple(failures))
 
 
@@ -618,17 +619,21 @@ def layered_sum(rows, route_top, route_bot, axis: int):
     return collapse_along(terms, tops, bots, axis), terms
 
 
-def staircase_rows(pieces):
-    """(rows, route) of the identity staircase on pieces X_0 .. X_{L-1}:
-    layer j holds ("lo", j) = X_j and ("hi", j - 1) = X_{j-1} where they
-    exist, and route[j] wires "hi" in layer j to "lo" in layer j - 1.  Fed to
-    layered_sum in both families, they give the sum of the two-layer
-    identity complexes X_j --1--> X_j, diagonal and exact along the axis."""
-    L = len(pieces)
+def staircase(pieces, axis: int):
+    """(M, rows, terms): the identity staircase on the nonempty pieces
+    X_0 .. X_{L-1}, padded to one box and stacked along a new axis by
+    layered_sum.  Layer j holds ("lo", j) = X_j and ("hi", j - 1) = X_{j-1}
+    where they exist, and both families wire "hi" in layer j to "lo" in
+    layer j - 1 by the identity: M is the sum of the two-layer identity
+    complexes X_j --1--> X_j, diagonal and exact along the axis."""
+    shape, L = common_shape(pieces), len(pieces)
+    pieces = [pad_to(p, shape) for p in pieces]
     rows = [[(("lo", j), pieces[j])] if j < L else [] for j in range(L + 1)]
     for j in range(1, L + 1):
         rows[j].append((("hi", j - 1), pieces[j - 1]))
-    return rows, {j: {(("lo", j - 1), ("hi", j - 1))} for j in range(1, L + 1)}
+    route = {j: {(("lo", j - 1), ("hi", j - 1))} for j in range(1, L + 1)}
+    M, terms = layered_sum(rows, route, route, axis)
+    return M, rows, terms
 
 
 def diagonal_embed(terms, diffs, axis: int) -> BinaryMulticomplex:

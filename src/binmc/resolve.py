@@ -11,15 +11,15 @@ layer below its own.  The result records that offset, (1,) * dim, or all
 zeros for an input with a zero extent, which is its own resolution.
 
 Two constructions are used along the chosen axis.  For an axis where the two
-differentials agree, each cover summand is a two-layer identity complex
-("staircase"), so the cover is diagonal in that axis; its layout is
-multicomplex.staircase_rows, the same one cofinal's shift complex uses.
-Otherwise each summand is a doubled complex whose top and bottom
-differentials are the shift patterns [[0,1],[0,0]] and [[0,0],[1,0]], glued
-to the target by an alternating ladder of composites of the two
-differentials.  Both covers are assembled by multicomplex.layered_sum, and
-each layer of the projection zeta by multicomplex.block_identity_morphism
-from its blocks keyed by summand tag.  Higher dimensions recurse: the
+differentials agree, each cover summand is a two-layer identity complex, so
+the cover is multicomplex.staircase, the same one cofinal's complement
+builds, and is diagonal in that axis; each summand's projection block is
+read off its tag.  Otherwise each summand is a doubled complex whose top and
+bottom differentials are the shift patterns [[0,1],[0,0]] and [[0,0],[1,0]],
+glued to the target by an alternating ladder of composites of the two
+differentials, and multicomplex.layered_sum stacks it.  Each layer of the
+projection zeta is built by multicomplex.block_identity_morphism from its
+blocks keyed by summand tag.  Higher dimensions recurse: the
 epimorphism provider for an n-dimensional input is the (n-1)-dimensional
 resolution of its slices, and the base provider for modules is the free
 cover.  The slice covers are re-wrapped onto the translated input's slices
@@ -55,7 +55,7 @@ from .matrix import Matrix, block_diag, block_matrix
 from .multicomplex import (BinaryMulticomplex, MultiMorphism, ValidationReport,
                            _insert, _rebox, _restrict, block_identity_morphism,
                            box_coords, common_shape, expand_along, layered_sum,
-                           pad_morphism, pad_to, shift, staircase_rows, validate)
+                           pad_morphism, pad_to, shift, staircase, validate)
 
 
 class ResolutionResult:
@@ -177,15 +177,6 @@ def _module_resolution(M0: BinaryMulticomplex) -> ResolutionResult:
         sect={(): Matrix.identity(ring, g)}, retr={(): retr})
 
 
-def _staircase_tables(L, eps, big_tops):
-    """Projection blocks, by summand tag, onto the staircase_rows cover along
-    a diagonal axis (post-shift degrees 0..L)."""
-    blocks = [{("lo", j): big_tops[j] @ eps[j]} if j < L else {} for j in range(L + 1)]
-    for j in range(1, L + 1):
-        blocks[j][("hi", j - 1)] = eps[j - 1]
-    return blocks
-
-
 def _ladder_tables(L, eps, delta, delta_prime):
     """Atom lists, ladder projection blocks by summand tag, and the two shift
     routings for the doubled covers along a non-diagonal axis."""
@@ -269,14 +260,15 @@ def _resolve(M: BinaryMulticomplex, branch=None) -> ResolutionResult:
     Q = [f.source for f in eps]
 
     if branch == "staircase":
-        rows, route = staircase_rows(Q)
-        route_top = route_bot = route
-        blocks = _staircase_tables(L, eps, big_tops)
+        # ("lo", k) sits in layer k and ("hi", k) in layer k + 1
+        P, rows, terms = staircase(Q, axis)
+        blocks = [{(side, k): big_tops[k] @ eps[k] if side == "lo" else eps[k]
+                   for (side, k), _ in row} for row in rows]
     else:
         tags, blocks, route_top, route_bot = _ladder_tables(
             L, eps, *_ladder_composites(eps, big_tops, big_bots))
         rows = [[(tag, Q[tag[1]]) for tag in row] for row in tags]
-    P, terms = layered_sum(rows, route_top, route_bot, axis)
+        P, terms = layered_sum(rows, route_top, route_bot, axis)
 
     zeta_comps, incls, sect, retr = {}, {}, {}, {}
     for j in range(L + 1):

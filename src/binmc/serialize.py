@@ -536,20 +536,15 @@ def _step_from_doc(doc, where, member, reader):
         return components_from_doc(source, target, _need(doc, key, list, where),
                                    f"{where}.{key}", reader)
 
-    try:
-        if kind == "ses":
-            sub, total, quot = (member(doc, key, where) for key in ("sub", "total", "quot"))
-            return SesStep(ExtensionObject(sub, total, quot, maps(sub, total, "mono"),
-                                           maps(total, quot, "epi")), sign)
-        if kind == "diagonal":
-            return DiagonalStep(member(doc, "member", where), _need(doc, "axis", int, where),
-                                sign)
-        if kind == "iso":
-            source, target = member(doc, "source", where), member(doc, "target", where)
-            return IsoStep(maps(source, target, "forward"), maps(target, source, "backward"),
-                           sign)
-    except ShapeError as e:
-        raise ParseError(str(e), where)
+    if kind == "ses":
+        sub, total, quot = (member(doc, key, where) for key in ("sub", "total", "quot"))
+        return SesStep(ExtensionObject(sub, total, quot, maps(sub, total, "mono"),
+                                       maps(total, quot, "epi")), sign)
+    if kind == "diagonal":
+        return DiagonalStep(member(doc, "member", where), _need(doc, "axis", int, where), sign)
+    if kind == "iso":
+        source, target = member(doc, "source", where), member(doc, "target", where)
+        return IsoStep(maps(source, target, "forward"), maps(target, source, "backward"), sign)
     raise ParseError(f"unknown step kind {kind!r}", where)
 
 

@@ -313,6 +313,19 @@ def test_diagonal_represent_golden_digests():
     assert got == expected
 
 
+def test_diagonal_represent_pins_a_fold_of_three_parts():
+    # coefficient 3 folds three summands of Z -1-> Z into the positive part;
+    # -3 folds them into the negative part and cancels it by its complement.
+    # A change of fold order changes these chains, and must re-pin them
+    line = unit_complex(ZZ, 1)
+    got = []
+    for coeff, kinds in ((3, ["ses", "ses"]), (-3, ["ses", "ses", "ses", "diagonal"])):
+        _, chain = diagonal_represent(FormalClass.of(line, coeff), [0])
+        assert [s.kind for s in chain.steps] == kinds and verify_chain(chain).ok
+        got.append(digest(chain_to_doc(chain))[:16])
+    assert got == ["dc632b98386bfa32", "14ba9806c91ed0c6"]
+
+
 def test_diagonal_represent_refuses_generators_it_complements():
     line = _zero_line(ZZ, (2,))
     assert line.is_diagonal_in(0) and not validate(line, "free").ok

@@ -18,7 +18,7 @@ from binmc.multicomplex import (BinaryMulticomplex, MultiMorphism,
                                 direct_sum_multi, expand_along,
                                 image_multicomplex, layered_sum, pad_morphism,
                                 pad_to, rediagonalize, shift, shift_morphism,
-                                staircase_rows, summand_inclusion,
+                                staircase, summand_inclusion,
                                 summand_projection, validate)
 from binmc.resolve import resolve_multi, verify_resolution
 from binmc.rings import GF, QQ, ZZ, polynomial_ring
@@ -235,6 +235,22 @@ def test_validate_reports_square_failure():
     assert report.first().kind == "square"
 
 
+def test_validate_walks_its_box_once(monkeypatch):
+    # one box walk for the free scan and every pair of axes' squares, and one
+    # walk of the line starts per axis: dim calls, not one per pair of axes
+    calls = [0]
+    real_box_coords = multicomplex.box_coords
+
+    def counted(shape):
+        calls[0] += 1
+        return real_box_coords(shape)
+
+    Z = BinaryMulticomplex.zero(ZZ, 64)
+    monkeypatch.setattr(multicomplex, "box_coords", counted)
+    assert validate(Z, "free").ok
+    assert calls[0] <= 64, calls[0]
+
+
 def test_diagonality_report():
     rng = random.Random(7)
     D = random_multicomplex(rng, ZZ, 2, length=3, diagonal_axes=(1,), bricks=1)
@@ -363,18 +379,24 @@ def test_staircase_rows_give_a_diagonal_exact_layered_sum():
              [torsion_line],
              [random_multicomplex(rng, F5X, 1, length=2, max_rank=2, allow_fp=True)]]
     for pieces in cases:
-        pieces = [pad_to(p, common_shape(pieces)) for p in pieces]
-        rows, route = staircase_rows(pieces)
-        assert len(rows) == len(pieces) + 1
+        L = len(pieces)
+        padded = [pad_to(p, common_shape(pieces)) for p in pieces]
         for axis in (0, 1):
-            M, terms = layered_sum(rows, route, route, axis)
+            # staircase pads the pieces itself
+            M, rows, terms = staircase(pieces, axis)
+            # layer j holds ("lo", j) = X_j and ("hi", j - 1) = X_{j-1}
+            assert [[tag for tag, _ in row] for row in rows] == [
+                [("lo", j)] * (j < L) + [("hi", j - 1)] * (j > 0) for j in range(L + 1)]
+            assert all(X == padded[k] for row in rows for (_, k), X in row)
             assert validate(M, "fp").ok
             assert M.is_diagonal_in(axis)
+            along = [k for k in M.tops if k[0] == axis]
+            assert along and all(M.tops[k] is M.bots[k] for k in along)
             assert expand_along(M, axis)[0] == tuple(terms)
             for c in box_coords(M.shape):
                 j, r = c[axis], c[:axis] + c[axis + 1:]
-                assert M.objects[c].gens == sum(pieces[k].objects[r].gens
-                                                for k in (j, j - 1) if 0 <= k < len(pieces))
+                assert M.objects[c].gens == sum(padded[k].objects[r].gens
+                                                for k in (j, j - 1) if 0 <= k < L)
 
 
 def test_layered_sum_shares_one_morphism_only_where_the_routes_agree():
@@ -385,7 +407,8 @@ def test_layered_sum_shares_one_morphism_only_where_the_routes_agree():
     swap_rows = [[("x", X), ("y", X)], [("x", X), ("y", X)]]
     straight = {1: {("x", "x"), ("y", "y")}}
     crossed = {1: {("x", "y"), ("y", "x")}}
-    rows, route = staircase_rows(pieces)
+    _, rows, _ = staircase(pieces, 0)
+    route = {j: {(("lo", j - 1), ("hi", j - 1))} for j in range(1, len(rows))}
     for axis in (0, 1):
         # equal routes, though not one object: one morphism for both families
         M, _ = layered_sum(rows, route, {j: set(r) for j, r in route.items()}, axis)

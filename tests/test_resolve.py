@@ -8,11 +8,11 @@ import pytest
 from binmc import extension, fpmod, matrix, multicomplex, resolve
 from binmc.errors import NotAcyclic, ShapeError
 from binmc.fpmod import FpModule, FpMorphism, factor_through_mono, free_cover, hsum, is_epi
-from binmc.gen import random_fp_module, random_multicomplex
+from binmc.gen import conjugate_multicomplex, random_fp_module, random_multicomplex
 from binmc.matrix import Matrix
 from binmc.multicomplex import (BinaryMulticomplex, MultiMorphism,
                                 collapse_along, kernel_multicomplex, validate)
-from binmc.resolve import (_ladder_composites, _ladder_tables, _staircase_tables, phi_class,
+from binmc.resolve import (_ladder_composites, _ladder_tables, phi_class,
                            resolve_binary, resolve_multi, verify_resolution)
 from binmc.rings import GF, QQ, ZZ, polynomial_ring
 from binmc.serialize import digest, resolution_to_doc
@@ -238,9 +238,6 @@ def test_ladder_tables_route_and_block_every_atom(L):
         for route in (route_top[j], route_bot[j]):
             assert {s for _, s in route} <= set(atoms[j])
             assert {t for t, _ in route} <= set(atoms[j - 1])
-    one = [Matrix.identity(ZZ, 1)] * L
-    assert [sorted(b) for b in _staircase_tables(L, one, one)] == [
-        sorted([("lo", j)] * (j < L) + [("hi", j - 1)] * (j > 0)) for j in range(L + 1)]
 
 
 def test_resolve_multi_golden_digests():
@@ -720,3 +717,178 @@ def test_a_splitting_that_misses_a_rank_is_refused():
     assert not extension._splits(res.incl.components[()], res.zeta.components[()], s, r)
     rep = verify_resolution(res)
     assert len(rep.failures) == 1 and rep.first().startswith("sequence at () is not exact")
+
+
+def _plus_one(mat, rng):
+    """mat with one added to one random cell."""
+    i, j = rng.randrange(mat.rows), rng.randrange(mat.cols)
+    return mat + Matrix.from_row_pairs(mat.ring, mat.cols,
+                                       [[(j, mat.ring.one)] if k == i else []
+                                        for k in range(mat.rows)])
+
+
+def _with_edge(M, which, e, mat):
+    f = M.family(which)[e]
+    g = FpMorphism(f.source, f.target, mat, _trusted=True)
+    tops = {**M.tops, e: g} if which == "top" else M.tops
+    bots = {**M.bots, e: g} if which == "bottom" else M.bots
+    return BinaryMulticomplex(M.ring, M.dim, M.shape, M.objects, tops, bots)
+
+
+def _one_cell_corrupted(res, rng):
+    """(field, res with one added to one random cell of that field): a random
+    matrix of P, P′ (a differential of one family), incl, zeta, sect or retr.
+    A corrupted P or P′ replaces the old one at the ends of incl and zeta."""
+    cells = {}
+    for name in ("P", "Pprime"):
+        M = getattr(res, name)
+        cells[name] = [(which, e) for which in ("top", "bottom")
+                       for e, f in sorted(M.family(which).items()) if f.mat.rows and f.mat.cols]
+    for name in ("incl", "zeta"):
+        cells[name] = [c for c, f in sorted(getattr(res, name).components.items())
+                       if f.mat.rows and f.mat.cols]
+    for name in ("sect", "retr"):
+        cells[name] = [c for c, m in sorted(getattr(res, name).items())
+                       if m is not None and m.rows and m.cols]
+    name = rng.choice([name for name, at in cells.items() if at])
+    at = rng.choice(cells[name])
+    if name in ("P", "Pprime"):
+        which, e = at
+        old = getattr(res, name)
+        M = _with_edge(old, which, e, _plus_one(old.family(which)[e].mat, rng))
+        if name == "P":
+            return name, _replaced(res, P=M, incl=MultiMorphism(res.Pprime, M, res.incl.components),
+                                   zeta=MultiMorphism(M, res.target, res.zeta.components))
+        return name, _replaced(res, Pprime=M, incl=MultiMorphism(M, res.P, res.incl.components))
+    if name in ("incl", "zeta"):
+        mor = getattr(res, name)
+        f = mor.components[at]
+        g = FpMorphism(f.source, f.target, _plus_one(f.mat, rng))
+        return name, _replaced(res, **{name: _with_component(mor, at, g)})
+    table = getattr(res, name)
+    return name, _replaced(res, **{name: {**table, at: _plus_one(table[at], rng)}})
+
+
+def _free_ends(i, z):
+    return all(m.is_free_presentation() for m in (i.source, z.source, z.target))
+
+
+def _is_splitting(i, z, s, r):
+    """The reference for extension._splits: all five equations of a
+    splitting, with i r + s z = 1 in place of its rank count."""
+    I, Z = i.mat, z.mat
+    ring = I.ring
+    try:
+        return ((Z @ I).is_zero() and (r @ s).is_zero()
+                and r @ I == Matrix.identity(ring, I.cols)
+                and Z @ s == Matrix.identity(ring, Z.rows)
+                and I @ r + s @ Z == Matrix.identity(ring, Z.cols))
+    except ShapeError:
+        return False
+
+
+def _rank_dropped(res):
+    """res with the last generator of P′ dropped, with its column of incl and
+    its row of retr, at the highest coordinate c with free ends where P′ has a
+    generator and no generator of P′ maps into c; None if there is none.
+    incl stays a mono chain map and the four products of the splitting at c
+    still hold, but [incl | sect] misses a rank there.  A one-cell corruption
+    keeps every shape, so only this reaches _splits' rank count."""
+    Pp = res.Pprime
+    for c in sorted(Pp.objects, reverse=True):
+        g = Pp.objects[c].gens
+        ups = [e for e in Pp.tops if multicomplex._minus(e[1], e[0]) == c]
+        if (not g or res.retr.get(c) is None or any(Pp.objects[e[1]].gens for e in ups)
+                or not _free_ends(res.incl.components[c], res.zeta.components[c])):
+            continue
+        cut = FpModule.free(Pp.ring, g - 1)
+
+        def from_cut(f):
+            return FpMorphism(cut, f.target, f.mat.submatrix(0, f.mat.rows, 0, g - 1),
+                              _trusted=True)
+
+        def restricted(f, e):
+            if e[1] == c:
+                return from_cut(f)
+            if e in ups:
+                return FpMorphism(f.source, cut, Matrix.zeros(Pp.ring, g - 1, 0), _trusted=True)
+            return f
+
+        Q = multicomplex._assemble(Pp.ring, Pp.shape, {**Pp.objects, c: cut},
+                                   lambda a, e: (restricted(Pp.tops[(a, e)], (a, e)),
+                                                 restricted(Pp.bots[(a, e)], (a, e))))
+        comps = {**res.incl.components, c: from_cut(res.incl.components[c])}
+        r = res.retr[c]
+        return _replaced(res, Pprime=Q, incl=MultiMorphism(Q, res.P, comps),
+                         retr={**res.retr, c: r.submatrix(0, g - 1, 0, r.cols)})
+    return None
+
+
+def _sweep_inputs():
+    """Valid inputs over ZZ, GF(7) and F5[x] in dims 1 and 2, diagonal in
+    axis 0 or not, with free or torsion objects; then dim-1 lines over each
+    ring with one nonzero differential zeroed in both families, which are
+    complexes but not acyclic."""
+    rng = random.Random(229)
+    valid = [random_multicomplex(rng, ring, dim, length=3 if dim == 1 else 2,
+                                 max_rank=2 if dim == 1 else 1,
+                                 diagonal_axes=diagonal, allow_fp=allow_fp)
+             for ring in (ZZ, GF(7), F5X) for dim in (1, 2)
+             for diagonal in ((), (0,)) for allow_fp in (False, True)]
+    valid += [M for M in _hand_built(F5X, [(0, 1), (1, 1)], F5X.poly([2]), F5X.poly([3]))
+              + _hand_built(ZZ, [4], -1, -1) if M.dim <= 2]
+    broken = []
+    for ring in (ZZ, GF(7), F5X):
+        for diagonal in ((), (0,)):
+            M = random_multicomplex(rng, ring, 1, length=3, max_rank=2, diagonal_axes=diagonal)
+            e = next(e for e, f in sorted(M.tops.items()) if not f.mat.is_zero())
+            zero = FpMorphism.zero(M.tops[e].source, M.tops[e].target)
+            tops = {**M.tops, e: zero}
+            broken.append(BinaryMulticomplex(ring, 1, M.shape, M.objects, tops, tops))
+    return valid, broken
+
+
+def test_corruption_sweep_agrees_with_elimination():
+    # one-cell corruptions of P, P′, incl, zeta, sect and retr, a dropped
+    # generator of P′, and conjugations of P that leave the carried
+    # splittings stale: verify_resolution must give the reports of
+    # validating P′ and running check_ses everywhere, and _splits must accept
+    # exactly the splittings that satisfy all five equations
+    valid, broken = _sweep_inputs()
+    assert all(validate(M, "fp").ok for M in valid)
+    assert not any(validate(M, "fp").ok for M in broken)
+    resolutions = ([("valid", resolve_multi(M)) for M in valid]
+                   + [("broken", resolve_multi(M, check=False)) for M in broken])
+    assert len(resolutions) >= 40
+    assert {bool(M.diagonal_directions()) for M in valid} == {True, False}  # both branches
+    assert {all(m.is_free_presentation() for m in res.target.objects.values())
+            for _, res in resolutions} == {True, False}
+    rng = random.Random(233)
+    verdicts, splits = {}, {}
+    for kind, res in resolutions:
+        cases = [("as built", res)] + [_one_cell_corrupted(res, rng) for _ in range(5)]
+        dropped = _rank_dropped(res)
+        if dropped is not None:
+            cases.append(("rank dropped", dropped))
+        Pc, g, g_inv = conjugate_multicomplex(rng, res.P)
+        cases.append(("conjugated", _replaced(res, P=Pc, zeta=res.zeta @ g_inv,
+                                              incl=g @ res.incl)))
+        for label, case in cases:
+            got = verify_resolution(case).failures
+            assert got == _verify_by_elimination(case), (kind, label)
+            verdicts.setdefault((kind, label), set()).add("PASS" if not got else got[0].split()[0])
+            for c, s in case.sect.items():
+                i, z, r = case.incl.components[c], case.zeta.components[c], case.retr[c]
+                if r is not None and _free_ends(i, z):
+                    fast = extension._splits(i, z, s, r)
+                    assert fast == _is_splitting(i, z, s, r), (kind, label, c)
+                    splits.setdefault(label, set()).add(fast)
+    assert verdicts[("valid", "as built")] == {"PASS"}
+    assert verdicts[("broken", "as built")] == {"kernel"}  # two out of three does not apply
+    for label in ("P", "Pprime", "incl", "zeta", "rank dropped"):
+        assert verdicts[("valid", label)] - {"PASS"}, label
+    # corrupting only a splitting leaves every sequence exact
+    for label in ("sect", "retr", "conjugated"):
+        assert verdicts[("valid", label)] == {"PASS"}, label
+    for label in ("sect", "retr", "conjugated", "rank dropped", "incl", "zeta"):
+        assert False in splits[label], label

@@ -5,7 +5,7 @@ import pytest
 
 from binmc import serialize as ser
 from binmc.cofinal import diagonal_represent
-from binmc.errors import ParseError, RingError
+from binmc.errors import ParseError, RingError, ShapeError
 from binmc.extension import split_extension
 from binmc.gen import (conjugate_multicomplex, random_multicomplex,
                        random_tn_class)
@@ -102,6 +102,18 @@ def test_chain_document_round_trip_every_step_kind():
     chain2 = ser.chain_from_doc(doc)
     assert verify_chain(chain2).ok
     assert ser.canonical_dumps(ser.chain_to_doc(chain2)) == ser.canonical_dumps(doc)
+
+
+def test_a_step_of_unknown_kind_is_refused_by_the_writer():
+    class BraidStep(DiagonalStep):
+        kind = "braid"
+        __slots__ = ()
+
+    M = random_multicomplex(random.Random(13), ZZ, 1, length=2, max_rank=2,
+                            diagonal_axes=(0,))
+    chain = RelationChain(FormalClass.of(M), [BraidStep(M, 0, -1)], FormalClass.zero(1))
+    with pytest.raises(ShapeError, match="unknown step kind 'braid'"):
+        ser.chain_to_doc(chain)
 
 
 def test_parse_any_dispatch():
